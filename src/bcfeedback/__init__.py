@@ -23,6 +23,7 @@ from .core import (
     update_sources,
 )
 from .fixedpoint import (
+    SCHEME_IDS,
     BGamma,
     FixedPointError,
     OzarowFixedPoint,
@@ -61,7 +62,6 @@ from .numerics import (
     sylvester_hadamard,
 )
 from .schedules import (
-    SCHEME_IDS,
     DegradedSchedule,
     OzarowSchedule,
     ScheduleInvariantError,

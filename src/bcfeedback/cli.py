@@ -22,7 +22,13 @@ import sys
 from dataclasses import dataclass
 
 from .channel import ChannelConfig
-from .fixedpoint import rate_report, solve_lambda_bc, solve_lambda_mac
+from .fixedpoint import (
+    SCHEME_IDS,
+    check_channel,
+    rate_report,
+    solve_lambda_bc,
+    solve_lambda_mac,
+)
 from .montecarlo import (
     CSV_HEADER,
     default_policies,
@@ -30,7 +36,6 @@ from .montecarlo import (
     prepare_scheme,
     write_csv,
 )
-from .schedules import SCHEME_IDS
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "main"]
 
@@ -171,36 +176,11 @@ def parse_run_config(raw: dict, *, allow_power_list: bool = False) -> list[RunCo
                 num_receivers=m, power_budget=p,
                 common_noise_var=common, private_noise_vars=tuple(priv),
             )
+            check_channel(scheme, channel)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _check_scheme_channel(scheme, channel)
         configs.append(RunConfig(scheme=scheme, channel=channel, seed=seed, **kwargs))
     return configs
-
-
-def _check_scheme_channel(scheme: str, channel: ChannelConfig) -> None:
-    if scheme == "ozarow2":
-        if channel.num_receivers != 2:
-            raise ConfigError("scheme 'ozarow2' needs num_receivers = 2")
-        if (channel.common_noise_var + channel.private_noise_vars[0] <= 0
-                or channel.common_noise_var + channel.private_noise_vars[1] <= 0):
-            raise ConfigError("scheme 'ozarow2' needs positive total noise per receiver")
-    elif scheme == "degraded":
-        if any(v != 0.0 for v in channel.private_noise_vars):
-            raise ConfigError("scheme 'degraded' needs all private noise variances zero")
-        if channel.common_noise_var <= 0.0:
-            raise ConfigError("scheme 'degraded' needs positive common noise variance")
-        if channel.num_receivers & (channel.num_receivers - 1):
-            raise ConfigError("scheme 'degraded' needs a power-of-two receiver count")
-    elif scheme == "symmetric":
-        if channel.common_noise_var != 0.0:
-            raise ConfigError("scheme 'symmetric' needs zero common noise variance")
-        if len(set(channel.private_noise_vars)) != 1 or channel.private_noise_vars[0] <= 0:
-            raise ConfigError(
-                "scheme 'symmetric' needs equal positive private noise variances"
-            )
-        if channel.num_receivers & (channel.num_receivers - 1):
-            raise ConfigError("scheme 'symmetric' needs a power-of-two receiver count")
 
 
 # ----------------------------------------------------------------------------
@@ -226,15 +206,13 @@ def _parse_noise_flag(noise: str | None, scheme: str, m: int) -> tuple[float, tu
 
 def _channel_from_args(args) -> ChannelConfig:
     m = args.M
-    if args.scheme == "ozarow2" and m != 2:
-        raise ConfigError("scheme 'ozarow2' needs -M 2")
     common, priv = _parse_noise_flag(args.noise, args.scheme, m)
     try:
         channel = ChannelConfig(num_receivers=m, power_budget=args.P,
                                 common_noise_var=common, private_noise_vars=priv)
+        check_channel(args.scheme, channel)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_scheme_channel(args.scheme, channel)
     return channel
 
 

@@ -35,6 +35,8 @@ import numpy as np
 from .numerics import largest_root
 
 __all__ = [
+    "SCHEME_IDS",
+    "check_channel",
     "FixedPointError",
     "SumRateSolution",
     "BGamma",
@@ -51,6 +53,8 @@ __all__ = [
     "build_warmup_plan",
     "rate_report",
 ]
+
+SCHEME_IDS = ("ozarow2", "degraded", "symmetric")
 
 _ROOT_TOL = 1e-12
 _CHECK_TOL = 1e-10
@@ -95,6 +99,11 @@ class OzarowFixedPoint:
     g: float
     a1_star: float
     a2_star: float
+
+    @property
+    def rates(self) -> tuple[float, float]:
+        """Per-receiver rate limits in bits."""
+        return (-math.log2(self.a1_star), -math.log2(self.a2_star))
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,19 @@ def _mac_log_gap(x: float, M: int, P: float) -> float:
     return M * math.log1p(P * x * (M - x)) - (M - 1) * math.log1p(M * P * x)
 
 
+def _solve_lambda(gap, M: int, P: float, gain: float, tol: float) -> SumRateSolution:
+    if M == 1:
+        lam, residual = 1.0, abs(gap(1.0, 1, P))
+    else:
+        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), tol)
+        lam, residual = res.root, res.residual
+    if not (1.0 <= lam <= M):
+        raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
+    sum_rate = 0.5 * math.log2(1.0 + gain * lam)
+    return SumRateSolution(lam=lam, residual=residual, sum_rate=sum_rate,
+                           per_user_rate=sum_rate / M)
+
+
 def solve_lambda_bc(M: int, P: float, tol: float = _ROOT_TOL) -> SumRateSolution:
     """Largest root in [1, M] of the broadcast sum-rate equation.
 
@@ -177,31 +199,13 @@ def solve_lambda_bc(M: int, P: float, tol: float = _ROOT_TOL) -> SumRateSolution
     per-receiver contraction rate.
     """
     M, P = _validate_mp(M, P)
-    if M == 1:
-        lam, residual = 1.0, abs(_bc_log_gap(1.0, 1, P))
-    else:
-        res = largest_root(lambda x: _bc_log_gap(x, M, P), 1.0, float(M), tol)
-        lam, residual = res.root, res.residual
-    if not (1.0 <= lam <= M):
-        raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
-    sum_rate = 0.5 * math.log2(1.0 + P * lam)
-    return SumRateSolution(lam=lam, residual=residual, sum_rate=sum_rate,
-                           per_user_rate=sum_rate / M)
+    return _solve_lambda(_bc_log_gap, M, P, P, tol)
 
 
 def solve_lambda_mac(M: int, P: float, tol: float = _ROOT_TOL) -> SumRateSolution:
     """Largest root in [1, M] of the multiple-access twin; sum rate (1/2) log2(1 + M P lam)."""
     M, P = _validate_mp(M, P)
-    if M == 1:
-        lam, residual = 1.0, abs(_mac_log_gap(1.0, 1, P))
-    else:
-        res = largest_root(lambda x: _mac_log_gap(x, M, P), 1.0, float(M), tol)
-        lam, residual = res.root, res.residual
-    if not (1.0 <= lam <= M):
-        raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
-    sum_rate = 0.5 * math.log2(1.0 + M * P * lam)
-    return SumRateSolution(lam=lam, residual=residual, sum_rate=sum_rate,
-                           per_user_rate=sum_rate / M)
+    return _solve_lambda(_mac_log_gap, M, P, M * P, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -413,6 +417,38 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
 # ----------------------------------------------------------------------------
 
 
+def check_channel(scheme: str, channel) -> None:
+    """Raise ValueError unless ``scheme`` (one of SCHEME_IDS) can run on ``channel``.
+
+    ozarow2 needs exactly two receivers, each with positive total noise.
+    degraded needs a positive common noise and no private noise; symmetric
+    needs no common noise and equal positive private noises.  Both mix with
+    Hadamard columns, so both need a power-of-two receiver count.
+    """
+    m = channel.num_receivers
+    common, priv = channel.common_noise_var, channel.private_noise_vars
+    if scheme == "ozarow2":
+        if m != 2:
+            raise ValueError("scheme 'ozarow2' needs exactly 2 receivers")
+        if common + priv[0] <= 0.0 or common + priv[1] <= 0.0:
+            raise ValueError("scheme 'ozarow2' needs positive total noise per receiver")
+        return
+    if scheme == "degraded":
+        if any(v != 0.0 for v in priv):
+            raise ValueError("scheme 'degraded' needs all private noise variances zero")
+        if common <= 0.0:
+            raise ValueError("scheme 'degraded' needs positive common noise variance")
+    elif scheme == "symmetric":
+        if common != 0.0:
+            raise ValueError("scheme 'symmetric' needs zero common noise variance")
+        if len(set(priv)) != 1 or priv[0] <= 0.0:
+            raise ValueError("scheme 'symmetric' needs equal positive private noise variances")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
+    if m & (m - 1):
+        raise ValueError(f"scheme {scheme!r} needs a power-of-two receiver count")
+
+
 def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
     return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
 
@@ -421,47 +457,36 @@ def rate_report(scheme: str, channel, *, g: float = 1.0,
                 rate_fraction: float = 0.5) -> RateReport:
     """Rate limits, targets at the given fraction, and error-exponent bases.
 
-    ``channel`` is a ChannelConfig; noise variances enter through the
-    effective signal-to-noise power (symmetric: P / private variance,
-    degraded: P / common variance, two-user: explicitly).  The exponent base
-    for receiver m is 2**(2 (R_m* - R_m)), the per-step shrink factor of the
-    decoded interval relative to its reliability budget.
+    ``channel`` is a ChannelConfig that :func:`check_channel` accepts for
+    ``scheme``; noise variances enter through the effective signal-to-noise
+    power (symmetric: P / private variance, degraded: P / common variance,
+    two-user: explicitly).  The exponent base for receiver m is
+    2**(2 (R_m* - R_m)), the per-step shrink factor of the decoded interval
+    relative to its reliability budget.
     """
     if not (0.0 < rate_fraction < 1.0):
         raise ValueError("rate_fraction must lie strictly between 0 and 1")
+    check_channel(scheme, channel)
     m = channel.num_receivers
     p = channel.power_budget
-    if scheme == "symmetric":
-        s = _symmetric_noise_scale(channel)
-        p_eff = p / s
-        sol = solve_lambda_bc(m, p_eff)
-        r = _per_user_rate_bits(m, p_eff, sol.lam)
-        per_user = (r,) * m
-        report = dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate)
-    elif scheme == "degraded":
-        sigma2 = _degraded_noise_var(channel)
-        p_eff = p / sigma2
-        sol = solve_lambda_bc(m, p_eff)
-        r = _per_user_rate_bits(m, p_eff, sol.lam)
-        per_user = (r,) * m
-        report = dict(
-            lam=sol.lam,
-            residual=sol.residual,
-            sum_rate=sol.sum_rate,
-            avg_power=p * sol.lam,
-            capacity_at_budget=0.5 * math.log2(1.0 + p_eff),
-        )
-    elif scheme == "ozarow2":
-        if m != 2:
-            raise ValueError("the two-user variant needs exactly 2 receivers")
+    if scheme == "ozarow2":
         fp = solve_rho(
             p, channel.common_noise_var,
             channel.private_noise_vars[0], channel.private_noise_vars[1], g,
         )
-        per_user = (-math.log2(fp.a1_star), -math.log2(fp.a2_star))
+        per_user = fp.rates
         report = dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(per_user))
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        if scheme == "symmetric":
+            p_eff = p / channel.private_noise_vars[0]
+        else:
+            p_eff = p / channel.common_noise_var
+        sol = solve_lambda_bc(m, p_eff)
+        per_user = (_per_user_rate_bits(m, p_eff, sol.lam),) * m
+        report = dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate)
+        if scheme == "degraded":
+            report.update(avg_power=p * sol.lam,
+                          capacity_at_budget=0.5 * math.log2(1.0 + p_eff))
 
     targets = tuple(rate_fraction * r for r in per_user)
     bases = tuple(2.0 ** (2.0 * (r - t)) for r, t in zip(per_user, targets))
@@ -470,20 +495,3 @@ def rate_report(scheme: str, channel, *, g: float = 1.0,
         rate_fraction=rate_fraction, target_rates=targets, exponent_bases=bases,
         **report,
     )
-
-
-def _symmetric_noise_scale(channel) -> float:
-    if channel.common_noise_var != 0.0:
-        raise ValueError("symmetric scheme needs zero common noise variance")
-    vals = set(channel.private_noise_vars)
-    if len(vals) != 1 or min(vals) <= 0.0:
-        raise ValueError("symmetric scheme needs equal positive private noise variances")
-    return channel.private_noise_vars[0]
-
-
-def _degraded_noise_var(channel) -> float:
-    if any(v != 0.0 for v in channel.private_noise_vars):
-        raise ValueError("degraded scheme needs zero private noise variances")
-    if channel.common_noise_var <= 0.0:
-        raise ValueError("degraded scheme needs positive common noise variance")
-    return channel.common_noise_var

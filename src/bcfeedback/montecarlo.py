@@ -224,8 +224,6 @@ class BatchStats:
     err_counts: np.ndarray  # (len(checkpoints), M) integer error counts
     cum_power_sum: np.ndarray  # per checkpoint: sum over trials of (1/n) sum x_k^2
     cum_power_sumsq: np.ndarray
-    step_power_sum: np.ndarray  # (horizon,) sum over trials of x_n^2
-    step_power_sumsq: np.ndarray
     roundtrip_max_relerr: float  # max over steps/trials of |T_n(s_{n+1}) - s_1| / max(1, |s_1|)
 
 
@@ -252,13 +250,8 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     err_counts = np.zeros((len(marks), m), dtype=np.int64)
     cum_sum = np.zeros(len(marks))
     cum_sumsq = np.zeros(len(marks))
-    step_sum = np.zeros(horizon)
-    step_sumsq = np.zeros(horizon)
     mark_index = {n: i for i, n in enumerate(marks)}
     roundtrip = 0.0
-
-    if 0 in mark_index:
-        pass  # success everywhere; zero errors, zero mean power
 
     for n in range(1, horizon + 1):
         params = prepared.params[n - 1]
@@ -267,10 +260,7 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
         intercept += np.exp(log_slope) * (params.b * y)
         log_slope = log_slope + np.log(params.a)
         s = (s - params.b * y) / params.a
-        xx = x * x
-        cum_power += xx
-        step_sum[n - 1] = xx.sum()
-        step_sumsq[n - 1] = (xx * xx).sum()
+        cum_power += x * x
         if check_roundtrip:
             recon = np.exp(log_slope) * s + intercept
             rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
@@ -283,7 +273,7 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
             cum_sum[i] = mp.sum()
             cum_sumsq[i] = (mp * mp).sum()
 
-    return err_counts, cum_sum, cum_sumsq, step_sum, step_sumsq, roundtrip
+    return err_counts, cum_sum, cum_sumsq, roundtrip
 
 
 def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
@@ -318,19 +308,14 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     err = np.zeros((len(marks), m), dtype=np.int64)
     cum_sum = np.zeros(len(marks))
     cum_sumsq = np.zeros(len(marks))
-    step_sum = np.zeros(horizon)
-    step_sumsq = np.zeros(horizon)
     roundtrip = 0.0
     for res in results:  # chunk order, independent of completion order
         err += res[0]
         cum_sum += res[1]
         cum_sumsq += res[2]
-        step_sum += res[3]
-        step_sumsq += res[4]
-        roundtrip = max(roundtrip, res[5])
+        roundtrip = max(roundtrip, res[3])
     return BatchStats(trials=trials, checkpoints=marks, err_counts=err,
                       cum_power_sum=cum_sum, cum_power_sumsq=cum_sumsq,
-                      step_power_sum=step_sum, step_power_sumsq=step_sumsq,
                       roundtrip_max_relerr=roundtrip)
 
 

@@ -40,8 +40,11 @@ import numpy as np
 from .channel import ChannelConfig
 from .core import StepParams
 from .fixedpoint import (
+    SCHEME_IDS,
     WarmupPlan,
+    _per_user_rate_bits,
     build_warmup_plan,
+    check_channel,
     rho_map,
     solve_lambda_bc,
     solve_rho,
@@ -56,11 +59,8 @@ __all__ = [
     "DegradedSchedule",
     "SymmetricSchedule",
     "make_schedule",
-    "SCHEME_IDS",
     "hadamard_eigen_profile",
 ]
-
-SCHEME_IDS = ("ozarow2", "degraded", "symmetric")
 
 
 class ScheduleInvariantError(RuntimeError):
@@ -124,8 +124,7 @@ class OzarowSchedule:
     """
 
     def __init__(self, channel: ChannelConfig, g: float = 1.0, mode: str = "tracked"):
-        if channel.num_receivers != 2:
-            raise ValueError("this schedule is defined for exactly 2 receivers")
+        check_channel("ozarow2", channel)
         if mode not in ("tracked", "pinned"):
             raise ValueError(f"unknown mode {mode!r}")
         self.channel = channel
@@ -143,8 +142,7 @@ class OzarowSchedule:
         self.step_index = 1
 
     def rate_limits(self) -> np.ndarray:
-        fp = self.fixed_point
-        return np.array([-math.log2(fp.a1_star), -math.log2(fp.a2_star)])
+        return np.array(self.fixed_point.rates)
 
     def step(self) -> ScheduleStep:
         ch = self.channel
@@ -197,13 +195,8 @@ class DegradedSchedule:
     """
 
     def __init__(self, channel: ChannelConfig):
-        if any(v != 0.0 for v in channel.private_noise_vars):
-            raise ValueError("degraded schedule needs zero private noise variances")
-        if channel.common_noise_var <= 0.0:
-            raise ValueError("degraded schedule needs positive common noise variance")
+        check_channel("degraded", channel)
         m = channel.num_receivers
-        if m & (m - 1):
-            raise ValueError("number of receivers must be a power of two")
         self.channel = channel
         self.hadamard = sylvester_hadamard(m.bit_length() - 1)
         self.columns = self.hadamard.entries.astype(float)
@@ -218,9 +211,7 @@ class DegradedSchedule:
     def rate_limits(self) -> np.ndarray:
         m = self.channel.num_receivers
         p_eff = self.channel.power_budget / self.channel.common_noise_var
-        lam = self.solution.lam
-        r = 0.5 * math.log2((1.0 + p_eff * lam) / (1.0 + (p_eff / m) * lam * (m - lam)))
-        return np.full(m, r)
+        return np.full(m, _per_user_rate_bits(m, p_eff, self.solution.lam))
 
     def step(self) -> ScheduleStep:
         ch = self.channel
@@ -263,13 +254,8 @@ class SymmetricSchedule:
 
     def __init__(self, channel: ChannelConfig, check_invariants: bool = True,
                  check_tol: float = 1e-9):
-        if channel.common_noise_var != 0.0:
-            raise ValueError("symmetric schedule needs zero common noise variance")
-        if len(set(channel.private_noise_vars)) != 1 or channel.private_noise_vars[0] <= 0.0:
-            raise ValueError("symmetric schedule needs equal positive private noise variances")
+        check_channel("symmetric", channel)
         m = channel.num_receivers
-        if m & (m - 1):
-            raise ValueError("number of receivers must be a power of two")
         self.channel = channel
         noise_scale = channel.private_noise_vars[0]
         self.plan: WarmupPlan = build_warmup_plan(m, channel.power_budget / noise_scale)
@@ -295,12 +281,7 @@ class SymmetricSchedule:
 
     def rate_limits(self) -> np.ndarray:
         m = self.channel.num_receivers
-        plan = self.plan
-        r = 0.5 * math.log2(
-            (1.0 + plan.P * plan.lam)
-            / (1.0 + (plan.P / m) * plan.lam * (m - plan.lam))
-        )
-        return np.full(m, r)
+        return np.full(m, _per_user_rate_bits(m, self.plan.P, self.plan.lam))
 
     def step(self) -> ScheduleStep:
         ch = self.channel

@@ -2,9 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, main, parse_run_config
+from bcfeedback.fixedpoint import SCHEME_IDS, rate_report
+from bcfeedback.schedules import make_schedule
 
 
 def base_config(**kw):
@@ -92,6 +96,46 @@ def test_parse_run_config_scheme_channel_compat():
                                      private_noise_vars=[1.0] * 4))
     with pytest.raises(ConfigError):
         parse_run_config(base_config(num_receivers=3, private_noise_vars=[1.0] * 3))
+
+
+# (M, common variance, private variances) and the schemes that accept it
+SCHEME_CHANNEL_GRID = [
+    ((1, 0.0, (1.0,)), {"symmetric"}),
+    ((2, 0.0, (1.0, 1.0)), {"ozarow2", "symmetric"}),
+    ((2, 1.0, (0.0, 0.0)), {"ozarow2", "degraded"}),
+    ((2, 0.5, (1.0, 1.0)), {"ozarow2"}),
+    ((2, 0.0, (1.0, 0.0)), set()),
+    ((3, 0.0, (1.0,) * 3), set()),
+    ((3, 1.0, (0.0,) * 3), set()),
+    ((4, 0.0, (1.0,) * 4), {"symmetric"}),
+    ((4, 1.0, (0.0,) * 4), {"degraded"}),
+]
+
+
+@pytest.mark.parametrize("noise, accepting", SCHEME_CHANNEL_GRID)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_layers_agree_on_scheme_channel(scheme, noise, accepting, capsys):
+    m, common, priv = noise
+    channel = ChannelConfig(m, 10.0, common, priv)
+    cfg = base_config(scheme=scheme, num_receivers=m, common_noise_var=common,
+                      private_noise_vars=list(priv))
+    argv = ["solve", "--scheme", scheme, "-M", str(m),
+            "--noise", ",".join(str(v) for v in (common, *priv))]
+    if scheme in accepting:
+        report = rate_report(scheme, channel)
+        sched = make_schedule(scheme, channel)
+        assert np.array_equal(sched.rate_limits(), report.per_user)
+        parse_run_config(cfg)
+        assert main(argv) == 0
+    else:
+        with pytest.raises(ValueError):
+            rate_report(scheme, channel)
+        with pytest.raises(ValueError):
+            make_schedule(scheme, channel)
+        with pytest.raises(ConfigError):
+            parse_run_config(cfg)
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_parse_run_config_power_list_only_for_sweep():

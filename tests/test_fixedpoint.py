@@ -383,3 +383,7 @@ def test_rate_report_validation():
         rate_report("degraded", ChannelConfig(2, 1.0, 0.5, (1.0, 0.0)))
     with pytest.raises(ValueError):
         rate_report("ozarow2", ChannelConfig(4, 1.0, 0.0, (1.0,) * 4))
+    with pytest.raises(ValueError):
+        rate_report("symmetric", ChannelConfig(3, 1.0, 0.0, (1.0,) * 3))
+    with pytest.raises(ValueError):
+        rate_report("degraded", ChannelConfig(3, 1.0, 1.0, (0.0,) * 3))
