@@ -9,10 +9,9 @@ schedule for power-of-two receiver counts, and a symmetric schedule whose
 steady state matches the solution of an algebraic fixed point.
 """
 
-from .channel import ChannelConfig, NoiseDraw, sample_noise, spawn_trial_seeds, transmit
+from .channel import ChannelConfig, channel_outputs, draw_trial, spawn_trial_seeds
 from .core import (
     DecoderState,
-    EncoderState,
     IntervalPolicy,
     StepParams,
     decode_interval,
@@ -74,8 +73,8 @@ from .schedules import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "NoiseDraw", "sample_noise", "spawn_trial_seeds", "transmit",
-    "DecoderState", "EncoderState", "IntervalPolicy", "StepParams",
+    "ChannelConfig", "channel_outputs", "draw_trial", "spawn_trial_seeds",
+    "DecoderState", "IntervalPolicy", "StepParams",
     "decode_interval", "decoder_absorb", "embed_message", "encode",
     "instant_rate", "update_sources",
     "BGamma", "FixedPointError", "OzarowFixedPoint", "RateReport",

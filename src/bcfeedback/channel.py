@@ -16,10 +16,8 @@ import numpy as np
 
 __all__ = [
     "ChannelConfig",
-    "NoiseDraw",
-    "noise_stds",
-    "sample_noise",
-    "transmit",
+    "draw_trial",
+    "channel_outputs",
     "spawn_trial_seeds",
 ]
 
@@ -56,35 +54,26 @@ class ChannelConfig:
         object.__setattr__(self, "private_noise_vars", priv)
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One channel use worth of noise: the shared component plus M private ones."""
+def draw_trial(rng: np.random.Generator, M: int, horizon: int):
+    """All of one trial's randomness: M message points, then 1 + M normals per step.
 
-    common: float
-    private: np.ndarray
-
-
-def noise_stds(config: ChannelConfig) -> tuple[float, np.ndarray]:
-    return math.sqrt(config.common_noise_var), np.sqrt(
-        np.asarray(config.private_noise_vars, dtype=float)
-    )
-
-
-def sample_noise(config: ChannelConfig, rng: np.random.Generator) -> NoiseDraw:
-    """Draw one NoiseDraw.
-
-    Always consumes exactly 1 + M standard normals from ``rng`` (zero-variance
-    components scale theirs to exact 0.0), so trial streams stay aligned with
-    the vectorised batch runner no matter which variances are switched off.
+    This is the trial stream layout.  Row n of the normals is step n + 1's noise
+    (shared component first); zero-variance components still consume theirs,
+    so streams stay aligned whichever variances are switched off.
     """
-    common_std, private_std = noise_stds(config)
-    v = rng.standard_normal(1 + config.num_receivers)
-    return NoiseDraw(common=common_std * v[0], private=private_std * v[1:])
+    theta = rng.random(M)
+    return theta, rng.standard_normal((horizon, 1 + M))
 
 
-def transmit(x: float, draw: NoiseDraw) -> np.ndarray:
-    """Per-receiver outputs for input x under the given noise draw."""
-    return x + draw.common + draw.private
+def channel_outputs(config: ChannelConfig, x, z: np.ndarray) -> np.ndarray:
+    """Per-receiver outputs x + sigma z_0 + sigma_m z_m for standard normals z.
+
+    x has any shape and z that shape plus a trailing 1 + M axis; the result
+    ends in an M axis.
+    """
+    common_std = math.sqrt(config.common_noise_var)
+    private_std = np.sqrt(np.asarray(config.private_noise_vars, dtype=float))
+    return np.asarray(x)[..., None] + common_std * z[..., :1] + private_std * z[..., 1:]
 
 
 def spawn_trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:

@@ -13,7 +13,7 @@ before any computation; unknown keys are rejected by name.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import logging
 import math
@@ -31,10 +31,10 @@ from .fixedpoint import (
 )
 from .montecarlo import (
     CSV_HEADER,
+    csv_rows,
     default_policies,
     estimate,
     prepare_scheme,
-    write_csv,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "main"]
@@ -46,6 +46,15 @@ DUALITY_TOL = 1e-10
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _input_errors():
+    """Report the library's ValueError (its verdict on bad input) as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -171,14 +180,12 @@ def parse_run_config(raw: dict, *, allow_power_list: bool = False) -> list[RunCo
 
     configs = []
     for p in powers:
-        try:
+        with _input_errors():
             channel = ChannelConfig(
                 num_receivers=m, power_budget=p,
                 common_noise_var=common, private_noise_vars=tuple(priv),
             )
             check_channel(scheme, channel)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         configs.append(RunConfig(scheme=scheme, channel=channel, seed=seed, **kwargs))
     return configs
 
@@ -207,12 +214,10 @@ def _parse_noise_flag(noise: str | None, scheme: str, m: int) -> tuple[float, tu
 def _channel_from_args(args) -> ChannelConfig:
     m = args.M
     common, priv = _parse_noise_flag(args.noise, args.scheme, m)
-    try:
+    with _input_errors():
         channel = ChannelConfig(num_receivers=m, power_budget=args.P,
                                 common_noise_var=common, private_noise_vars=priv)
         check_channel(args.scheme, channel)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return channel
 
 
@@ -227,8 +232,8 @@ def _open_out(path: str | None):
     return open(path, "w"), True
 
 
-def _emit(args, text: str) -> None:
-    fh, close = _open_out(getattr(args, "out", None))
+def _emit(path: str | None, text: str) -> None:
+    fh, close = _open_out(path)
     try:
         fh.write(text)
     finally:
@@ -266,17 +271,19 @@ def _format_kv(payload: dict) -> str:
 
 def cmd_solve(args) -> int:
     channel = _channel_from_args(args)
-    report = rate_report(args.scheme, channel, g=args.g)
+    with _input_errors():
+        report = rate_report(args.scheme, channel, g=args.g)
     payload = _report_payload(report)
     log.info("solved %s at M=%d P=%g", args.scheme, report.M, report.P)
-    _emit(args, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
+    _emit(args.out, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
     return 0
 
 
 def cmd_rates(args) -> int:
     channel = _channel_from_args(args)
-    report = rate_report(args.scheme, channel, g=args.g,
-                         rate_fraction=args.rate_fraction)
+    with _input_errors():
+        report = rate_report(args.scheme, channel, g=args.g,
+                             rate_fraction=args.rate_fraction)
     payload = _report_payload(report)
     payload["rate_fraction"] = report.rate_fraction
     payload["target_rate_bits"] = list(report.target_rates)
@@ -285,7 +292,7 @@ def cmd_rates(args) -> int:
         payload["avg_power"] = report.avg_power
     if report.capacity_at_budget is not None:
         payload["capacity_at_budget_bits"] = report.capacity_at_budget
-    _emit(args, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
+    _emit(args.out, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
     return 0
 
 
@@ -303,8 +310,9 @@ def cmd_duality(args) -> int:
     worst = 0.0
     for m in ms:
         for p in ps:
-            bc = solve_lambda_bc(m, p)
-            mac = solve_lambda_mac(m, p / m)
+            with _input_errors():
+                bc = solve_lambda_bc(m, p)
+                mac = solve_lambda_mac(m, p / m)
             diff = abs(bc.sum_rate - mac.sum_rate)
             worst = max(worst, diff)
             ok = "yes" if diff <= DUALITY_TOL else "no"
@@ -312,7 +320,7 @@ def cmd_duality(args) -> int:
                 f"{m},{format(p, '.12g')},{bc.sum_rate:.12g},{mac.sum_rate:.12g},"
                 f"{diff:.3g},{ok}"
             )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     if worst > DUALITY_TOL:
         log.error("duality gap %.3g exceeds %.1g", worst, DUALITY_TOL)
         return 1
@@ -360,35 +368,13 @@ def _run_simulation(cfg: RunConfig, threads: int):
 
 
 def cmd_simulate(args) -> int:
+    """simulate and sweep: run each power budget of the config, then write one CSV."""
     raw = _apply_overrides(_load_config_file(args.config), args)
-    cfg = parse_run_config(raw, allow_power_list=False)[0]
-    prepared, estimates = _run_simulation(cfg, args.threads)
-    out = args.out if args.out is not None else cfg.out
-    fh, close = _open_out(out)
-    try:
-        write_csv(fh, prepared, estimates)
-    finally:
-        if close:
-            fh.close()
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    raw = _apply_overrides(_load_config_file(args.config), args)
-    configs = parse_run_config(raw, allow_power_list=True)
-    out = args.out if args.out is not None else configs[0].out
-    fh, close = _open_out(out)
-    try:
-        fh.write(CSV_HEADER + "\n")
-        for cfg in configs:
-            prepared, estimates = _run_simulation(cfg, args.threads)
-            buf = io.StringIO()
-            write_csv(buf, prepared, estimates)
-            body = buf.getvalue().split("\n", 1)[1]
-            fh.write(body)
-    finally:
-        if close:
-            fh.close()
+    configs = parse_run_config(raw, allow_power_list=args.command == "sweep")
+    lines = [CSV_HEADER + "\n"]
+    for cfg in configs:
+        lines.extend(csv_rows(*_run_simulation(cfg, args.threads)))
+    _emit(args.out if args.out is not None else configs[0].out, "".join(lines))
     return 0
 
 
@@ -434,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--out", default=None)
     p_dual.set_defaults(func=cmd_duality)
 
-    for name, fn in (("simulate", cmd_simulate), ("sweep", cmd_sweep)):
+    for name in ("simulate", "sweep"):
         p_sim = sub.add_parser(name, help=f"{name} from a JSON config")
         p_sim.add_argument("--config", required=True, help="JSON config path")
         p_sim.add_argument("--out", default=None,
@@ -443,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
         p_sim.add_argument("--trials", type=int, default=None)
         p_sim.add_argument("--horizon", type=int, default=None)
-        p_sim.set_defaults(func=fn)
+        p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Encoder/decoder recursion shared by every schedule.
+"""Encoder/decoder recursion shared by every schedule and both Monte Carlo runners.
 
 Message m is a point theta in (0, 1), embedded as a Gaussian source value
 s = sqrt(p0) * quantile(theta).  Each channel use n transmits
@@ -27,7 +27,6 @@ from .numerics import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "StepParams",
-    "EncoderState",
     "DecoderState",
     "IntervalPolicy",
     "embed_message",
@@ -78,15 +77,6 @@ class StepParams:
 
 
 @dataclass(frozen=True)
-class EncoderState:
-    """Source vector after ``step`` updates (step 0 = freshly embedded messages)."""
-
-    s: np.ndarray
-    step: int
-    p0: float
-
-
-@dataclass(frozen=True)
 class DecoderState:
     """Affine replay map T_n(x) = exp(log_slope) * x + intercept for one receiver."""
 
@@ -127,23 +117,23 @@ def embed_message(theta: float, p0: float):
     return math.sqrt(p0) * std_normal_quantile(theta)
 
 
-def encode(state: EncoderState, params: StepParams) -> float:
-    """Channel input beta * <alpha, s> for the current step."""
-    s = np.asarray(state.s, dtype=float)
-    if s.shape != params.alpha.shape:
+def encode(s: np.ndarray, params: StepParams):
+    """Channel input beta * <alpha, s> for sources s of shape (M,) or (trials, M)."""
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1:] != params.alpha.shape:
         raise ValueError(
-            f"source vector has shape {s.shape}, schedule expects {params.alpha.shape}"
+            f"source array has shape {s.shape}, schedule width is {params.alpha.shape[0]}"
         )
-    return float(params.beta * (params.alpha @ s))
+    return (s @ params.alpha) * params.beta
 
 
-def update_sources(state: EncoderState, params: StepParams, y: np.ndarray) -> EncoderState:
+def update_sources(s: np.ndarray, params: StepParams, y: np.ndarray) -> np.ndarray:
     """Per-receiver refinement s <- (s - b y) / a after observing outputs y."""
-    s = np.asarray(state.s, dtype=float)
+    s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if s.shape != params.a.shape or y.shape != params.a.shape:
-        raise ValueError("source and output vectors must match the schedule width")
-    return EncoderState(s=(s - params.b * y) / params.a, step=state.step + 1, p0=state.p0)
+    if s.shape[-1:] != params.a.shape or y.shape != s.shape:
+        raise ValueError("source and output arrays must match each other and the schedule width")
+    return (s - params.b * y) / params.a
 
 
 def decoder_absorb(dec: DecoderState, a_n: float, b_n: float, y_n: float) -> DecoderState:

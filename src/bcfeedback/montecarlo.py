@@ -1,11 +1,14 @@
 """Monte Carlo harness: per-trial streams, vectorised batches, error estimates.
 
 Reproducibility contract: trial i draws from a child stream spawned from the
-master seed by trial index, consuming first M uniforms (message points) and
-then 1 + M standard normals per step.  ``run_trial`` walks one trial through
-the real encoder/decoder ops; ``run_batch`` is its vectorised twin used for
-estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so results are
-byte-identical no matter how many worker threads execute the chunks.
+master seed by trial index, laid out by ``channel.draw_trial`` (M uniforms for
+the message points, then 1 + M standard normals per step).  ``run_trial`` walks
+one trial through the scalar decoder ops; ``run_batch`` is its vectorised twin
+used for estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so
+results are byte-identical no matter how many worker threads execute the
+chunks.  Both draw through ``draw_trial``, form outputs with
+``channel_outputs`` and step the sources with ``core.encode`` /
+``core.update_sources``.
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
@@ -18,14 +21,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, noise_stds, sample_noise, spawn_trial_seeds, transmit
+from .channel import ChannelConfig, channel_outputs, draw_trial, spawn_trial_seeds
 from .core import (
     DecoderState,
-    EncoderState,
     IntervalPolicy,
     decode_interval,
     decoder_absorb,
@@ -49,6 +51,7 @@ __all__ = [
     "ErrorEstimate",
     "estimate",
     "wilson_interval",
+    "csv_rows",
     "write_csv",
     "write_trajectory_csv",
     "CSV_HEADER",
@@ -137,6 +140,18 @@ def _policy_list(policy, m: int) -> list[IntervalPolicy]:
     return policies
 
 
+def _run_args(prepared: PreparedScheme, horizon: int, policy,
+              checkpoints: Sequence[int] | None):
+    """Validated (policies, checkpoints) for a run of ``horizon`` steps."""
+    if horizon > prepared.horizon:
+        raise ValueError("horizon exceeds the prepared schedule")
+    policies = _policy_list(policy, prepared.channel.num_receivers)
+    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
+    if any(c < 0 or c > horizon for c in marks):
+        raise ValueError("checkpoints must lie in [0, horizon]")
+    return policies, marks
+
+
 # ----------------------------------------------------------------------------
 # single-trial path (full encoder/decoder fidelity)
 # ----------------------------------------------------------------------------
@@ -156,23 +171,18 @@ class TrialOutcome:
 def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
               checkpoints: Sequence[int] | None = None,
               record_trajectory: bool = False) -> TrialOutcome:
-    """One trial through the scalar encoder/decoder ops.
+    """One trial, replayed by one DecoderState per receiver.
 
-    Draw order (M uniforms, then 1 + M normals per step) matches run_batch
-    row-for-row, which a regression test pins down.
+    The trial draws its stream exactly as run_batch draws each of its trials,
+    so both see the same messages and noise; a regression test pins down that
+    their error counts agree.
     """
     ch = prepared.channel
     m = ch.num_receivers
-    if horizon > prepared.horizon:
-        raise ValueError("trial horizon exceeds the prepared schedule")
-    policies = _policy_list(policy, m)
-    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
-    if any(c < 0 or c > horizon for c in marks):
-        raise ValueError("checkpoints must lie in [0, horizon]")
+    policies, marks = _run_args(prepared, horizon, policy, checkpoints)
 
-    theta = rng.random(m)
-    state = EncoderState(s=np.array([embed_message(t, prepared.p0) for t in theta]),
-                         step=0, p0=prepared.p0)
+    theta, z = draw_trial(rng, m, horizon)
+    s = np.array([embed_message(t, prepared.p0) for t in theta])
     decoders = [DecoderState(log_slope=0.0, intercept=0.0, step=0) for _ in range(m)]
     power = np.zeros(horizon)
     success = np.zeros((len(marks), m), dtype=bool)
@@ -184,20 +194,20 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
 
     for n in range(1, horizon + 1):
         params = prepared.params[n - 1]
-        x = encode(state, params)
-        y = transmit(x, sample_noise(ch, rng))
+        x = encode(s, params)
+        y = channel_outputs(ch, x, z[n - 1])
         decoders = [
             decoder_absorb(dec, params.a[j], params.b[j], y[j])
             for j, dec in enumerate(decoders)
         ]
-        state = update_sources(state, params, y)
+        s = update_sources(s, params, y)
         power[n - 1] = x * x
         if n in mark_index:
             i = mark_index[n]
             for j in range(m):
-                success[i, j] = abs(state.s[j]) < policies[j].halfwidth(n)
+                success[i, j] = abs(s[j]) < policies[j].halfwidth(n)
         if rows is not None:
-            rows.append((n, x, tuple(y), tuple(state.s),
+            rows.append((n, x, tuple(y), tuple(s),
                          tuple(d.slope for d in decoders),
                          tuple(d.intercept for d in decoders)))
 
@@ -233,14 +243,11 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     ch = prepared.channel
     m = ch.num_receivers
     t = len(seeds)
-    common_std, private_std = noise_stds(ch)
 
     theta = np.empty((t, m))
     noise = np.empty((t, horizon, 1 + m))
     for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        theta[i] = rng.random(m)
-        noise[i] = rng.standard_normal((horizon, 1 + m))
+        theta[i], noise[i] = draw_trial(np.random.default_rng(seed), m, horizon)
 
     s = embed_message(theta, prepared.p0)
     s1 = s.copy()
@@ -255,11 +262,11 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
 
     for n in range(1, horizon + 1):
         params = prepared.params[n - 1]
-        x = s @ params.alpha * params.beta  # (t,)
-        y = x[:, None] + common_std * noise[:, n - 1, :1] + private_std * noise[:, n - 1, 1:]
+        x = encode(s, params)  # (t,)
+        y = channel_outputs(ch, x, noise[:, n - 1])
         intercept += np.exp(log_slope) * (params.b * y)
         log_slope = log_slope + np.log(params.a)
-        s = (s - params.b * y) / params.a
+        s = update_sources(s, params, y)
         cum_power += x * x
         if check_roundtrip:
             recon = np.exp(log_slope) * s + intercept
@@ -284,14 +291,8 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     The thread count only schedules chunk execution, never the arithmetic, so
     every (seed, trials, horizon) triple gives identical statistics.
     """
-    ch = prepared.channel
-    m = ch.num_receivers
-    if horizon > prepared.horizon:
-        raise ValueError("batch horizon exceeds the prepared schedule")
-    policies = _policy_list(policy, m)
-    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
-    if any(c < 0 or c > horizon for c in marks):
-        raise ValueError("checkpoints must lie in [0, horizon]")
+    m = prepared.channel.num_receivers
+    policies, marks = _run_args(prepared, horizon, policy, checkpoints)
 
     seeds = spawn_trial_seeds(seed, trials)
     chunks = [seeds[i:i + CHUNK_SIZE] for i in range(0, trials, CHUNK_SIZE)]
@@ -389,9 +390,14 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(fh, prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> None:
-    """One row per (checkpoint, receiver); floats at 12 significant digits."""
-    ch = prepared.channel
+    """CSV_HEADER, then one row per (checkpoint, receiver)."""
     fh.write(CSV_HEADER + "\n")
+    fh.writelines(csv_rows(prepared, estimates))
+
+
+def csv_rows(prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> Iterator[str]:
+    """CSV lines, one per (checkpoint, receiver); floats at 12 significant digits."""
+    ch = prepared.channel
     for est in estimates:
         for j in range(ch.num_receivers):
             row = (
@@ -408,7 +414,7 @@ def write_csv(fh, prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) 
                 _fmt(est.wilson_hi[j]),
                 _fmt(est.mean_power),
             )
-            fh.write(",".join(row) + "\n")
+            yield ",".join(row) + "\n"
 
 
 def write_trajectory_csv(fh, outcome: TrialOutcome, num_receivers: int) -> None:

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 MAX_HADAMARD_LOG2 = 10
+_GRID_POINTS = 10_001  # samples in the scan grid of largest_root
 
 
 class RootFindingError(RuntimeError):
@@ -110,12 +111,10 @@ def largest_root(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    *,
-    grid_points: int = 10_001,
 ) -> RootResult:
     """Largest x in [lo, hi] with f(x) = 0.
 
-    A uniform grid of ``grid_points`` samples is scanned from hi downward for
+    A uniform grid of 10 001 samples is scanned from hi downward for
     the first sign change, and that cell is bisected to floating-point
     resolution.  A grid point where f vanishes exactly short-circuits; if no
     sign change exists, the largest grid point with |f| <= tol is accepted
@@ -123,9 +122,7 @@ def largest_root(
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    xs = np.linspace(float(lo), float(hi), int(grid_points))
+    xs = np.linspace(float(lo), float(hi), _GRID_POINTS)
     vals = np.array([f(float(x)) for x in xs], dtype=float)
     if np.any(np.isnan(vals)):
         raise ValueError("f evaluated to NaN on the scan grid")

@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 
+# relative tolerance of the symmetric schedule's invariant checks
+_CHECK_TOL = 1e-9
+
+
 class ScheduleInvariantError(RuntimeError):
     """A tracked second-moment invariant failed; indicates an implementation bug."""
 
@@ -102,9 +106,9 @@ def hadamard_eigen_profile(G: np.ndarray, columns: np.ndarray):
     columns is the (M, M) array of +-1 columns; returns (values, residuals)
     where values[j] = h_j^T G h_j / M and residuals[j] = ||G h_j - values[j] h_j||.
     """
-    m = G.shape[0]
-    vals = np.einsum("im,ij,jm->m", columns, G, columns) / m
-    resid = np.linalg.norm(G @ columns - columns * vals, axis=0)
+    GH = G @ columns
+    vals = (columns * GH).sum(axis=0) / G.shape[0]
+    resid = np.linalg.norm(GH - columns * vals, axis=0)
     return vals, resid
 
 
@@ -139,7 +143,6 @@ class OzarowSchedule:
             self.g,
         )
         self.rho = 0.0 if mode == "tracked" else self.fixed_point.rho
-        self.step_index = 1
 
     def rate_limits(self) -> np.ndarray:
         return np.array(self.fixed_point.rates)
@@ -175,7 +178,6 @@ class OzarowSchedule:
             self.rho = rho_map(rho, p, sigma2, s1, s2, g)
         else:
             self.rho = -rho
-        self.step_index += 1
         return ScheduleStep(params=params, expected_power=expected_power)
 
 
@@ -252,8 +254,7 @@ class SymmetricSchedule:
     a bug, never an expected runtime event.
     """
 
-    def __init__(self, channel: ChannelConfig, check_invariants: bool = True,
-                 check_tol: float = 1e-9):
+    def __init__(self, channel: ChannelConfig, check_invariants: bool = True):
         check_channel("symmetric", channel)
         m = channel.num_receivers
         self.channel = channel
@@ -266,7 +267,6 @@ class SymmetricSchedule:
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)
         self.check_invariants = check_invariants
-        self.check_tol = check_tol
         self.step_index = 1
         if check_invariants:
             self._verify()
@@ -315,7 +315,7 @@ class SymmetricSchedule:
         if not np.all(np.isfinite(G)):
             raise ScheduleInvariantError("covariance lost finiteness")
         vals, resid = hadamard_eigen_profile(G, self.columns)
-        if np.max(resid) > self.check_tol * scale:
+        if np.max(resid) > _CHECK_TOL * scale:
             raise ScheduleInvariantError(
                 f"Hadamard columns stopped being eigenvectors at step {self.step_index}: "
                 f"max residual {np.max(resid):.3g} vs scale {scale:.3g}"
@@ -330,7 +330,7 @@ class SymmetricSchedule:
             # of the multiset is corruption even when the eigenbasis is intact
             want = np.sort(self.plan.lambda_seq)
             drift = np.max(np.abs(np.sort(vals) - want))
-            if drift > self.check_tol * max(1.0, float(want[-1])):
+            if drift > _CHECK_TOL * max(1.0, float(want[-1])):
                 raise ScheduleInvariantError(
                     f"eigenvalue profile drifted by {drift:.3g} "
                     f"at step {self.step_index}"

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from bcfeedback.channel import (
     ChannelConfig,
-    noise_stds,
-    sample_noise,
+    channel_outputs,
+    draw_trial,
     spawn_trial_seeds,
-    transmit,
 )
 
 
@@ -61,10 +60,10 @@ def test_config_is_frozen():
 
 
 def test_noise_stds():
+    # outputs scale the common normal by sqrt(common var), the private ones by
+    # sqrt(private var)
     cfg = make_config(common_noise_var=4.0, private_noise_vars=(9.0, 0.0))
-    c, p = noise_stds(cfg)
-    assert c == 2.0
-    assert np.array_equal(p, [3.0, 0.0])
+    assert np.array_equal(channel_outputs(cfg, 0.0, np.ones(3)), [5.0, 2.0])
 
 
 # ----------------------------------------------------------------------------
@@ -73,46 +72,62 @@ def test_noise_stds():
 
 
 def test_sample_noise_shapes_and_determinism():
-    cfg = make_config()
-    d1 = sample_noise(cfg, np.random.default_rng(7))
-    d2 = sample_noise(cfg, np.random.default_rng(7))
-    assert d1.private.shape == (2,)
-    assert d1.common == d2.common
-    assert np.array_equal(d1.private, d2.private)
+    theta1, z1 = draw_trial(np.random.default_rng(7), 2, 5)
+    theta2, z2 = draw_trial(np.random.default_rng(7), 2, 5)
+    assert theta1.shape == (2,) and z1.shape == (5, 3)
+    assert np.array_equal(theta1, theta2)
+    assert np.array_equal(z1, z2)
+    assert channel_outputs(make_config(), 0.0, z1[0]).shape == (2,)
+    assert channel_outputs(make_config(), np.zeros(5), z1).shape == (5, 2)
 
 
 def test_sample_noise_stream_alignment_across_variance_patterns():
-    # switching a variance off must not change how many values are consumed
+    # switching a variance off must not change which normals later components
+    # read: each step's row keeps one slot per component whatever its variance
     noisy = make_config(common_noise_var=1.0, private_noise_vars=(1.0, 1.0))
     silent = make_config(common_noise_var=0.0, private_noise_vars=(1.0, 0.0))
-    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    sample_noise(noisy, rng_a)
-    sample_noise(silent, rng_b)
-    # streams are aligned iff the next draws agree
-    assert rng_a.standard_normal() == rng_b.standard_normal()
+    _, z = draw_trial(np.random.default_rng(3), 2, 4)
+    assert np.array_equal(channel_outputs(silent, np.zeros(4), z)[:, 0], z[:, 1])
+    assert np.array_equal(channel_outputs(noisy, np.zeros(4), z)[:, 1], z[:, 0] + z[:, 2])
 
 
 def test_sample_noise_zero_variance_gives_exact_zero():
     cfg = make_config(common_noise_var=0.0, private_noise_vars=(0.0, 2.0))
-    draw = sample_noise(cfg, np.random.default_rng(0))
-    assert draw.common == 0.0
-    assert draw.private[0] == 0.0
-    assert draw.private[1] != 0.0
+    _, z = draw_trial(np.random.default_rng(0), 2, 1)
+    y = channel_outputs(cfg, 0.0, z[0])
+    assert y[0] == 0.0
+    assert y[1] != 0.0
 
 
 def test_sample_noise_consumes_one_plus_m_normals():
     cfg = make_config()
-    rng = np.random.default_rng(11)
-    ref = np.random.default_rng(11).standard_normal(3)
-    draw = sample_noise(cfg, rng)
-    assert draw.common == pytest.approx(np.sqrt(0.5) * ref[0], rel=1e-15)
-    assert draw.private == pytest.approx(np.sqrt([1.0, 2.0]) * ref[1:], rel=1e-15)
+    ref = np.random.default_rng(11)
+    theta, z = draw_trial(np.random.default_rng(11), 2, 3)
+    assert np.array_equal(theta, ref.random(2))
+    for row in z:  # one step at a time gives the same normals as the block
+        assert np.array_equal(row, ref.standard_normal(3))
+    y = channel_outputs(cfg, 0.0, z[0])
+    assert y == pytest.approx(np.sqrt(0.5) * z[0, 0] + np.sqrt([1.0, 2.0]) * z[0, 1:],
+                              rel=1e-15)
+
+
+@pytest.mark.parametrize("m, horizon", [(1, 0), (1, 5), (2, 1), (4, 7), (8, 3)])
+def test_draw_trial_stream_layout(m, horizon):
+    # after a trial the generator sits exactly M + H (1 + M) draws further on
+    rng = np.random.default_rng(23)
+    draw_trial(rng, m, horizon)
+    ref = np.random.default_rng(23)
+    for _ in range(m):
+        ref.random()
+    for _ in range(horizon * (1 + m)):
+        ref.standard_normal()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_noise_moments():
     cfg = make_config(common_noise_var=0.25, private_noise_vars=(1.0, 4.0))
-    rng = np.random.default_rng(19)
-    draws = np.array([transmit(0.0, sample_noise(cfg, rng)) for _ in range(20000)])
+    _, z = draw_trial(np.random.default_rng(19), 2, 20000)
+    draws = channel_outputs(cfg, np.zeros(20000), z)
     var = draws.var(axis=0)
     # y_m = z + z_m so Var = common + private
     assert var[0] == pytest.approx(1.25, rel=0.05)
@@ -123,10 +138,13 @@ def test_sample_noise_moments():
 
 def test_transmit_adds_components():
     cfg = make_config()
-    draw = sample_noise(cfg, np.random.default_rng(2))
-    y = transmit(1.5, draw)
+    _, z = draw_trial(np.random.default_rng(2), 2, 1)
+    y = channel_outputs(cfg, 1.5, z[0])
     assert y.shape == (2,)
-    assert y == pytest.approx(1.5 + draw.common + draw.private)
+    assert y == pytest.approx(1.5 + np.sqrt(0.5) * z[0, 0] + np.sqrt([1.0, 2.0]) * z[0, 1:])
+    # a batch of inputs gives each row the outputs of the single call
+    batch = channel_outputs(cfg, np.full(3, 1.5), np.repeat(z, 3, axis=0))
+    assert np.array_equal(batch, np.tile(y, (3, 1)))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -209,6 +209,20 @@ def test_duality_bad_grid(capsys):
     assert main(["duality", "-M", "1,two"]) == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--scheme", "ozarow2", "--g", "0"], 2),
+    (["solve", "--scheme", "ozarow2", "--g", "nan"], 2),
+    (["solve", "--scheme", "symmetric", "--g", "0"], 0),  # only ozarow2 mixes with g
+    (["rates", "--scheme", "symmetric", "--rate-fraction", "1.5"], 2),
+    (["duality", "-M", "0"], 2),
+    (["duality", "-P", "-1"], 2),
+    (["duality", "-P", "nan"], 2),
+])
+def test_values_the_library_checks_exit_2(argv, code, capsys):
+    assert main(argv) == code
+    assert ("config error" in capsys.readouterr().err) == (code == 2)
+
+
 def test_simulate_roundtrip(tmp_path, capsys):
     path = write_config(tmp_path, base_config(trials=200, horizon=12))
     rc = main(["simulate", "--config", path, "--threads", "2"])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bcfeedback.core import (
     DecoderState,
-    EncoderState,
     IntervalPolicy,
     StepParams,
     decode_interval,
@@ -100,24 +99,40 @@ def test_embed_message_validation():
 
 
 def test_encode_hand_value():
-    state = EncoderState(s=np.array([1.0, 2.0]), step=0, p0=1.0)
-    assert encode(state, make_params()) == -2.0  # 2 * (1 - 2)
+    assert encode(np.array([1.0, 2.0]), make_params()) == -2.0  # 2 * (1 - 2)
 
 
 def test_encode_shape_check():
-    state = EncoderState(s=np.array([1.0, 2.0, 3.0]), step=0, p0=1.0)
+    for s in (np.array([1.0, 2.0, 3.0]), np.ones((4, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            encode(s, make_params())
     with pytest.raises(ValueError):
-        encode(state, make_params())
+        update_sources(np.ones((4, 3)), make_params(), np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        update_sources(np.ones((4, 2)), make_params(), np.ones(2))  # no broadcasting
 
 
 def test_update_sources_hand_value():
-    params = make_params()
-    state = EncoderState(s=np.array([1.0, 2.0]), step=4, p0=1.0)
-    new = update_sources(state, params, np.array([0.5, -1.0]))
+    new = update_sources(np.array([1.0, 2.0]), make_params(), np.array([0.5, -1.0]))
     # (1 - 0.1 * 0.5) / 0.5 = 1.9 ; (2 - 0.2 * (-1)) / 0.8 = 2.75
-    assert new.s == pytest.approx([1.9, 2.75], rel=1e-15)
-    assert new.step == 5
-    assert new.p0 == state.p0
+    assert new == pytest.approx([1.9, 2.75], rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_encode_and_update_sources_take_a_batch_of_rows(m):
+    rng = np.random.default_rng(m)
+    params = StepParams(alpha=rng.standard_normal(m), beta=1.7,
+                        a=rng.uniform(0.3, 1.2, m), b=rng.standard_normal(m))
+    s = rng.standard_normal((5, m))
+    y = rng.standard_normal((5, m))
+    rows = np.array([update_sources(si, params, yi) for si, yi in zip(s, y)])
+    assert np.array_equal(update_sources(s, params, y), rows)
+    x = encode(s, params)
+    assert x.shape == (5,)
+    # a matrix-vector product may sum in another order than a dot product,
+    # so the encoder output agrees with the per-row calls to rounding only
+    bound = 1e-14 * (np.abs(s) @ np.abs(params.alpha)) * params.beta
+    assert np.all(np.abs(x - [encode(si, params) for si in s]) <= bound)
 
 
 # ----------------------------------------------------------------------------
