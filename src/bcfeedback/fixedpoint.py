@@ -170,19 +170,33 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
     return int(M), P
 
 
-def _bc_log_gap(x: float, M: int, P: float) -> float:
-    return M * math.log1p((P / M) * x * (M - x)) - (M - 1) * math.log1p(P * x)
+def _log1p(x):
+    """math.log1p of a float, or of each element of an array.
+
+    numpy's SIMD log1p can differ from libm in the last bit, which would let
+    a scan on the array disagree with scalar bisection on the same points.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log1p, x.tolist()), float, x.size)
+    return math.log1p(x)
 
 
-def _mac_log_gap(x: float, M: int, P: float) -> float:
-    return M * math.log1p(P * x * (M - x)) - (M - 1) * math.log1p(M * P * x)
+def _bc_log_gap(x, M: int, P: float):
+    return M * _log1p((P / M) * x * (M - x)) - (M - 1) * _log1p(P * x)
+
+
+def _mac_log_gap(x, M: int, P: float):
+    return M * _log1p(P * x * (M - x)) - (M - 1) * _log1p(M * P * x)
 
 
 def _solve_lambda(gap, M: int, P: float, gain: float, tol: float) -> SumRateSolution:
     if M == 1:
         lam, residual = 1.0, abs(gap(1.0, 1, P))
     else:
-        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), tol)
+        # the log terms grow to (M - 1) log1p(gain M), and bisection stops at
+        # float resolution, so an absolute tol alone fails at large P
+        scale = max(1.0, (M - 1) * math.log1p(gain * M))
+        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), tol * scale)
         lam, residual = res.root, res.residual
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
@@ -307,7 +321,12 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
     rho = float(rho)
     if not (-1.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [-1, 1]")
-    sign = 1.0 if rho >= 0.0 else -1.0
+    return float(_rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g))
+
+
+def _rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g):
+    """rho_map on validated arguments; ``rho`` is a float or an array (elementwise)."""
+    sign = 2.0 * (rho >= 0.0) - 1.0  # +1 where rho >= 0 (-0.0 included), else -1
     r = abs(rho)
     dd = 1.0 + g * g + 2.0 * g * r
     v1 = P + sigma2 + sigma1_2
@@ -316,11 +335,11 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
     sig_total = P + sigma2 + sigma1_2 + sigma2_2
     one_m = 1.0 - rho * rho
     num = pi * rho - (P * sig_total / dd) * (g + r) * (1.0 + g * r) * sign
-    den = math.sqrt(pi) * math.sqrt(
+    den = math.sqrt(pi) * np.sqrt(
         (sigma2 + sigma1_2 + P * g * g * one_m / dd)
         * (sigma2 + sigma2_2 + P * one_m / dd)
     )
-    if den <= 0.0:
+    if np.count_nonzero(den <= 0.0):
         raise ValueError("degenerate update: residual variance vanished")
     return num / den
 
@@ -332,7 +351,7 @@ def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
         P, sigma2, sigma1_2, sigma2_2, g
     )
     res = largest_root(
-        lambda x: x + rho_map(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, tol
+        lambda x: x + _rho_step(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, tol
     )
     rho = res.root
     dd = 1.0 + g * g + 2.0 * g * rho

@@ -5,7 +5,7 @@ carry message points between the uniform and Gaussian pictures, Sylvester
 Hadamard matrices supply the per-step mixing weights of the multi-receiver
 schedules, and ``largest_root`` solves the scalar fixed-point equations behind
 the rate formulas (which always want the *largest* admissible root, hence the
-descending scan).
+scan for the last sign change).
 """
 
 from __future__ import annotations
@@ -107,33 +107,39 @@ def sylvester_hadamard(k: int) -> HadamardMatrix:
 
 
 def largest_root(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
     tol: float = 1e-12,
 ) -> RootResult:
     """Largest x in [lo, hi] with f(x) = 0.
 
-    A uniform grid of 10 001 samples is scanned from hi downward for
-    the first sign change, and that cell is bisected to floating-point
-    resolution.  A grid point where f vanishes exactly short-circuits; if no
-    sign change exists, the largest grid point with |f| <= tol is accepted
-    (tangent roots), otherwise NoSignChangeError carries the scan diagnostics.
+    ``f`` must act elementwise on a 1-D float array and also accept a float:
+    it is called once on the whole uniform grid of 10 001 samples, and then
+    on floats only, for the two ends of the chosen cell and each bisection
+    step.  The largest cell whose values change sign (or that ends on an
+    exact zero) is bisected to floating-point resolution; a grid point where
+    f vanishes exactly short-circuits.  If no sign change exists, the
+    largest grid point with |f| <= tol is accepted (tangent roots), otherwise
+    NoSignChangeError carries the scan diagnostics.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
     xs = np.linspace(float(lo), float(hi), _GRID_POINTS)
-    vals = np.array([f(float(x)) for x in xs], dtype=float)
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError("f must map the scan grid elementwise")
     if np.any(np.isnan(vals)):
         raise ValueError("f evaluated to NaN on the scan grid")
 
-    for i in range(len(xs) - 1, 0, -1):
+    neg = vals < 0.0
+    hits = np.flatnonzero((vals[1:] == 0.0) | (neg[1:] != neg[:-1]))
+    if hits.size:
+        i = int(hits[-1]) + 1
         if vals[i] == 0.0:
             return RootResult(float(xs[i]), 0.0, 0)
-        if (vals[i] < 0.0) != (vals[i - 1] < 0.0):
-            return _bisect(
-                f, float(xs[i - 1]), float(xs[i]), float(vals[i - 1]), float(vals[i]), tol
-            )
+        a, b = float(xs[i - 1]), float(xs[i])
+        return _bisect(f, a, b, float(f(a)), float(f(b)), tol)
     if vals[0] == 0.0:
         return RootResult(float(xs[0]), 0.0, 0)
 

@@ -7,6 +7,10 @@ algebra, and explicit nested evaluation instead of the decoder's folded
 affine state.  Constants frozen into the tests were produced by these
 routines (or by 50-digit decimal arithmetic on exact polynomial forms) and
 are cited next to their definitions.
+
+The one exception is :func:`scan_largest_root`, the package's former
+point-by-point scan, kept as the reference that the array scan of
+``largest_root`` must reproduce exactly; it shares the package's bisection.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 import mpmath
 import numpy as np
 from scipy import integrate
+
+from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
 # after clearing logarithms from the two-receiver sum-rate equation at P = 10:
@@ -74,6 +80,35 @@ def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
+    """Reference for ``largest_root``: one float call of f per grid point, walked down from hi."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError("largest_root needs finite bounds with lo < hi")
+    xs = np.linspace(float(lo), float(hi), 10_001)
+    vals = np.array([f(float(x)) for x in xs], dtype=float)
+    if np.any(np.isnan(vals)):
+        raise ValueError("f evaluated to NaN on the scan grid")
+
+    for i in range(len(xs) - 1, 0, -1):
+        if vals[i] == 0.0:
+            return RootResult(float(xs[i]), 0.0, 0)
+        if (vals[i] < 0.0) != (vals[i - 1] < 0.0):
+            return _bisect(
+                f, float(xs[i - 1]), float(xs[i]), float(vals[i - 1]), float(vals[i]), tol
+            )
+    if vals[0] == 0.0:
+        return RootResult(float(xs[0]), 0.0, 0)
+
+    near = np.flatnonzero(np.abs(vals) <= tol)
+    if near.size:
+        i = int(near[-1])
+        return RootResult(float(xs[i]), float(abs(vals[i])), 0)
+    raise NoSignChangeError(
+        f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
+        f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
+    )
 
 
 def normal_cdf_quad(x: float) -> float:

@@ -205,6 +205,13 @@ def test_duality_csv_all_ok(capsys):
     assert all(line.endswith(",yes") for line in lines[1:])
 
 
+def test_duality_at_the_top_of_the_power_range(capsys):
+    # the log terms are ~20 here, so an absolute 1e-12 on |f| is below float resolution
+    assert main(["duality", "-M", "2", "-P", "1e9"]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    assert row.startswith("2,1000000000,") and row.endswith(",yes")
+
+
 def test_duality_bad_grid(capsys):
     assert main(["duality", "-M", "1,two"]) == 2
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bcfeedback.fixedpoint as fixedpoint
 from bcfeedback.channel import ChannelConfig
+from bcfeedback.cli import DUALITY_TOL
 from bcfeedback.fixedpoint import (
     FixedPointError,
     b_gamma_residuals,
@@ -18,6 +20,7 @@ from bcfeedback.fixedpoint import (
     solve_lambda_mac,
     solve_rho,
 )
+from bcfeedback.numerics import _GRID_POINTS, largest_root
 from oracles import (
     A1_STAR_SQ_10,
     A_SQ_2_10,
@@ -117,6 +120,78 @@ def test_duality_property(m, logp):
     bc = solve_lambda_bc(m, p)
     mac = solve_lambda_mac(m, p / m)
     assert abs(bc.sum_rate - mac.sum_rate) <= 1e-10
+
+
+@given(
+    st.integers(min_value=1, max_value=1024),
+    st.floats(min_value=math.log(1e-9), max_value=math.log(1e9)),
+)
+@example(2, math.log(1e9))
+@settings(max_examples=100, deadline=None)
+def test_lambda_solvers_cover_the_whole_input_range(m, logp):
+    p = math.exp(logp)
+    bc = solve_lambda_bc(m, p)
+    mac = solve_lambda_mac(m, p / m)
+    assert 1.0 <= bc.lam <= m and 1.0 <= mac.lam <= m
+    assert abs(bc.sum_rate - mac.sum_rate) <= DUALITY_TOL
+
+
+# ----------------------------------------------------------------------------
+# root scans: one array call, bitwise the float values
+# ----------------------------------------------------------------------------
+
+SCAN_P = (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9)
+OZAROW_NOISES = ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1.0, 2.0), (0.0, 0.3, 3.0))
+
+
+def _same_bits_as_float_calls(f, xs):
+    one_by_one = np.array([f(float(x)) for x in xs])
+    return np.array_equal(f(xs).view(np.int64), one_by_one.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 64, 100, 1000, 1024])
+def test_log_gaps_on_the_grid_are_bitwise_the_float_values(m):
+    xs = np.linspace(1.0, float(m), _GRID_POINTS)
+    for p in SCAN_P:
+        for gap in (fixedpoint._bc_log_gap, fixedpoint._mac_log_gap):
+            assert _same_bits_as_float_calls(lambda x: gap(x, m, p), xs), (gap, p)
+
+
+@pytest.mark.parametrize("noise", OZAROW_NOISES)
+def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise):
+    xs = np.linspace(0.0, 1.0, _GRID_POINTS)
+    for p in SCAN_P:
+        f = lambda x: x + fixedpoint._rho_step(x, p, *noise, 1.0)
+        assert _same_bits_as_float_calls(f, xs), p
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_lambda_bc(2, 10.0),
+    lambda: solve_lambda_bc(1024, 1e9),
+    lambda: solve_lambda_mac(64, 1e-6),
+    lambda: solve_rho(10.0, 0.0, 1.0, 1.0, 1.0),
+    lambda: solve_rho(1e3, 0.5, 1.0, 2.0, 2.0),
+])
+def test_solvers_scan_with_one_array_call(solve, monkeypatch):
+    # f once on the whole grid, twice at the bracket ends, once per bisection step
+    seen = []
+
+    def counting_largest_root(f, lo, hi, tol):
+        calls = []
+
+        def counted(x):
+            calls.append(np.ndim(x))
+            return f(x)
+
+        res = largest_root(counted, lo, hi, tol)
+        seen.append((calls, res.iterations))
+        return res
+
+    monkeypatch.setattr(fixedpoint, "largest_root", counting_largest_root)
+    solve()
+    ((calls, iterations),) = seen
+    assert calls[0] == 1 and calls[1:].count(1) == 0
+    assert len(calls) <= 3 + iterations
 
 
 # ----------------------------------------------------------------------------

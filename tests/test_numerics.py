@@ -12,7 +12,7 @@ from bcfeedback.numerics import (
     std_normal_quantile,
     sylvester_hadamard,
 )
-from oracles import PHI_1, PHI_M2_5, bisect, normal_cdf_quad
+from oracles import PHI_1, PHI_M2_5, bisect, normal_cdf_quad, scan_largest_root
 
 
 # ----------------------------------------------------------------------------
@@ -186,3 +186,49 @@ def test_largest_root_on_integer_lattice_cubics(roots):
     f = lambda x: (x - r1) * (x - r2) * (x - r3)
     res = largest_root(f, r1 - 0.5, r3 + 0.5)
     assert res.root == pytest.approx(r3, abs=1e-9)
+
+
+def _outcome(fn, f, lo, hi, tol):
+    """The RootResult, or the exception's type and message."""
+    try:
+        return fn(f, lo, hi, tol)
+    except (ValueError, RootFindingError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def scan_cases(draw):
+    """(f, lo, hi, tol) for cubics with roots on or off the grid, a root at lo,
+    tangent roots and functions with no root; every f works on floats and arrays."""
+    lo = draw(st.floats(min_value=-10.0, max_value=10.0))
+    hi = lo + draw(st.floats(min_value=1e-3, max_value=20.0))
+    xs = np.linspace(lo, hi, 10_001)
+    on_grid = st.integers(min_value=0, max_value=10_000).map(lambda i: float(xs[i]))
+    anywhere = st.floats(min_value=lo - 1.0, max_value=hi + 1.0)
+    point = st.one_of(on_grid, anywhere)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    kind = draw(st.sampled_from(["cubic", "root_at_lo", "tangent"]))
+    if kind == "cubic":
+        r1, r2, r3 = draw(st.lists(point, min_size=3, max_size=3))
+        f = lambda x: sign * (x - r1) * (x - r2) * (x - r3)
+    elif kind == "root_at_lo":
+        c = lo - draw(st.floats(min_value=1e-3, max_value=5.0))
+        f = lambda x: sign * (x - lo) * (x - c)
+    else:  # tangent at r, lifted by an offset that may leave no root at all
+        r = draw(point)
+        lift = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1.0]))
+        f = lambda x: sign * ((x - r) * (x - r) + lift)
+    return f, lo, hi, tol
+
+
+@given(scan_cases())
+@settings(max_examples=120, deadline=None)
+def test_largest_root_matches_the_point_by_point_scan(case):
+    f, lo, hi, tol = case
+    assert _outcome(largest_root, f, lo, hi, tol) == _outcome(scan_largest_root, f, lo, hi, tol)
+
+
+def test_largest_root_rejects_f_that_is_not_elementwise():
+    with pytest.raises(ValueError, match="elementwise"):
+        largest_root(lambda x: 1.0, 0.0, 1.0)
