@@ -18,7 +18,6 @@ from .core import (
     decoder_absorb,
     embed_message,
     encode,
-    instant_rate,
     update_sources,
 )
 from .fixedpoint import (
@@ -51,7 +50,6 @@ from .montecarlo import (
     write_trajectory_csv,
 )
 from .numerics import (
-    HadamardMatrix,
     NoSignChangeError,
     RootFindingError,
     RootResult,
@@ -76,14 +74,14 @@ __all__ = [
     "ChannelConfig", "channel_outputs", "draw_trial", "spawn_trial_seeds",
     "DecoderState", "IntervalPolicy", "StepParams",
     "decode_interval", "decoder_absorb", "embed_message", "encode",
-    "instant_rate", "update_sources",
+    "update_sources",
     "BGamma", "FixedPointError", "OzarowFixedPoint", "RateReport",
     "SumRateSolution", "WarmupPlan", "build_warmup_plan", "rate_report",
     "rho_map", "solve_b_gamma", "solve_lambda_bc", "solve_lambda_mac", "solve_rho",
     "BatchStats", "ErrorEstimate", "PreparedScheme", "default_policies",
     "estimate", "prepare_scheme", "run_batch", "run_trial", "wilson_interval",
     "write_csv", "write_trajectory_csv",
-    "HadamardMatrix", "NoSignChangeError", "RootFindingError", "RootResult",
+    "NoSignChangeError", "RootFindingError", "RootResult",
     "largest_root", "std_normal_cdf", "std_normal_quantile", "sylvester_hadamard",
     "SCHEME_IDS", "DegradedSchedule", "OzarowSchedule", "ScheduleInvariantError",
     "ScheduleStep", "SymmetricSchedule", "covariance_update", "make_schedule",

@@ -269,29 +269,22 @@ def _format_kv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_solve(args) -> int:
-    channel = _channel_from_args(args)
-    with _input_errors():
-        report = rate_report(args.scheme, channel, g=args.g)
-    payload = _report_payload(report)
-    log.info("solved %s at M=%d P=%g", args.scheme, report.M, report.P)
-    _emit(args.out, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
-    return 0
-
-
-def cmd_rates(args) -> int:
+def cmd_report(args) -> int:
+    """solve and rates: the fixed point and rate limits; rates adds targets and exponents."""
     channel = _channel_from_args(args)
     with _input_errors():
         report = rate_report(args.scheme, channel, g=args.g,
                              rate_fraction=args.rate_fraction)
     payload = _report_payload(report)
-    payload["rate_fraction"] = report.rate_fraction
-    payload["target_rate_bits"] = list(report.target_rates)
-    payload["error_exponent_bases"] = list(report.exponent_bases)
-    if report.avg_power is not None:
-        payload["avg_power"] = report.avg_power
-    if report.capacity_at_budget is not None:
-        payload["capacity_at_budget_bits"] = report.capacity_at_budget
+    log.info("solved %s at M=%d P=%g", args.scheme, report.M, report.P)
+    if args.command == "rates":
+        payload["rate_fraction"] = report.rate_fraction
+        payload["target_rate_bits"] = list(report.target_rates)
+        payload["error_exponent_bases"] = list(report.exponent_bases)
+        if report.avg_power is not None:
+            payload["avg_power"] = report.avg_power
+        if report.capacity_at_budget is not None:
+            payload["capacity_at_budget_bits"] = report.capacity_at_budget
     _emit(args.out, json.dumps(payload) + "\n" if args.json else _format_kv(payload))
     return 0
 
@@ -402,17 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list: common variance, then M private variances")
         p.add_argument("--json", action="store_true", help="emit a JSON object")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
+        p.set_defaults(func=cmd_report, rate_fraction=0.5)
         if with_fraction:
             p.add_argument("--rate-fraction", dest="rate_fraction", type=float,
                            default=0.5, help="operating rate as a fraction of R*")
 
-    p_solve = sub.add_parser("solve", help="solve the scheme's fixed point")
-    add_scheme_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_rates = sub.add_parser("rates", help="full rate report with exponent bases")
-    add_scheme_flags(p_rates, with_fraction=True)
-    p_rates.set_defaults(func=cmd_rates)
+    add_scheme_flags(sub.add_parser("solve", help="solve the scheme's fixed point"))
+    add_scheme_flags(sub.add_parser("rates", help="full rate report with exponent bases"),
+                     with_fraction=True)
 
     p_dual = sub.add_parser("duality", help="broadcast vs multiple-access sum rates")
     p_dual.add_argument("-M", default="2,4,8", help="comma list of receiver counts")

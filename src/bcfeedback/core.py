@@ -14,6 +14,10 @@ subinterval of (0, 1).  Absorbing step n therefore composes on the *inside*:
 slope <- slope * a_n, intercept <- intercept + slope_before * b_n * y_n.
 The slope is held in log space; products like slope * t are formed as
 exp(log_slope + log t) so thousand-step horizons cannot underflow pairwise.
+
+Like the encoder step, the replay takes one trial's receivers (M,) or a batch
+(trials, M); exp and log go through libm per element, so a batch row and a
+single trial fold bitwise alike.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import std_normal_cdf, std_normal_quantile
+from .numerics import _libm, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "StepParams",
@@ -34,7 +38,6 @@ __all__ = [
     "update_sources",
     "decoder_absorb",
     "decode_interval",
-    "instant_rate",
 ]
 
 _LN2 = math.log(2.0)
@@ -78,15 +81,19 @@ class StepParams:
 
 @dataclass(frozen=True)
 class DecoderState:
-    """Affine replay map T_n(x) = exp(log_slope) * x + intercept for one receiver."""
+    """Replay maps T_n(x) = exp(log_slope) * x + intercept, one per receiver.
 
-    log_slope: float
-    intercept: float
+    log_slope has shape (M,), since the contraction factors are common to all
+    trials; intercept is (M,) for one trial or (trials, M) for a batch.
+    """
+
+    log_slope: np.ndarray
+    intercept: np.ndarray
     step: int
 
     @property
-    def slope(self) -> float:
-        return math.exp(self.log_slope)
+    def slope(self) -> np.ndarray:
+        return _libm(math.exp, self.log_slope)
 
 
 @dataclass(frozen=True)
@@ -136,50 +143,43 @@ def update_sources(s: np.ndarray, params: StepParams, y: np.ndarray) -> np.ndarr
     return (s - params.b * y) / params.a
 
 
-def decoder_absorb(dec: DecoderState, a_n: float, b_n: float, y_n: float) -> DecoderState:
-    """Fold step n into the replay map.
+def decoder_absorb(dec: DecoderState, params: StepParams, y: np.ndarray) -> DecoderState:
+    """Fold step n, with outputs y shaped like the intercept, into every replay map.
 
     The new step is the innermost map of the composition, so the intercept
     picks up the *previous* slope: T_new(x) = T_old(a_n x + b_n y_n).
     """
-    a_n = float(a_n)
-    if not (a_n > 0.0 and math.isfinite(a_n)):
-        raise ValueError("contraction factor a must be positive and finite")
-    intercept = dec.intercept + math.exp(dec.log_slope) * float(b_n) * float(y_n)
+    y = np.asarray(y, dtype=float)
+    if dec.log_slope.shape != params.a.shape or y.shape != dec.intercept.shape:
+        raise ValueError("output and decoder arrays must match each other and the schedule width")
     return DecoderState(
-        log_slope=dec.log_slope + math.log(a_n),
-        intercept=intercept,
+        log_slope=dec.log_slope + _libm(math.log, params.a),
+        intercept=dec.intercept + (dec.slope * params.b) * y,
         step=dec.step + 1,
     )
 
 
-def decode_interval(dec: DecoderState, policy: IntervalPolicy, n: int,
-                    p0: float) -> tuple[float, float]:
-    """Decoded subinterval of (0, 1) after n absorbed steps.
+def decode_interval(dec: DecoderState, policies, n: int,
+                    p0: float) -> tuple[tuple[float, float], ...]:
+    """Decoded subintervals of (0, 1) of one trial's receivers after n absorbed steps.
 
-    Maps the pivot interval (-t_n, t_n) through the replay map and the source
-    cdf.  At n = 0 nothing has been observed and the decoder reports the whole
-    message interval.
+    Maps each receiver's pivot interval (-t_n, t_n), from its policy in
+    ``policies``, through its replay map and the source cdf.  At n = 0
+    nothing has been observed and every receiver gets the whole interval.
     """
     if n != dec.step:
         raise ValueError(f"decoder has absorbed {dec.step} steps, asked to decode at {n}")
     if not (p0 > 0.0 and math.isfinite(p0)):
         raise ValueError("p0 must be positive and finite")
+    if not (dec.intercept.shape == dec.log_slope.shape == (len(policies),)):
+        raise ValueError("decode_interval takes one trial's maps and one policy per receiver")
     if n == 0:
-        return (0.0, 1.0)
-    mag = math.exp(dec.log_slope + policy.log_halfwidth(n))
+        return ((0.0, 1.0),) * len(policies)
     scale = math.sqrt(p0)
-    lo = std_normal_cdf((dec.intercept - mag) / scale)
-    hi = std_normal_cdf((dec.intercept + mag) / scale)
-    return (lo, hi)
-
-
-def instant_rate(interval: tuple[float, float], n: int) -> float:
-    """Rate -log2(|interval|) / n of a decoded interval after n steps."""
-    if n < 1:
-        raise ValueError("instant rate needs n >= 1")
-    lo, hi = interval
-    length = hi - lo
-    if not (length > 0.0):
-        raise ValueError("decoded interval has nonpositive length")
-    return -math.log2(length) / n
+    out = []
+    for log_slope, intercept, policy in zip(dec.log_slope.tolist(),
+                                            dec.intercept.tolist(), policies):
+        mag = math.exp(log_slope + policy.log_halfwidth(n))
+        out.append((std_normal_cdf((intercept - mag) / scale),
+                    std_normal_cdf((intercept + mag) / scale)))
+    return tuple(out)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import largest_root
+from .numerics import _libm, largest_root
 
 __all__ = [
     "SCHEME_IDS",
@@ -47,7 +47,6 @@ __all__ = [
     "solve_lambda_mac",
     "solve_b_gamma",
     "b_gamma_residuals",
-    "lambda_sequence",
     "rho_map",
     "solve_rho",
     "build_warmup_plan",
@@ -170,23 +169,16 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
     return int(M), P
 
 
-def _log1p(x):
-    """math.log1p of a float, or of each element of an array.
-
-    numpy's SIMD log1p can differ from libm in the last bit, which would let
-    a scan on the array disagree with scalar bisection on the same points.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.log1p, x.tolist()), float, x.size)
-    return math.log1p(x)
+# The gaps take a float or an array and log1p through libm element by element,
+# so a scan on the array agrees bitwise with scalar bisection on the same points.
 
 
 def _bc_log_gap(x, M: int, P: float):
-    return M * _log1p((P / M) * x * (M - x)) - (M - 1) * _log1p(P * x)
+    return M * _libm(math.log1p, (P / M) * x * (M - x)) - (M - 1) * _libm(math.log1p, P * x)
 
 
 def _mac_log_gap(x, M: int, P: float):
-    return M * _log1p(P * x * (M - x)) - (M - 1) * _log1p(M * P * x)
+    return M * _libm(math.log1p, P * x * (M - x)) - (M - 1) * _libm(math.log1p, M * P * x)
 
 
 def _solve_lambda(gap, M: int, P: float, gain: float, tol: float) -> SumRateSolution:
@@ -279,13 +271,6 @@ def b_gamma_residuals(b: float, gamma: float, lam: float, M: int, P: float):
     return r10, r11, rq
 
 
-def lambda_sequence(lam: float, M: int, P: float) -> np.ndarray:
-    """Steady eigenvalue multiset lam * a**(2 m), m = 0..M-1, in cycle order."""
-    M, P = _validate_mp(M, P)
-    a2 = (1.0 + (P / M) * lam * (M - lam)) / (1.0 + P * lam)
-    return lam * a2 ** np.arange(M)
-
-
 # ----------------------------------------------------------------------------
 # two-user correlation recursion
 # ----------------------------------------------------------------------------
@@ -344,6 +329,15 @@ def _rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g):
     return num / den
 
 
+def _ozarow_contractions(r: float, P, sigma2, sigma1_2, sigma2_2, g) -> tuple[float, float]:
+    """Per-step source contraction factors (a1, a2) at correlation magnitude r = |rho|."""
+    dd = 1.0 + g * g + 2.0 * g * r
+    one_m = 1.0 - r * r
+    a1 = math.sqrt((sigma2 + sigma1_2 + P * g * g * one_m / dd) / (P + sigma2 + sigma1_2))
+    a2 = math.sqrt((sigma2 + sigma2_2 + P * one_m / dd) / (P + sigma2 + sigma2_2))
+    return a1, a2
+
+
 def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
               g: float, tol: float = _ROOT_TOL) -> OzarowFixedPoint:
     """Stationary correlation magnitude: largest root in [0, 1] of x + rho_map(x) = 0."""
@@ -354,10 +348,7 @@ def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
         lambda x: x + _rho_step(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, tol
     )
     rho = res.root
-    dd = 1.0 + g * g + 2.0 * g * rho
-    one_m = 1.0 - rho * rho
-    a1 = math.sqrt((sigma2 + sigma1_2 + P * g * g * one_m / dd) / (P + sigma2 + sigma1_2))
-    a2 = math.sqrt((sigma2 + sigma2_2 + P * one_m / dd) / (P + sigma2 + sigma2_2))
+    a1, a2 = _ozarow_contractions(rho, P, sigma2, sigma1_2, sigma2_2, g)
     for name, val in (("a1_star", a1), ("a2_star", a2)):
         if not (0.0 < val < 1.0):
             raise FixedPointError(f"{name} = {val!r} escaped (0, 1)")

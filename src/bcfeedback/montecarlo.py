@@ -2,13 +2,13 @@
 
 Reproducibility contract: trial i draws from a child stream spawned from the
 master seed by trial index, laid out by ``channel.draw_trial`` (M uniforms for
-the message points, then 1 + M standard normals per step).  ``run_trial`` walks
-one trial through the scalar decoder ops; ``run_batch`` is its vectorised twin
-used for estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so
-results are byte-identical no matter how many worker threads execute the
-chunks.  Both draw through ``draw_trial``, form outputs with
-``channel_outputs`` and step the sources with ``core.encode`` /
-``core.update_sources``.
+the message points, then 1 + M standard normals per step).  ``run_trial`` runs
+one trial and replays its decoders; ``run_batch`` is its vectorised twin used
+for estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so results
+are byte-identical no matter how many worker threads execute the chunks.  Both
+draw through ``draw_trial`` and step through ``_steps``, the one loop that
+encodes, forms outputs with ``channel_outputs`` and updates the sources; the
+batch folds the decoder replay maps only to check the round trip.
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
@@ -152,8 +152,26 @@ def _run_args(prepared: PreparedScheme, horizon: int, policy,
     return policies, marks
 
 
+def _steps(prepared: PreparedScheme, horizon: int, s: np.ndarray, z: np.ndarray):
+    """The trial step: yields (n, params, x, y, s_{n+1}) for n = 1..horizon.
+
+    s is one trial's sources (M,) with its noise z (horizon, 1 + M), or a batch
+    (trials, M) with z (trials, horizon, 1 + M).
+    """
+    for n in range(1, horizon + 1):
+        params = prepared.params[n - 1]
+        x = encode(s, params)
+        y = channel_outputs(prepared.channel, x, z[..., n - 1, :])
+        s = update_sources(s, params, y)
+        yield n, params, x, y, s
+
+
+def _halfwidths(policies: list[IntervalPolicy], n: int) -> np.ndarray:
+    return np.array([pol.halfwidth(n) for pol in policies])
+
+
 # ----------------------------------------------------------------------------
-# single-trial path (full encoder/decoder fidelity)
+# single trial (full decoder replay)
 # ----------------------------------------------------------------------------
 
 
@@ -171,19 +189,18 @@ class TrialOutcome:
 def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
               checkpoints: Sequence[int] | None = None,
               record_trajectory: bool = False) -> TrialOutcome:
-    """One trial, replayed by one DecoderState per receiver.
+    """One trial, with every receiver's decoder replay map folded step by step.
 
-    The trial draws its stream exactly as run_batch draws each of its trials,
-    so both see the same messages and noise; a regression test pins down that
-    their error counts agree.
+    The trial draws its stream exactly as run_batch draws each of its trials
+    and takes the same steps, so both see the same messages and noise; a
+    regression test pins down that their error counts agree.
     """
-    ch = prepared.channel
-    m = ch.num_receivers
+    m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)
 
     theta, z = draw_trial(rng, m, horizon)
-    s = np.array([embed_message(t, prepared.p0) for t in theta])
-    decoders = [DecoderState(log_slope=0.0, intercept=0.0, step=0) for _ in range(m)]
+    s = embed_message(theta, prepared.p0)
+    dec = DecoderState(np.zeros(m), np.zeros(s.shape), 0)
     power = np.zeros(horizon)
     success = np.zeros((len(marks), m), dtype=bool)
     mark_index = {n: i for i, n in enumerate(marks)}
@@ -192,31 +209,16 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
     if 0 in mark_index:
         success[mark_index[0], :] = True  # nothing observed: the full interval
 
-    for n in range(1, horizon + 1):
-        params = prepared.params[n - 1]
-        x = encode(s, params)
-        y = channel_outputs(ch, x, z[n - 1])
-        decoders = [
-            decoder_absorb(dec, params.a[j], params.b[j], y[j])
-            for j, dec in enumerate(decoders)
-        ]
-        s = update_sources(s, params, y)
+    for n, params, x, y, s in _steps(prepared, horizon, s, z):
+        dec = decoder_absorb(dec, params, y)
         power[n - 1] = x * x
         if n in mark_index:
-            i = mark_index[n]
-            for j in range(m):
-                success[i, j] = abs(s[j]) < policies[j].halfwidth(n)
+            success[mark_index[n]] = np.abs(s) < _halfwidths(policies, n)
         if rows is not None:
-            rows.append((n, x, tuple(y), tuple(s),
-                         tuple(d.slope for d in decoders),
-                         tuple(d.intercept for d in decoders)))
+            rows.append((n, x, tuple(y), tuple(s), tuple(dec.slope), tuple(dec.intercept)))
 
-    finals = tuple(
-        decode_interval(decoders[j], policies[j], horizon, prepared.p0)
-        for j in range(m)
-    )
     return TrialOutcome(checkpoints=marks, success=success, power=power,
-                        final_intervals=finals,
+                        final_intervals=decode_interval(dec, policies, horizon, prepared.p0),
                         trajectory=tuple(rows) if rows is not None else None)
 
 
@@ -240,8 +242,7 @@ class BatchStats:
 def _run_chunk(prepared: PreparedScheme, horizon: int,
                policies: list[IntervalPolicy], marks: tuple[int, ...],
                seeds, check_roundtrip: bool):
-    ch = prepared.channel
-    m = ch.num_receivers
+    m = prepared.channel.num_receivers
     t = len(seeds)
 
     theta = np.empty((t, m))
@@ -249,10 +250,8 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     for i, seed in enumerate(seeds):
         theta[i], noise[i] = draw_trial(np.random.default_rng(seed), m, horizon)
 
-    s = embed_message(theta, prepared.p0)
-    s1 = s.copy()
-    log_slope = np.zeros(m)
-    intercept = np.zeros((t, m))
+    s1 = embed_message(theta, prepared.p0)
+    dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
     cum_power = np.zeros(t)
     err_counts = np.zeros((len(marks), m), dtype=np.int64)
     cum_sum = np.zeros(len(marks))
@@ -260,22 +259,16 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     mark_index = {n: i for i, n in enumerate(marks)}
     roundtrip = 0.0
 
-    for n in range(1, horizon + 1):
-        params = prepared.params[n - 1]
-        x = encode(s, params)  # (t,)
-        y = channel_outputs(ch, x, noise[:, n - 1])
-        intercept += np.exp(log_slope) * (params.b * y)
-        log_slope = log_slope + np.log(params.a)
-        s = update_sources(s, params, y)
+    for n, params, x, y, s in _steps(prepared, horizon, s1, noise):
         cum_power += x * x
         if check_roundtrip:
-            recon = np.exp(log_slope) * s + intercept
+            dec = decoder_absorb(dec, params, y)
+            recon = dec.slope * s + dec.intercept
             rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
             roundtrip = max(roundtrip, float(rel.max()))
         if n in mark_index:
             i = mark_index[n]
-            halfw = np.array([pol.halfwidth(n) for pol in policies])
-            err_counts[i] += (np.abs(s) >= halfw).sum(axis=0)
+            err_counts[i] += (np.abs(s) >= _halfwidths(policies, n)).sum(axis=0)
             mp = cum_power / n
             cum_sum[i] = mp.sum()
             cum_sumsq[i] = (mp * mp).sum()

@@ -18,7 +18,6 @@ from scipy.special import ndtr, ndtri
 
 __all__ = [
     "MAX_HADAMARD_LOG2",
-    "HadamardMatrix",
     "RootResult",
     "RootFindingError",
     "NoSignChangeError",
@@ -41,27 +40,23 @@ class NoSignChangeError(RootFindingError):
 
 
 @dataclass(frozen=True)
-class HadamardMatrix:
-    """Sylvester Hadamard matrix: entries in {+1, -1} with H @ H.T = order * I.
-
-    The first row and first column are all +1; ``entries`` is an int64 array
-    marked read-only so schedules can share one instance.
-    """
-
-    order: int
-    entries: np.ndarray
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
-
-@dataclass(frozen=True)
 class RootResult:
     """A bracketed root: location, |f(root)|, and bisection iterations used."""
 
     root: float
     residual: float
     iterations: int
+
+
+def _libm(fn, x):
+    """``fn`` (a ``math`` function) of a float, or of each element of an array.
+
+    numpy's SIMD exp, log and log1p can differ from libm in the last bit, so
+    array code that must agree bitwise with float code maps libm instead.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
 
 
 def std_normal_cdf(x):
@@ -85,11 +80,13 @@ def std_normal_quantile(p):
     return ndtri(arr)
 
 
-def sylvester_hadamard(k: int) -> HadamardMatrix:
+def sylvester_hadamard(k: int) -> np.ndarray:
     """Hadamard matrix of order 2**k via the doubling construction [[H, H], [H, -H]].
 
-    Supported up to k = MAX_HADAMARD_LOG2; the construction is exact in int64
-    far beyond that, but desk-scale schedules never need more.
+    Entries are +1 and -1 with H @ H.T = 2**k I, and the first row and column
+    are all +1.  The int64 array is marked read-only so schedules can share
+    one instance.  Supported up to k = MAX_HADAMARD_LOG2; the construction is
+    exact in int64 far beyond that, but desk-scale schedules never need more.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("k must be an integer")
@@ -103,7 +100,7 @@ def sylvester_hadamard(k: int) -> HadamardMatrix:
     for _ in range(int(k)):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
-    return HadamardMatrix(order=1 << int(k), entries=h)
+    return h
 
 
 def largest_root(

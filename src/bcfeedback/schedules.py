@@ -42,6 +42,7 @@ from .core import StepParams
 from .fixedpoint import (
     SCHEME_IDS,
     WarmupPlan,
+    _ozarow_contractions,
     _per_user_rate_bits,
     build_warmup_plan,
     check_channel,
@@ -157,12 +158,10 @@ class OzarowSchedule:
         sign = 1.0 if rho >= 0.0 else -1.0
         r = abs(rho)
         dd = 1.0 + g * g + 2.0 * g * r
-        one_m = 1.0 - rho * rho
         v1 = p + sigma2 + s1
         v2 = p + sigma2 + s2
         beta = math.sqrt(2.0 / dd)
-        a1 = math.sqrt((sigma2 + s1 + p * g * g * one_m / dd) / v1)
-        a2 = math.sqrt((sigma2 + s2 + p * one_m / dd) / v2)
+        a1, a2 = _ozarow_contractions(r, p, sigma2, s1, s2, g)
         b1 = (p / 2.0) * beta * (1.0 + g * r) / v1
         b2 = (p / 2.0) * beta * sign * (g + r) / v2
         params = StepParams(
@@ -200,8 +199,7 @@ class DegradedSchedule:
         check_channel("degraded", channel)
         m = channel.num_receivers
         self.channel = channel
-        self.hadamard = sylvester_hadamard(m.bit_length() - 1)
-        self.columns = self.hadamard.entries.astype(float)
+        self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
         self.R = np.eye(m)
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share
@@ -260,8 +258,7 @@ class SymmetricSchedule:
         self.channel = channel
         noise_scale = channel.private_noise_vars[0]
         self.plan: WarmupPlan = build_warmup_plan(m, channel.power_budget / noise_scale)
-        self.hadamard = sylvester_hadamard(m.bit_length() - 1)
-        self.columns = self.hadamard.entries.astype(float)
+        self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
         self.gamma = self.plan.bgamma.gamma
         self.R = (self.plan.lambda0 + self.gamma) * np.eye(m)
         self.p_share = channel.power_budget / m

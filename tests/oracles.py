@@ -8,9 +8,16 @@ affine state.  Constants frozen into the tests were produced by these
 routines (or by 50-digit decimal arithmetic on exact polynomial forms) and
 are cited next to their definitions.
 
-The one exception is :func:`scan_largest_root`, the package's former
-point-by-point scan, kept as the reference that the array scan of
-``largest_root`` must reproduce exactly; it shares the package's bisection.
+Two references share package code on purpose, because each must reproduce
+a package routine bit for bit rather than to rounding:
+
+* :func:`scan_largest_root`, the package's former point-by-point scan, is
+  the reference that the array scan of ``largest_root`` must reproduce
+  exactly; it shares the package's bisection.
+* :func:`scalar_trial`, the package's former single-trial loop, folds each
+  receiver's decoder one float at a time and is the reference for
+  ``run_trial``; it shares the package's trial stream, embedding, encode
+  and source-update steps, channel outputs and normal cdf.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect
+from bcfeedback.channel import channel_outputs, draw_trial
+from bcfeedback.core import embed_message, encode, update_sources
+from bcfeedback.montecarlo import TrialOutcome
+from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect, std_normal_cdf
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
 # after clearing logarithms from the two-receiver sum-rate equation at P = 10:
@@ -109,6 +119,54 @@ def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOutcome:
+    """Reference for ``run_trial``: one scalar (log_slope, intercept) replay per receiver.
+
+    Takes one policy per receiver and explicit checkpoints, and always
+    records the trajectory.
+    """
+    ch = prepared.channel
+    m = ch.num_receivers
+    theta, z = draw_trial(rng, m, horizon)
+    s = np.array([embed_message(t, prepared.p0) for t in theta])
+    log_slope = [0.0] * m
+    intercept = [0.0] * m
+    power = np.zeros(horizon)
+    success = np.zeros((len(checkpoints), m), dtype=bool)
+    mark_index = {n: i for i, n in enumerate(checkpoints)}
+    rows = []
+    if 0 in mark_index:
+        success[mark_index[0], :] = True
+
+    for n in range(1, horizon + 1):
+        params = prepared.params[n - 1]
+        x = encode(s, params)
+        y = channel_outputs(ch, x, z[n - 1])
+        for j in range(m):
+            intercept[j] = intercept[j] + math.exp(log_slope[j]) * float(params.b[j]) * float(y[j])
+            log_slope[j] = log_slope[j] + math.log(float(params.a[j]))
+        s = update_sources(s, params, y)
+        power[n - 1] = x * x
+        if n in mark_index:
+            for j in range(m):
+                success[mark_index[n], j] = abs(s[j]) < policies[j].halfwidth(n)
+        rows.append((n, x, tuple(y), tuple(s), tuple(math.exp(v) for v in log_slope),
+                     tuple(intercept)))
+
+    if horizon == 0:
+        finals = ((0.0, 1.0),) * m
+    else:
+        scale = math.sqrt(prepared.p0)
+        finals = []
+        for j in range(m):
+            mag = math.exp(log_slope[j] + policies[j].log_halfwidth(horizon))
+            finals.append((std_normal_cdf((intercept[j] - mag) / scale),
+                           std_normal_cdf((intercept[j] + mag) / scale)))
+        finals = tuple(finals)
+    return TrialOutcome(checkpoints=tuple(checkpoints), success=success, power=power,
+                        final_intervals=finals, trajectory=tuple(rows))
 
 
 def normal_cdf_quad(x: float) -> float:

@@ -259,10 +259,10 @@ def test_criterion_10_hadamard_exact_orthogonality_up_to_1024():
         order = 1 << k
         # float64 BLAS is exact here: entries are +-1 and every partial sum
         # is an integer bounded by 1024, far inside the 2^53 integer range
-        gram = h.entries.astype(float) @ h.entries.astype(float).T
+        gram = h.astype(float) @ h.astype(float).T
         assert np.array_equal(gram, order * np.eye(order))
         want_signs = {1} if k == 0 else {-1, 1}
-        assert set(np.unique(h.entries)) == want_signs
+        assert set(np.unique(h)) == want_signs
     elapsed = time.monotonic() - t0
     print(f"orders 1..1024 exactly orthogonal, {elapsed:.2f}s")
     assert elapsed < 30.0

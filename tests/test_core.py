@@ -13,7 +13,6 @@ from bcfeedback.core import (
     decoder_absorb,
     embed_message,
     encode,
-    instant_rate,
     update_sources,
 )
 from bcfeedback.numerics import std_normal_cdf
@@ -66,8 +65,8 @@ def test_interval_policy():
 
 
 def test_decoder_state_slope():
-    dec = DecoderState(log_slope=math.log(0.25), intercept=0.0, step=3)
-    assert dec.slope == pytest.approx(0.25, rel=1e-15)
+    dec = DecoderState(log_slope=np.log([0.25, 2.0]), intercept=np.zeros(2), step=3)
+    assert dec.slope == pytest.approx([0.25, 2.0], rel=1e-15)
 
 
 # ----------------------------------------------------------------------------
@@ -140,26 +139,59 @@ def test_encode_and_update_sources_take_a_batch_of_rows(m):
 # ----------------------------------------------------------------------------
 
 
+def fresh_decoder(shape):
+    return DecoderState(np.zeros(shape[-1]), np.zeros(shape), 0)
+
+
+def scalar_step(a_k, b_k):
+    """One receiver's step with contraction a_k and feedback gain b_k."""
+    return make_params(alpha=(1.0,), beta=1.0, a=(a_k,), b=(b_k,))
+
+
 def test_decoder_absorb_composes_inside():
-    # two steps with distinct coefficients; compare against explicit nesting
-    steps = [(0.5, 0.3, 1.1), (0.8, -0.2, 0.7)]  # (a, b, y) for k = 1, 2
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
+    # two steps with distinct coefficients per receiver; compare against
+    # explicit nesting, receiver by receiver
+    steps = [  # (a, b, y) for k = 1, 2; one column per receiver
+        (np.array([0.5, 0.9]), np.array([0.3, -0.6]), np.array([1.1, 0.4])),
+        (np.array([0.8, 0.7]), np.array([-0.2, 0.5]), np.array([0.7, -1.3])),
+    ]
+    dec = fresh_decoder((2,))
     for a_k, b_k, y_k in steps:
-        dec = decoder_absorb(dec, a_k, b_k, y_k)
+        dec = decoder_absorb(dec, make_params(a=a_k, b=b_k), y_k)
     # T_2(x) = w_1(w_2(x)) with w_k(x) = a_k x + b_k y_k
-    for x in (-1.3, 0.0, 2.4):
-        expect = affine_chain([(a, b * y) for a, b, y in steps], x)
-        assert dec.slope * x + dec.intercept == pytest.approx(expect, rel=1e-14, abs=1e-14)
+    for j in range(2):
+        for x in (-1.3, 0.0, 2.4):
+            expect = affine_chain([(a[j], b[j] * y[j]) for a, b, y in steps], x)
+            got = dec.slope[j] * x + dec.intercept[j]
+            assert got == pytest.approx(expect, rel=1e-14, abs=1e-14)
     assert dec.step == 2
-    assert dec.slope == pytest.approx(0.5 * 0.8, rel=1e-15)
+    assert dec.slope == pytest.approx([0.5 * 0.8, 0.9 * 0.7], rel=1e-15)
 
 
 def test_decoder_absorb_rejects_bad_a():
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
+    # a nonpositive contraction cannot reach the decoder: the step it takes
+    # is a StepParams, which refuses it
     with pytest.raises(ValueError):
-        decoder_absorb(dec, 0.0, 0.1, 1.0)
+        decoder_absorb(fresh_decoder((2,)), make_params(a=(0.0, 0.5)), np.ones(2))
     with pytest.raises(ValueError):
-        decoder_absorb(dec, -0.5, 0.1, 1.0)
+        decoder_absorb(fresh_decoder((2,)), make_params(a=(-0.5, 0.5)), np.ones(2))
+    # and the outputs must match the decoder's shape and the schedule width
+    with pytest.raises(ValueError):
+        decoder_absorb(fresh_decoder((3, 2)), make_params(), np.ones(2))
+    with pytest.raises(ValueError):
+        decoder_absorb(fresh_decoder((3,)), make_params(), np.ones(3))
+
+
+def test_decoder_absorb_folds_a_batch_row_like_one_trial():
+    rng = np.random.default_rng(4)
+    params = make_params(a=(0.6, 1.1), b=(0.4, -0.7))
+    y = rng.standard_normal((5, 2))
+    batch, single = fresh_decoder((5, 2)), [fresh_decoder((2,)) for _ in range(5)]
+    for _ in range(3):
+        batch = decoder_absorb(batch, params, y)
+        single = [decoder_absorb(d, params, yi) for d, yi in zip(single, y)]
+    assert np.array_equal(batch.intercept, [d.intercept for d in single])
+    assert np.array_equal(batch.log_slope, single[0].log_slope)
 
 
 @given(
@@ -181,37 +213,40 @@ def test_replay_roundtrip_identity(steps, theta):
     p0 = 2.0
     s = embed_message(theta, p0)
     s1 = s
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
+    dec = fresh_decoder((1,))
     for a_k, b_k, y_k in steps:
-        dec = decoder_absorb(dec, a_k, b_k, y_k)
+        dec = decoder_absorb(dec, scalar_step(a_k, b_k), np.array([y_k]))
         s = (s - b_k * y_k) / a_k
-    recon = dec.slope * s + dec.intercept
+    recon = dec.slope[0] * s + dec.intercept[0]
     assert recon == pytest.approx(s1, rel=1e-12, abs=1e-12)
     log_prod = sum(math.log(a_k) for a_k, _, _ in steps)
-    assert dec.log_slope == pytest.approx(log_prod, rel=1e-12, abs=1e-12)
+    assert dec.log_slope[0] == pytest.approx(log_prod, rel=1e-12, abs=1e-12)
 
 
 def test_decode_interval_initial_state():
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
     pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.0)
-    assert decode_interval(dec, pol, 0, 1.0) == (0.0, 1.0)
+    assert decode_interval(fresh_decoder((2,)), [pol, pol], 0, 1.0) == ((0.0, 1.0),) * 2
 
 
 def test_decode_interval_checks_step_alignment():
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=2)
+    dec = DecoderState(np.zeros(1), np.zeros(1), step=2)
     pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.0)
     with pytest.raises(ValueError):
-        decode_interval(dec, pol, 3, 1.0)
+        decode_interval(dec, [pol], 3, 1.0)
     with pytest.raises(ValueError):
-        decode_interval(dec, pol, 2, 0.0)
+        decode_interval(dec, [pol], 2, 0.0)
+    with pytest.raises(ValueError):
+        decode_interval(dec, [pol, pol], 2, 1.0)  # one policy per receiver
+    with pytest.raises(ValueError):
+        decode_interval(DecoderState(np.zeros(1), np.zeros((4, 1)), 2), [pol], 2, 1.0)
 
 
 def test_decode_interval_unit_step_hand_value():
     # one absorbed step with a=0.5, b=0, y anything: T_1(x) = 0.5 x, so the
     # interval is (cdf(-0.5 t / sqrt(p0)), cdf(0.5 t / sqrt(p0)))
-    dec = decoder_absorb(DecoderState(0.0, 0.0, 0), 0.5, 0.0, 3.7)
+    dec = decoder_absorb(fresh_decoder((1,)), scalar_step(0.5, 0.0), np.array([3.7]))
     pol = IntervalPolicy(base_halfwidth=2.0, growth_rate_bits=0.0)
-    lo, hi = decode_interval(dec, pol, 1, 4.0)
+    ((lo, hi),) = decode_interval(dec, [pol], 1, 4.0)
     assert lo == pytest.approx(std_normal_cdf(-0.5), rel=1e-14)
     assert hi == pytest.approx(std_normal_cdf(0.5), rel=1e-14)
 
@@ -225,39 +260,30 @@ def test_decode_interval_membership_matches_pivot_test():
     for _ in range(200):
         theta = float(rng.uniform(0.02, 0.98))
         s = embed_message(theta, p0)
-        dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
+        dec = fresh_decoder((1,))
         n = int(rng.integers(1, 6))
         for _ in range(n):
             a_k = float(rng.uniform(0.4, 1.2))
             b_k = float(rng.uniform(-0.5, 0.5))
             y_k = float(rng.normal())
-            dec = decoder_absorb(dec, a_k, b_k, y_k)
+            dec = decoder_absorb(dec, scalar_step(a_k, b_k), np.array([y_k]))
             s = (s - b_k * y_k) / a_k
         t_n = pol.halfwidth(n)
         if abs(abs(s) - t_n) < 1e-9 * t_n:
             continue  # endpoint tie: either answer is defensible
-        lo, hi = decode_interval(dec, pol, n, p0)
+        ((lo, hi),) = decode_interval(dec, [pol], n, p0)
         assert (lo < theta < hi) == (abs(s) < t_n)
-
-
-def test_instant_rate():
-    assert instant_rate((0.25, 0.5), 2) == pytest.approx(1.0)  # -log2(1/4)/2
-    with pytest.raises(ValueError):
-        instant_rate((0.25, 0.5), 0)
-    with pytest.raises(ValueError):
-        instant_rate((0.5, 0.5), 3)
-    with pytest.raises(ValueError):
-        instant_rate((0.7, 0.5), 3)
 
 
 def test_long_horizon_slope_stays_in_log_space():
     # 5000 steps at a = 0.5 would underflow a direct product; the log form
     # keeps the decoded interval meaningful
-    dec = DecoderState(log_slope=0.0, intercept=0.0, step=0)
+    dec = fresh_decoder((1,))
+    step = scalar_step(0.5, 0.0)
     for _ in range(5000):
-        dec = decoder_absorb(dec, 0.5, 0.0, 0.0)
-    assert dec.slope == 0.0  # underflows only at the final exp, as it should
-    assert dec.log_slope == pytest.approx(5000 * math.log(0.5), rel=1e-12)
+        dec = decoder_absorb(dec, step, np.zeros(1))
+    assert dec.slope[0] == 0.0  # underflows only at the final exp, as it should
+    assert dec.log_slope[0] == pytest.approx(5000 * math.log(0.5), rel=1e-12)
     pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.2)
-    lo, hi = decode_interval(dec, pol, 5000, 1.0)
+    ((lo, hi),) = decode_interval(dec, [pol], 5000, 1.0)
     assert lo == 0.5 and hi == 0.5  # saturated, but finite and ordered

@@ -12,7 +12,6 @@ from bcfeedback.fixedpoint import (
     FixedPointError,
     b_gamma_residuals,
     build_warmup_plan,
-    lambda_sequence,
     rate_report,
     rho_map,
     solve_b_gamma,
@@ -256,8 +255,9 @@ def test_b_gamma_rejects_wrong_lambda():
 
 
 def test_lambda_sequence_shape_and_ratios():
-    lam = solve_lambda_bc(4, 10.0).lam
-    seq = lambda_sequence(lam, 4, 10.0)
+    plan = build_warmup_plan(4, 10.0)
+    lam = plan.lam
+    seq = np.array(plan.lambda_seq)
     assert seq.shape == (4,)
     assert seq[0] == lam
     ratios = seq[1:] / seq[:-1]

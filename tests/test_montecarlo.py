@@ -18,6 +18,7 @@ from bcfeedback.montecarlo import (
     write_csv,
     write_trajectory_csv,
 )
+from oracles import scalar_trial
 
 SYM_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 OZ_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
@@ -112,6 +113,32 @@ def test_trial_matches_batch_error_counts():
     assert np.array_equal(err, stats.err_counts)
 
 
+def _trajectory_bytes(trajectory):
+    return np.array([(n, x, *y, *s, *slope, *icpt)
+                     for n, x, y, s, slope, icpt in trajectory], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("scheme, channel, horizon", [
+    ("symmetric", SYM_CHANNEL, 24),
+    ("symmetric", ChannelConfig(8, 5.0, 0.0, (2.0,) * 8), 20),
+    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24),
+    ("degraded", ChannelConfig(4, 10.0, 0.5, (0.0,) * 4), 20),
+])
+def test_trial_is_bitwise_the_scalar_oracle(scheme, channel, horizon):
+    prep = prepare_scheme(scheme, channel, horizon)
+    pol = default_policies(prep, 0.5)
+    for h, marks in ((horizon, (0, 1, horizon // 2, horizon)), (0, (0,))):
+        for seed in range(3):
+            got = run_trial(prep, h, pol, np.random.default_rng(seed),
+                            checkpoints=marks, record_trajectory=True)
+            want = scalar_trial(prep, h, pol, np.random.default_rng(seed), marks)
+            assert np.array_equal(got.success, want.success)
+            assert got.power.tobytes() == want.power.tobytes()
+            assert got.final_intervals == want.final_intervals
+            assert len(got.trajectory) == h
+            assert _trajectory_bytes(got.trajectory) == _trajectory_bytes(want.trajectory)
+
+
 def test_trial_checkpoint_zero_always_succeeds():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 5)
     pol = default_policies(prep, 0.5)
@@ -187,6 +214,21 @@ def test_batch_roundtrip_identity_across_schemes():
         pol = default_policies(prep, 0.5)
         stats = run_batch(prep, 60, pol, 5, 128, check_roundtrip=True)
         assert stats.roundtrip_max_relerr <= 1e-9, scheme
+
+
+def test_batch_statistics_do_not_depend_on_the_roundtrip_check():
+    # the replay maps are folded only to measure the round trip; they feed
+    # no error count or power sum
+    for scheme, channel in (("symmetric", SYM_CHANNEL), ("ozarow2", OZ_CHANNEL),
+                            ("degraded", DEG_CHANNEL)):
+        prep = prepare_scheme(scheme, channel, 30)
+        pol = default_policies(prep, 0.5)
+        off = run_batch(prep, 30, pol, 12, 200, checkpoints=(0, 10, 30))
+        on = run_batch(prep, 30, pol, 12, 200, checkpoints=(0, 10, 30), check_roundtrip=True)
+        assert np.array_equal(off.err_counts, on.err_counts), scheme
+        assert np.array_equal(off.cum_power_sum, on.cum_power_sum), scheme
+        assert np.array_equal(off.cum_power_sumsq, on.cum_power_sumsq), scheme
+        assert off.roundtrip_max_relerr == 0.0 < on.roundtrip_max_relerr
 
 
 def test_batch_reproducible_across_calls():

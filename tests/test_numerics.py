@@ -90,32 +90,28 @@ def test_quantile_symmetry():
 def test_hadamard_orthogonality_exact(k):
     h = sylvester_hadamard(k)
     order = 1 << k
-    assert h.order == order
-    gram = h.entries @ h.entries.T  # int64: exact
+    assert len(h) == order
+    gram = h @ h.T  # int64: exact
     assert np.array_equal(gram, order * np.eye(order, dtype=np.int64))
 
 
 def test_hadamard_entries_are_signs_and_first_line_is_ones():
     h = sylvester_hadamard(4)
-    assert set(np.unique(h.entries)) == {-1, 1}
-    assert np.all(h.entries[0] == 1)
-    assert np.all(h.entries[:, 0] == 1)
-
-
-def test_hadamard_column_accessor():
-    h = sylvester_hadamard(2)
-    assert np.array_equal(h.column(1), h.entries[:, 1])
+    assert h.dtype == np.int64
+    assert set(np.unique(h)) == {-1, 1}
+    assert np.all(h[0] == 1)
+    assert np.all(h[:, 0] == 1)
 
 
 def test_hadamard_entries_read_only():
     h = sylvester_hadamard(3)
     with pytest.raises(ValueError):
-        h.entries[0, 0] = -1
+        h[0, 0] = -1
 
 
 def test_hadamard_doubling_structure():
-    h2 = sylvester_hadamard(2).entries
-    h3 = sylvester_hadamard(3).entries
+    h2 = sylvester_hadamard(2)
+    h3 = sylvester_hadamard(3)
     assert np.array_equal(h3[:4, :4], h2)
     assert np.array_equal(h3[:4, 4:], h2)
     assert np.array_equal(h3[4:, :4], h2)
