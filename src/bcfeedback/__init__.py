@@ -62,7 +62,6 @@ from .schedules import (
     DegradedSchedule,
     OzarowSchedule,
     ScheduleInvariantError,
-    ScheduleStep,
     SymmetricSchedule,
     covariance_update,
     make_schedule,
@@ -84,6 +83,6 @@ __all__ = [
     "NoSignChangeError", "RootFindingError", "RootResult",
     "largest_root", "std_normal_cdf", "std_normal_quantile", "sylvester_hadamard",
     "SCHEME_IDS", "DegradedSchedule", "OzarowSchedule", "ScheduleInvariantError",
-    "ScheduleStep", "SymmetricSchedule", "covariance_update", "make_schedule",
+    "SymmetricSchedule", "covariance_update", "make_schedule",
     "__version__",
 ]

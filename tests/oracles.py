@@ -18,6 +18,12 @@ a package routine bit for bit rather than to rounding:
   receiver's decoder one float at a time and is the reference for
   ``run_trial``; it shares the package's trial stream, embedding, encode
   and source-update steps, channel outputs and normal cdf.
+
+Two references check the Hadamard schedules' second moments without the
+package's dyadic shortcuts: :func:`dense_eigen_profile`, the former dense
+``G @ H`` profile behind the symmetric schedule's invariant checks, and
+:func:`hadamard_eigen_step`, ``covariance_update`` carried in the Hadamard
+eigenvalue domain.
 """
 
 from __future__ import annotations
@@ -167,6 +173,41 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOut
         finals = tuple(finals)
     return TrialOutcome(checkpoints=tuple(checkpoints), success=success, power=power,
                         final_intervals=finals, trajectory=tuple(rows))
+
+
+def dense_eigen_profile(G: np.ndarray, columns: np.ndarray):
+    """Rayleigh quotients of G along each Hadamard column and the residual norms.
+
+    columns is the (M, M) array of +-1 columns; returns (values, residuals)
+    where values[j] = h_j^T G h_j / M and residuals[j] = ||G h_j - values[j] h_j||.
+    One dense O(M^3) product, the reference for ``hadamard_eigen_profile``.
+    """
+    GH = G @ columns
+    vals = (columns * GH).sum(axis=0) / G.shape[0]
+    resid = np.linalg.norm(GH - columns * vals, axis=0)
+    return vals, resid
+
+
+def hadamard_eigen_step(mu: np.ndarray, j: int, params, channel, p_share: float) -> np.ndarray:
+    """One ``covariance_update`` step on the eigenvalues mu of a dyadic R.
+
+    Valid when alpha is Sylvester column h_j, b = b_0 h_j, a is uniform and
+    the private noises are equal: R then stays dyadic, every column stays an
+    eigenvector, and only mu_j moves besides a uniform noise shift and 1/a^2:
+
+        mu <- (mu + b_0^2 s_p / p_share
+               + e_j (M b_0^2 out_var - 2 beta b_0 M mu_j)) / a^2
+
+    with out_var = beta^2 M mu_j + s_c / p_share.  b_0 = b[0] because every
+    Sylvester column starts with +1.
+    """
+    m = mu.size
+    b0 = float(params.b[0])
+    beta = params.beta
+    out_var = beta * beta * m * mu[j] + channel.common_noise_var / p_share
+    new = mu + b0 * b0 * channel.private_noise_vars[0] / p_share
+    new[j] += m * b0 * b0 * out_var - 2.0 * beta * b0 * m * mu[j]
+    return new / float(params.a[0]) ** 2
 
 
 def normal_cdf_quad(x: float) -> float:

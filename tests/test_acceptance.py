@@ -26,13 +26,8 @@ from bcfeedback.fixedpoint import (
 )
 from bcfeedback.montecarlo import default_policies, prepare_scheme, run_batch
 from bcfeedback.numerics import sylvester_hadamard
-from bcfeedback.schedules import (
-    OzarowSchedule,
-    SymmetricSchedule,
-    covariance_update,
-    hadamard_eigen_profile,
-)
-from oracles import LAMBDA_2_1, LAMBDA_2_10, RHO_STAR_10, mp_solve_b_gamma
+from bcfeedback.schedules import OzarowSchedule, SymmetricSchedule, covariance_update
+from oracles import LAMBDA_2_1, LAMBDA_2_10, RHO_STAR_10, dense_eigen_profile, mp_solve_b_gamma
 
 # receiver counts x power budgets; odd receiver counts keep the solver honest
 # away from the power-of-two schedule cases
@@ -100,7 +95,7 @@ def test_criterion_04_symmetric_schedule_structure_1000_steps():
         if n >= m:
             rel = abs(step.expected_power - p) / p
             assert rel <= 1e-10, (n, rel)
-            vals, resid = hadamard_eigen_profile(sched.G, sched.columns)
+            vals, resid = dense_eigen_profile(sched.G, sched.columns)
             scale = np.linalg.norm(sched.G) * math.sqrt(m)
             assert np.max(resid) <= 1e-9 * scale
             assert np.sort(vals) == pytest.approx(want_multiset, rel=1e-9)

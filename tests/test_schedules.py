@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.core import StepParams
 from bcfeedback.fixedpoint import build_warmup_plan, rho_map, solve_lambda_bc, solve_rho
+from bcfeedback.numerics import sylvester_hadamard
 from bcfeedback.schedules import (
+    _CHECK_TOL,
     SCHEME_IDS,
     DegradedSchedule,
     OzarowSchedule,
@@ -18,7 +20,7 @@ from bcfeedback.schedules import (
     hadamard_eigen_profile,
     make_schedule,
 )
-from oracles import LAMBDA_2_1
+from oracles import LAMBDA_2_1, dense_eigen_profile, hadamard_eigen_step
 
 OZ_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 DEG_CHANNEL = ChannelConfig(2, 1.0, 1.0, (0.0, 0.0))
@@ -83,9 +85,67 @@ def test_covariance_update_keeps_symmetry_and_psd(seed, scale, rho):
 def test_hadamard_eigen_profile_on_known_matrix():
     cols = np.array([[1.0, 1.0], [1.0, -1.0]])
     G = np.array([[2.0, 0.5], [0.5, 2.0]])
-    vals, resid = hadamard_eigen_profile(G, cols)
+    vals, resid = dense_eigen_profile(G, cols)
     assert vals == pytest.approx([2.5, 1.5], rel=1e-15)
     assert resid == pytest.approx([0.0, 0.0], abs=1e-14)
+
+
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-16.0, max_value=0.0),
+    st.floats(min_value=-0.05, max_value=0.05),
+)
+@settings(max_examples=80, deadline=None)
+def test_dyadic_profile_matches_the_dense_oracle_and_is_never_weaker(k, seed, log_eps, mu_min):
+    # a dyadic matrix with eigenvalues mu (one of them near zero) plus a
+    # symmetric perturbation of relative size 10^log_eps
+    m = 2**k
+    rng = np.random.default_rng(seed)
+    cols = sylvester_hadamard(k).astype(float)
+    i = np.arange(m)
+    mu = rng.uniform(0.01, 1.0, m)
+    mu[rng.integers(m)] = mu_min
+    G = (cols.T @ mu / m)[i[:, None] ^ i]
+    E = rng.standard_normal((m, m))
+    E = E + E.T
+    G = G + 10.0**log_eps * np.linalg.norm(G) * E / np.linalg.norm(E)
+    scale = np.linalg.norm(G)
+
+    vals, resid = hadamard_eigen_profile(G, cols, (i[:, None] ^ i) + m * i)
+    want_vals, col_resid = dense_eigen_profile(G, cols)
+    assert vals == pytest.approx(want_vals, rel=1e-12, abs=1e-12 * scale)
+    rms = math.sqrt(np.mean(col_resid**2))
+    assert resid == pytest.approx(rms, rel=1e-12, abs=1e-12 * scale)
+    # the dyadic eigenbasis check implies the former per-column check ...
+    if resid <= _CHECK_TOL * scale / math.sqrt(m):
+        assert np.max(col_resid) <= _CHECK_TOL * scale
+    # ... and, by Weyl, the positive-definiteness check implies lambda_min > 0
+    if np.min(vals) > resid:
+        assert np.min(np.linalg.eigvalsh(G)) > 0.0
+
+
+@pytest.mark.parametrize("scheme, m, horizon", [
+    ("symmetric", 64, 1000),
+    ("degraded", 64, 1000),
+    ("symmetric", 256, 200),
+])
+def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, horizon):
+    if scheme == "symmetric":
+        ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
+    else:
+        ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
+    sched = make_schedule(scheme, ch, check_invariants=False)
+    mu = sched.columns.T @ sched.R[0]
+    worst = 0.0
+    for n in range(horizon):
+        j = n % m
+        step = sched.step()
+        assert np.array_equal(step.params.alpha, sched.columns[:, j])
+        mu = hadamard_eigen_step(mu, j, step.params, ch, sched.p_share)
+        got = sched.columns.T @ sched.R[0]
+        worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
+    assert worst <= 1e-11
 
 
 # ----------------------------------------------------------------------------
@@ -255,9 +315,9 @@ def test_symmetric_eigen_assignment_rotates_one_column_per_step():
     sched = SymmetricSchedule(ch)
     for _ in range(8):
         sched.step()
-    before, _ = hadamard_eigen_profile(sched.G, sched.columns)
+    before, _ = dense_eigen_profile(sched.G, sched.columns)
     sched.step()
-    after, _ = hadamard_eigen_profile(sched.G, sched.columns)
+    after, _ = dense_eigen_profile(sched.G, sched.columns)
     # one step advances every eigenvalue one position along the column cycle
     assert after == pytest.approx(np.roll(before, 1), rel=1e-9)
     assert sorted(after) == pytest.approx(sorted(before), rel=1e-9)
@@ -286,6 +346,57 @@ def test_symmetric_invariant_check_catches_eigenvalue_drift():
     sched.R = sched.R + np.array([[0.0, 0.05], [0.05, 0.0]])
     with pytest.raises(ScheduleInvariantError):
         sched.step()
+
+
+def test_symmetric_invariant_check_catches_lost_positive_definiteness():
+    # a uniform shift keeps G dyadic but drives its eigenvalues negative
+    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
+    sched.R = sched.R - 10.0 * np.eye(4)
+    with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
+        sched.step()
+
+
+def test_symmetric_positive_definiteness_check_keeps_the_weyl_margin():
+    # every Hadamard Rayleigh quotient of G is positive, yet G is not positive
+    # definite: two eigenvalues delta are coupled by 2 delta off the eigenbasis
+    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
+    u = sched.columns / 2.0
+    delta = 1e-12
+    G = u @ np.diag([1.0, 1.0, delta, delta]) @ u.T
+    G += 2.0 * delta * (np.outer(u[:, 2], u[:, 3]) + np.outer(u[:, 3], u[:, 2]))
+    assert np.min(np.linalg.eigvalsh(G)) < 0.0
+    sched.R = G + sched.gamma * np.eye(4)
+    with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
+        sched._verify()
+
+
+def test_symmetric_invariant_check_catches_lost_finiteness():
+    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
+    sched.R[1, 2] = sched.R[2, 1] = np.nan
+    with pytest.raises(ScheduleInvariantError, match="lost finiteness"):
+        sched.step()
+
+
+def test_symmetric_invariant_check_catches_one_corrupted_off_diagonal_pair():
+    # one non-dyadic pair, 1e-8 of ||G||_F, in a 64 x 64 covariance
+    sched = SymmetricSchedule(ChannelConfig(64, 10.0, 0.0, (1.0,) * 64))
+    delta = 1e-8 * np.linalg.norm(sched.G)
+    sched.R[3, 17] += delta
+    sched.R[17, 3] += delta
+    with pytest.raises(ScheduleInvariantError, match="stopped being eigenvectors"):
+        sched.step()
+
+
+def test_symmetric_checks_run_without_an_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the invariant checks called an eigendecomposition")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    sched = SymmetricSchedule(ChannelConfig(16, 10.0, 0.0, (1.0,) * 16), check_invariants=True)
+    for _ in range(32):
+        sched.step()
+    assert sched.phase == "steady"
 
 
 def test_symmetric_noise_scale_invariance():
