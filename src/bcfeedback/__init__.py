@@ -7,82 +7,21 @@ reduces to replaying an affine contraction.  Three parameter schedules are
 provided: a two-user correlation-tracking scheme, a degraded-channel
 schedule for power-of-two receiver counts, and a symmetric schedule whose
 steady state matches the solution of an algebraic fixed point.
+
+The package root holds the documented surface below; everything else is
+imported from its module (``bcfeedback.core``, ``bcfeedback.montecarlo``, ...).
 """
 
-from .channel import ChannelConfig, channel_outputs, draw_trial, spawn_trial_seeds
-from .core import (
-    DecoderState,
-    IntervalPolicy,
-    StepParams,
-    decode_interval,
-    decoder_absorb,
-    embed_message,
-    encode,
-    update_sources,
-)
-from .fixedpoint import (
-    SCHEME_IDS,
-    BGamma,
-    FixedPointError,
-    OzarowFixedPoint,
-    RateReport,
-    SumRateSolution,
-    WarmupPlan,
-    build_warmup_plan,
-    rate_report,
-    rho_map,
-    solve_b_gamma,
-    solve_lambda_bc,
-    solve_lambda_mac,
-    solve_rho,
-)
-from .montecarlo import (
-    BatchStats,
-    ErrorEstimate,
-    PreparedScheme,
-    default_policies,
-    estimate,
-    prepare_scheme,
-    run_batch,
-    run_trial,
-    wilson_interval,
-    write_csv,
-    write_trajectory_csv,
-)
-from .numerics import (
-    NoSignChangeError,
-    RootFindingError,
-    RootResult,
-    largest_root,
-    std_normal_cdf,
-    std_normal_quantile,
-    sylvester_hadamard,
-)
-from .schedules import (
-    DegradedSchedule,
-    OzarowSchedule,
-    ScheduleInvariantError,
-    SymmetricSchedule,
-    covariance_update,
-    make_schedule,
-)
+from .channel import ChannelConfig
+from .fixedpoint import rate_report, solve_b_gamma, solve_lambda_bc, solve_lambda_mac, solve_rho
+from .montecarlo import estimate, prepare_scheme, write_csv
+from .schedules import make_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "channel_outputs", "draw_trial", "spawn_trial_seeds",
-    "DecoderState", "IntervalPolicy", "StepParams",
-    "decode_interval", "decoder_absorb", "embed_message", "encode",
-    "update_sources",
-    "BGamma", "FixedPointError", "OzarowFixedPoint", "RateReport",
-    "SumRateSolution", "WarmupPlan", "build_warmup_plan", "rate_report",
-    "rho_map", "solve_b_gamma", "solve_lambda_bc", "solve_lambda_mac", "solve_rho",
-    "BatchStats", "ErrorEstimate", "PreparedScheme", "default_policies",
-    "estimate", "prepare_scheme", "run_batch", "run_trial", "wilson_interval",
-    "write_csv", "write_trajectory_csv",
-    "NoSignChangeError", "RootFindingError", "RootResult",
-    "largest_root", "std_normal_cdf", "std_normal_quantile", "sylvester_hadamard",
-    "SCHEME_IDS", "DegradedSchedule", "OzarowSchedule", "ScheduleInvariantError",
-    "SymmetricSchedule", "covariance_update", "make_schedule",
+    "ChannelConfig",
+    "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "solve_b_gamma", "rate_report",
+    "make_schedule", "prepare_scheme", "estimate", "write_csv",
     "__version__",
 ]

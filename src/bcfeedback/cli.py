@@ -37,7 +37,7 @@ from .montecarlo import (
     prepare_scheme,
 )
 
-__all__ = ["ConfigError", "RunConfig", "parse_run_config", "main"]
+__all__ = ["main"]
 
 log = logging.getLogger("bcfeedback.cli")
 

@@ -74,10 +74,6 @@ class StepParams:
             raise ValueError("beta must be finite")
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def num_receivers(self) -> int:
-        return self.alpha.shape[0]
-
 
 @dataclass(frozen=True)
 class DecoderState:

@@ -32,21 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _libm, largest_root
+from .numerics import MAX_HADAMARD_LOG2, _libm, largest_root
 
 __all__ = [
     "SCHEME_IDS",
     "check_channel",
     "FixedPointError",
-    "SumRateSolution",
-    "BGamma",
-    "OzarowFixedPoint",
     "WarmupPlan",
-    "RateReport",
     "solve_lambda_bc",
     "solve_lambda_mac",
     "solve_b_gamma",
-    "b_gamma_residuals",
     "rho_map",
     "solve_rho",
     "build_warmup_plan",
@@ -69,12 +64,11 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class SumRateSolution:
-    """Largest fixed point lambda in [1, M] with its implied rates (bits)."""
+    """Largest fixed point lambda in [1, M] with its implied sum rate (bits)."""
 
     lam: float
     residual: float
     sum_rate: float
-    per_user_rate: float
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class OzarowFixedPoint:
 
     rho: float
     residual: float
-    g: float
     a1_star: float
     a2_star: float
 
@@ -111,8 +104,8 @@ class WarmupPlan:
 
     The first M - 1 steps use damped input scalings beta_b[n]/b to steer the
     source covariance onto the steady eigenvalue cycle lambda_seq; from step M
-    onward the scaling is the constant steady_beta.  d[n] = steady_a**(2(n+1))
-    and beta_b[n] is the smaller positive root of
+    onward the scaling is the constant steady_beta.  Warmup step n targets
+    d_n = steady_a**(2n), and beta_b[n - 1] is the smaller positive root of
 
         M u**2 (lam_n + gamma) - 2 u (lam_n + gamma) + ((1 - d_n)/M) lam_n = 0
 
@@ -127,7 +120,6 @@ class WarmupPlan:
     lam_residual: float
     lambda_seq: tuple[float, ...]
     lambda0: float
-    d: tuple[float, ...]
     beta_b: tuple[float, ...]
     warmup_lambda: tuple[float, ...]
     steady_a: float
@@ -181,37 +173,31 @@ def _mac_log_gap(x, M: int, P: float):
     return M * _libm(math.log1p, P * x * (M - x)) - (M - 1) * _libm(math.log1p, M * P * x)
 
 
-def _solve_lambda(gap, M: int, P: float, gain: float, tol: float) -> SumRateSolution:
+def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:
     if M == 1:
         lam, residual = 1.0, abs(gap(1.0, 1, P))
     else:
         # the log terms grow to (M - 1) log1p(gain M), and bisection stops at
         # float resolution, so an absolute tol alone fails at large P
         scale = max(1.0, (M - 1) * math.log1p(gain * M))
-        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), tol * scale)
+        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), _ROOT_TOL * scale)
         lam, residual = res.root, res.residual
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
-    sum_rate = 0.5 * math.log2(1.0 + gain * lam)
-    return SumRateSolution(lam=lam, residual=residual, sum_rate=sum_rate,
-                           per_user_rate=sum_rate / M)
+    return SumRateSolution(lam=lam, residual=residual,
+                           sum_rate=0.5 * math.log2(1.0 + gain * lam))
 
 
-def solve_lambda_bc(M: int, P: float, tol: float = _ROOT_TOL) -> SumRateSolution:
-    """Largest root in [1, M] of the broadcast sum-rate equation.
-
-    The returned sum rate is (1/2) log2(1 + P lam); per_user_rate is the equal
-    split sum_rate / M, which the fixed point makes coincide with the
-    per-receiver contraction rate.
-    """
+def solve_lambda_bc(M: int, P: float) -> SumRateSolution:
+    """Largest root in [1, M] of the broadcast equation; sum rate (1/2) log2(1 + P lam)."""
     M, P = _validate_mp(M, P)
-    return _solve_lambda(_bc_log_gap, M, P, P, tol)
+    return _solve_lambda(_bc_log_gap, M, P, P)
 
 
-def solve_lambda_mac(M: int, P: float, tol: float = _ROOT_TOL) -> SumRateSolution:
+def solve_lambda_mac(M: int, P: float) -> SumRateSolution:
     """Largest root in [1, M] of the multiple-access twin; sum rate (1/2) log2(1 + M P lam)."""
     M, P = _validate_mp(M, P)
-    return _solve_lambda(_mac_log_gap, M, P, M * P, tol)
+    return _solve_lambda(_mac_log_gap, M, P, M * P)
 
 
 # ----------------------------------------------------------------------------
@@ -339,20 +325,20 @@ def _ozarow_contractions(r: float, P, sigma2, sigma1_2, sigma2_2, g) -> tuple[fl
 
 
 def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
-              g: float, tol: float = _ROOT_TOL) -> OzarowFixedPoint:
+              g: float) -> OzarowFixedPoint:
     """Stationary correlation magnitude: largest root in [0, 1] of x + rho_map(x) = 0."""
     P, sigma2, sigma1_2, sigma2_2, g = _validate_ozarow_noise(
         P, sigma2, sigma1_2, sigma2_2, g
     )
     res = largest_root(
-        lambda x: x + _rho_step(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, tol
+        lambda x: x + _rho_step(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, _ROOT_TOL
     )
     rho = res.root
     a1, a2 = _ozarow_contractions(rho, P, sigma2, sigma1_2, sigma2_2, g)
     for name, val in (("a1_star", a1), ("a2_star", a2)):
         if not (0.0 < val < 1.0):
             raise FixedPointError(f"{name} = {val!r} escaped (0, 1)")
-    return OzarowFixedPoint(rho=rho, residual=res.residual, g=g, a1_star=a1, a2_star=a2)
+    return OzarowFixedPoint(rho=rho, residual=res.residual, a1_star=a1, a2_star=a2)
 
 
 # ----------------------------------------------------------------------------
@@ -382,7 +368,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
     # gamma + a2 * lam0 identically, so it is computed once; tiny negative
     # values are cancellation noise and get clamped to zero.
     disc = gamma + a2 * lam0
-    d: list[float] = []
     beta_b: list[float] = []
     warm_lams: list[float] = []
     for n in range(1, M):
@@ -397,7 +382,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         u = (1.0 - math.sqrt(max(disc, 0.0) / denom)) / M
         if not (0.0 < u < 2.0 / M):
             raise FixedPointError(f"warmup scaling u = {u!r} escaped (0, 2/M)")
-        d.append(a2**n)
         beta_b.append(u)
         warm_lams.append(lam_n)
 
@@ -412,7 +396,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         lam_residual=sol.residual,
         lambda_seq=seq,
         lambda0=lam0,
-        d=tuple(d),
         beta_b=tuple(beta_b),
         warmup_lambda=tuple(warm_lams),
         steady_a=math.sqrt(a2),
@@ -433,7 +416,8 @@ def check_channel(scheme: str, channel) -> None:
     ozarow2 needs exactly two receivers, each with positive total noise.
     degraded needs a positive common noise and no private noise; symmetric
     needs no common noise and equal positive private noises.  Both mix with
-    Hadamard columns, so both need a power-of-two receiver count.
+    Hadamard columns, so both need a power-of-two receiver count of at most
+    2**MAX_HADAMARD_LOG2.
     """
     m = channel.num_receivers
     common, priv = channel.common_noise_var, channel.private_noise_vars
@@ -457,6 +441,10 @@ def check_channel(scheme: str, channel) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
     if m & (m - 1):
         raise ValueError(f"scheme {scheme!r} needs a power-of-two receiver count")
+    if m > 2**MAX_HADAMARD_LOG2:
+        raise ValueError(
+            f"scheme {scheme!r} supports at most 2**{MAX_HADAMARD_LOG2} receivers"
+        )
 
 
 def _per_user_rate_bits(M: int, P: float, lam: float) -> float:

@@ -39,18 +39,12 @@ from .schedules import make_schedule
 
 __all__ = [
     "CHUNK_SIZE",
-    "WILSON_Z",
-    "PreparedScheme",
     "prepare_scheme",
     "default_policies",
     "default_checkpoints",
-    "TrialOutcome",
     "run_trial",
-    "BatchStats",
     "run_batch",
-    "ErrorEstimate",
     "estimate",
-    "wilson_interval",
     "csv_rows",
     "write_csv",
     "write_trajectory_csv",
@@ -332,10 +326,11 @@ class ErrorEstimate:
     target_rate: np.ndarray
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -349,17 +344,15 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 def estimate(prepared: PreparedScheme, *, trials: int, horizon: int,
              rate_fraction: float, seed: int,
              policies: Sequence[IntervalPolicy] | IntervalPolicy | None = None,
-             checkpoints: Sequence[int] | None = None,
              threads: int = 1) -> list[ErrorEstimate]:
-    """Error-rate estimates at the checkpoints (quarter horizons by default)."""
+    """Error-rate estimates at the quarter-horizon checkpoints."""
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful estimate")
     if policies is None:
         policies = default_policies(prepared, rate_fraction)
     else:
         policies = _policy_list(policies, prepared.channel.num_receivers)
-    stats = run_batch(prepared, horizon, policies, seed, trials,
-                      checkpoints=checkpoints, threads=threads)
+    stats = run_batch(prepared, horizon, policies, seed, trials, threads=threads)
     target = rate_fraction * prepared.rate_limits
     out = []
     for i, n in enumerate(stats.checkpoints):

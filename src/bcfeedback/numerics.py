@@ -18,7 +18,6 @@ from scipy.special import ndtr, ndtri
 
 __all__ = [
     "MAX_HADAMARD_LOG2",
-    "RootResult",
     "RootFindingError",
     "NoSignChangeError",
     "std_normal_cdf",
@@ -85,8 +84,9 @@ def sylvester_hadamard(k: int) -> np.ndarray:
 
     Entries are +1 and -1 with H @ H.T = 2**k I, and the first row and column
     are all +1.  The int64 array is marked read-only so schedules can share
-    one instance.  Supported up to k = MAX_HADAMARD_LOG2; the construction is
-    exact in int64 far beyond that, but desk-scale schedules never need more.
+    one instance.  Supported up to k = MAX_HADAMARD_LOG2, the receiver limit
+    that ``fixedpoint.check_channel`` enforces for the Hadamard schedules; the
+    construction is exact in int64 far beyond that.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("k must be an integer")

@@ -14,13 +14,14 @@ updates it exactly:
                + diag(b^2 * private_vars) / p_share) D^-1
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
-implements this and each schedule leans on it rather than carrying its own
-specialised recursion, so the simulated second moments and the scheduled
-coefficients can never drift apart silently.
+implements this.  Only the degraded schedule reads R for its coefficients;
+the symmetric schedule propagates R solely to check its invariants, and the
+two-user schedule carries no R at all.
 
-* OzarowSchedule (two receivers): tracks the scalar source correlation rho.
-  In ``tracked`` mode rho follows the exact recursion from rho_1 = 0; in
-  ``pinned`` mode it alternates between +rho* and -rho*, the stationary pair.
+* OzarowSchedule (two receivers): tracks the scalar source correlation rho
+  with ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
+  recursion from rho_1 = 0; in ``pinned`` mode it alternates between +rho*
+  and -rho*, the stationary pair.
 * DegradedSchedule: every receiver sees the same output (private variances
   zero); coefficients are the minimum-mean-square ones computed from R, which
   keeps R's diagonal exactly 1 while its eigenvalues cycle toward the
@@ -52,14 +53,7 @@ from .fixedpoint import (
 )
 from .numerics import sylvester_hadamard
 
-__all__ = [
-    "ScheduleInvariantError",
-    "covariance_update",
-    "OzarowSchedule",
-    "DegradedSchedule",
-    "SymmetricSchedule",
-    "make_schedule",
-]
+__all__ = ["ScheduleInvariantError", "covariance_update", "make_schedule"]
 
 
 # relative tolerance of the symmetric schedule's invariant checks
@@ -267,12 +261,15 @@ class SymmetricSchedule:
         self.step_index = 1
         i = np.arange(m)
         self._dyadic_index = (i[:, None] ^ i) + m * i  # [d, i]: flat position of G[i, i ^ d]
+        self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
         if check_invariants:
             self._verify()
 
     @property
     def G(self) -> np.ndarray:
-        return self.R - self.gamma * np.eye(self.channel.num_receivers)
+        G = self.R.copy()
+        G.flat[:: G.shape[0] + 1] -= self.gamma
+        return G
 
     @property
     def phase(self) -> str:
@@ -324,7 +321,7 @@ class SymmetricSchedule:
                 f"G lost positive definiteness at step {self.step_index}"
             )
         if self.phase == "steady":
-            want = np.sort(self.plan.lambda_seq)
+            want = self._sorted_lambda_seq
             drift = np.max(np.abs(np.sort(vals) - want))
             if drift > _CHECK_TOL * max(1.0, float(want[-1])):
                 raise ScheduleInvariantError(

@@ -109,6 +109,8 @@ SCHEME_CHANNEL_GRID = [
     ((3, 1.0, (0.0,) * 3), set()),
     ((4, 0.0, (1.0,) * 4), {"symmetric"}),
     ((4, 1.0, (0.0,) * 4), {"degraded"}),
+    ((2048, 0.0, (1.0,) * 2048), set()),  # beyond the Hadamard limit 2**10
+    ((2048, 1.0, (0.0,) * 2048), set()),
 ]
 
 

@@ -47,7 +47,6 @@ def test_step_params_arrays_read_only():
     p = make_params()
     with pytest.raises(ValueError):
         p.a[0] = 2.0
-    assert p.num_receivers == 2
 
 
 def test_interval_policy():

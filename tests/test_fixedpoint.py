@@ -74,7 +74,6 @@ def test_lambda_single_receiver_degenerates_to_capacity():
     sol = solve_lambda_bc(1, 10.0)
     assert sol.lam == 1.0
     assert sol.sum_rate == pytest.approx(0.5 * math.log2(11.0), abs=1e-15)
-    assert sol.per_user_rate == sol.sum_rate
 
 
 def test_lambda_monotone_in_power():
@@ -285,13 +284,12 @@ def test_warmup_plan_structure():
     for m, p in [(1, 10.0), (2, 1.0), (4, 10.0), (8, 3.0)]:
         plan = build_warmup_plan(m, p)
         assert len(plan.beta_b) == m - 1
-        assert len(plan.d) == m - 1
         assert len(plan.warmup_lambda) == m - 1
         assert len(plan.lambda_seq) == m
         a2 = plan.steady_a**2
-        # d_n lambda_n is constant along the warmup: a^2 lambda_0
-        for d_n, lam_n in zip(plan.d, plan.warmup_lambda):
-            assert d_n * lam_n == pytest.approx(a2 * plan.lambda0, rel=1e-12)
+        # d_n lambda_n is constant along the warmup: a^2 lambda_0, d_n = a**(2n)
+        for n, lam_n in enumerate(plan.warmup_lambda, start=1):
+            assert plan.steady_a ** (2 * n) * lam_n == pytest.approx(a2 * plan.lambda0, rel=1e-12)
         if m > 1:
             assert plan.warmup_lambda[0] == pytest.approx(plan.lambda0, rel=1e-15)
         assert plan.steady_beta == pytest.approx(
