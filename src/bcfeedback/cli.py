@@ -117,7 +117,7 @@ def parse_run_config(raw: dict, *, allow_power_list: bool = False) -> list[RunCo
     if scheme not in SCHEME_IDS:
         raise ConfigError(f"config key 'scheme' must be one of {SCHEME_IDS}")
     m = _want_int(raw, "num_receivers", minimum=1)
-    seed = _want_int(raw, "seed")
+    seed = _want_int(raw, "seed", minimum=0)
     common = _want_number(raw, "common_noise_var")
     priv = raw["private_noise_vars"]
     if not isinstance(priv, list) or any(
@@ -165,7 +165,7 @@ def parse_run_config(raw: dict, *, allow_power_list: bool = False) -> list[RunCo
         if not isinstance(raw["out"], str):
             raise ConfigError("config key 'out' must be a string path")
         kwargs["out"] = raw["out"]
-    if "interval_base_halfwidth" in raw:
+    if raw.get("interval_base_halfwidth") is not None:  # null: the embedding std
         v = _want_number(raw, "interval_base_halfwidth")
         if not v > 0:
             raise ConfigError("config key 'interval_base_halfwidth' must be positive")
@@ -362,6 +362,8 @@ def _run_simulation(cfg: RunConfig, threads: int):
 
 def cmd_simulate(args) -> int:
     """simulate and sweep: run each power budget of the config, then write one CSV."""
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     raw = _apply_overrides(_load_config_file(args.config), args)
     configs = parse_run_config(raw, allow_power_list=args.command == "sweep")
     lines = [CSV_HEADER + "\n"]

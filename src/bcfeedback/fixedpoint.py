@@ -109,9 +109,7 @@ class WarmupPlan:
 
         M u**2 (lam_n + gamma) - 2 u (lam_n + gamma) + ((1 - d_n)/M) lam_n = 0
 
-    where lam_n = lambda0 / steady_a**(2(n-1)) is the eigenvalue the step acts
-    on.  p0 is the per-source variance (P/M)(lambda0 + gamma) used to embed
-    message points.
+    where lam_n = lambda0 / steady_a**(2(n-1)) is the eigenvalue the step acts on.
     """
 
     M: int
@@ -125,7 +123,6 @@ class WarmupPlan:
     steady_a: float
     steady_beta: float
     bgamma: BGamma
-    p0: float
 
 
 @dataclass(frozen=True)
@@ -386,8 +383,7 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         warm_lams.append(lam_n)
 
     steady_beta = 1.0 / math.sqrt(lam + gamma)
-    p0 = (P / M) * (lam0 + gamma)
-    if p0 <= 0.0:
+    if not lam0 + gamma > 0.0:
         raise FixedPointError("embedding variance came out nonpositive")
     return WarmupPlan(
         M=M,
@@ -401,7 +397,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         steady_a=math.sqrt(a2),
         steady_beta=steady_beta,
         bgamma=bg,
-        p0=p0,
     )
 
 
@@ -447,6 +442,12 @@ def check_channel(scheme: str, channel) -> None:
         )
 
 
+def _effective_power(scheme: str, channel) -> float:
+    """P over the private (symmetric) or common (degraded) noise variance."""
+    noise = channel.private_noise_vars[0] if scheme == "symmetric" else channel.common_noise_var
+    return channel.power_budget / noise
+
+
 def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
     return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
 
@@ -475,10 +476,7 @@ def rate_report(scheme: str, channel, *, g: float = 1.0,
         per_user = fp.rates
         report = dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(per_user))
     else:
-        if scheme == "symmetric":
-            p_eff = p / channel.private_noise_vars[0]
-        else:
-            p_eff = p / channel.common_noise_var
+        p_eff = _effective_power(scheme, channel)
         sol = solve_lambda_bc(m, p_eff)
         per_user = (_per_user_rate_bits(m, p_eff, sol.lam),) * m
         report = dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate)

@@ -14,18 +14,18 @@ updates it exactly:
                + diag(b^2 * private_vars) / p_share) D^-1
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
-implements this.  Only the degraded schedule reads R for its coefficients;
-the symmetric schedule propagates R solely to check its invariants, and the
-two-user schedule carries no R at all.
+implements this.  The degraded schedule carries only R's Hadamard
+eigenvalues, the symmetric one propagates R only to check its invariants,
+and the two-user schedule carries no R at all.
 
 * OzarowSchedule (two receivers): tracks the scalar source correlation rho
   with ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
   recursion from rho_1 = 0; in ``pinned`` mode it alternates between +rho*
   and -rho*, the stationary pair.
 * DegradedSchedule: every receiver sees the same output (private variances
-  zero); coefficients are the minimum-mean-square ones computed from R, which
-  keeps R's diagonal exactly 1 while its eigenvalues cycle toward the
-  sum-rate fixed point.
+  zero); coefficients are the minimum-mean-square ones, in closed form from
+  R's Hadamard eigenvalues, which keep R's diagonal exactly 1 while they
+  cycle toward the sum-rate fixed point.
 * SymmetricSchedule: private noises only, constant (a, b, gamma) from the
   warmup plan; Hadamard columns stay eigenvectors of G = R - gamma I while
   the eigenvalue assignment rotates one column per step.
@@ -43,6 +43,7 @@ from .core import StepParams
 from .fixedpoint import (
     SCHEME_IDS,
     WarmupPlan,
+    _effective_power,
     _ozarow_contractions,
     _per_user_rate_bits,
     build_warmup_plan,
@@ -177,13 +178,14 @@ class OzarowSchedule:
 
 
 class DegradedSchedule:
-    """All receivers share one output; coefficients are minimum-mean-square from R.
+    """All receivers share one output; coefficients are minimum-mean-square.
 
-    The normalised covariance keeps a unit diagonal exactly, while the
-    Hadamard eigenvalue of the column in use converges to the sum-rate fixed
-    point lambda.  The per-step transmit power is P times the current
-    eigenvalue, so the budget is met in the running average rather than
-    pointwise.
+    R stays dyadic, so its Hadamard eigenvalues mu are the whole state.  Step
+    n on column j = (n - 1) mod M, with c = sigma^2 / p_share and out_var =
+    M mu_j + c, sends b = (mu_j / out_var) h_j, sets mu_j to mu_j c / out_var
+    and divides mu by a^2, the new mean (mean mu - mu_j^2 / out_var, free of
+    its cancellation at high power).  Mean mu, R's diagonal, stays 1 while
+    mu_j converges to lambda; the power P mu_j meets the budget on average.
     """
 
     def __init__(self, channel: ChannelConfig):
@@ -191,36 +193,34 @@ class DegradedSchedule:
         m = channel.num_receivers
         self.channel = channel
         self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
-        self.R = np.eye(m)
+        self.mu = np.ones(m)
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share
-        self.solution = solve_lambda_bc(
-            m, channel.power_budget / channel.common_noise_var
-        )
+        self.solution = solve_lambda_bc(m, _effective_power("degraded", channel))
         self.step_index = 1
 
     def rate_limits(self) -> np.ndarray:
         m = self.channel.num_receivers
-        p_eff = self.channel.power_budget / self.channel.common_noise_var
+        p_eff = _effective_power("degraded", self.channel)
         return np.full(m, _per_user_rate_bits(m, p_eff, self.solution.lam))
 
     def step(self) -> ScheduleStep:
-        ch = self.channel
-        m = ch.num_receivers
-        n = self.step_index
-        alpha = self.columns[:, (n - 1) % m]
-        w = self.R @ alpha
-        q = float(alpha @ w)
-        out_var = q + ch.common_noise_var / self.p_share
-        b = w / out_var
-        a_sq = np.diag(self.R) - b * w
-        if np.any(a_sq <= 0.0):
+        mu = self.mu
+        m = mu.size
+        j = (self.step_index - 1) % m
+        mu_j = float(mu[j])
+        noise = self.channel.common_noise_var / self.p_share
+        out_var = m * mu_j + noise
+        mu[j] = mu_j * noise / out_var
+        a_sq = float(np.mean(mu))
+        if not a_sq > 0.0:
             raise ScheduleInvariantError("residual source variance lost positivity")
-        params = StepParams(alpha=alpha, beta=1.0, a=np.sqrt(a_sq), b=b)
-        expected_power = self.p_share * q
-        self.R = covariance_update(self.R, params, ch, self.p_share)
+        alpha = self.columns[:, j]
+        params = StepParams(alpha=alpha, beta=1.0, a=np.full(m, math.sqrt(a_sq)),
+                            b=(mu_j / out_var) * alpha)
+        mu /= a_sq
         self.step_index += 1
-        return ScheduleStep(params=params, expected_power=expected_power)
+        return ScheduleStep(params=params, expected_power=self.p_share * m * mu_j)
 
 
 # ----------------------------------------------------------------------------
@@ -236,9 +236,10 @@ class SymmetricSchedule:
     resulting a, b, beta, gamma apply to the physical channel unchanged; only
     the embedding variance carries the scale s back in.
 
-    Every step checks in O(M^2), with no matrix product or eigendecomposition,
-    that G = R - gamma I stays dyadic, G[i, k] = r[i ^ k]: exactly when the
-    Sylvester-Hadamard columns are its eigenvectors, with eigenvalues mu = H r.
+    Only ``check_invariants`` keeps R; it checks every step in O(M^2), with
+    no matrix product or eigendecomposition, that G = R - gamma I stays
+    dyadic, G[i, k] = r[i ^ k]: exactly when the Sylvester-Hadamard columns
+    are its eigenvectors, with eigenvalues mu = H r.
     ||G - D(r)||_F is the RMS of the column residuals ||G h_j - mu_j h_j||, so
     bounding it by tol ||G||_F / sqrt(M) bounds each of them by tol ||G||_F.
     By Weyl, min mu above it proves G positive definite.  After warmup the
@@ -250,19 +251,18 @@ class SymmetricSchedule:
         check_channel("symmetric", channel)
         m = channel.num_receivers
         self.channel = channel
-        noise_scale = channel.private_noise_vars[0]
-        self.plan: WarmupPlan = build_warmup_plan(m, channel.power_budget / noise_scale)
+        self.plan: WarmupPlan = build_warmup_plan(m, _effective_power("symmetric", channel))
         self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
         self.gamma = self.plan.bgamma.gamma
-        self.R = (self.plan.lambda0 + self.gamma) * np.eye(m)
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)
         self.check_invariants = check_invariants
         self.step_index = 1
-        i = np.arange(m)
-        self._dyadic_index = (i[:, None] ^ i) + m * i  # [d, i]: flat position of G[i, i ^ d]
-        self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
         if check_invariants:
+            self.R = (self.plan.lambda0 + self.gamma) * np.eye(m)
+            i = np.arange(m)
+            self._dyadic_index = (i[:, None] ^ i) + m * i  # [d, i]: flat position of G[i, i ^ d]
+            self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
             self._verify()
 
     @property
@@ -299,9 +299,9 @@ class SymmetricSchedule:
             b=b * alpha,
         )
         expected_power = ch.power_budget * beta * beta * (lam_n + self.gamma)
-        self.R = covariance_update(self.R, params, ch, self.p_share)
         self.step_index += 1
         if self.check_invariants:
+            self.R = covariance_update(self.R, params, ch, self.p_share)
             self._verify()
         return ScheduleStep(params=params, expected_power=expected_power)
 

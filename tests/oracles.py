@@ -19,11 +19,12 @@ a package routine bit for bit rather than to rounding:
   ``run_trial``; it shares the package's trial stream, embedding, encode
   and source-update steps, channel outputs and normal cdf.
 
-Two references check the Hadamard schedules' second moments without the
+Three references check the Hadamard schedules' second moments without the
 package's dyadic shortcuts: :func:`dense_eigen_profile`, the former dense
-``G @ H`` profile behind the symmetric schedule's invariant checks, and
+``G @ H`` profile behind the symmetric schedule's invariant checks,
 :func:`hadamard_eigen_step`, ``covariance_update`` carried in the Hadamard
-eigenvalue domain.
+eigenvalue domain, and :func:`mp_degraded_steps`, the degraded schedule's
+coefficients from a 40-digit dense covariance.
 """
 
 from __future__ import annotations
@@ -208,6 +209,37 @@ def hadamard_eigen_step(mu: np.ndarray, j: int, params, channel, p_share: float)
     new = mu + b0 * b0 * channel.private_noise_vars[0] / p_share
     new[j] += m * b0 * b0 * out_var - 2.0 * beta * b0 * m * mu[j]
     return new / float(params.a[0]) ** 2
+
+
+def mp_degraded_steps(m: int, P: float, sigma2: float, steps: int):
+    """(a, b, E[x^2]) of the degraded schedule's first steps, from a 40-digit dense R.
+
+    Propagates the full normalised covariance R = E[s s^T] / (P/M) from the
+    identity, with the minimum-mean-square coefficients read off R at each
+    step and the covariance update written out literally; no eigenvalue
+    shortcut is used.
+    """
+    with mpmath.workdps(40):
+        p_share = mpmath.mpf(P) / m
+        noise = mpmath.mpf(sigma2) / p_share
+        H = [[(-1) ** bin(i & k).count("1") for k in range(m)] for i in range(m)]
+        R = mpmath.eye(m)
+        out = []
+        for n in range(steps):
+            h = [H[i][n % m] for i in range(m)]
+            w = [mpmath.fsum(R[i, k] * h[k] for k in range(m)) for i in range(m)]
+            q = mpmath.fsum(h[i] * w[i] for i in range(m))
+            out_var = q + noise
+            b = [wi / out_var for wi in w]
+            a = [mpmath.sqrt(R[i, i] - b[i] * w[i]) for i in range(m)]
+            R = mpmath.matrix([
+                [(R[i, k] - b[i] * w[k] - w[i] * b[k] + b[i] * b[k] * out_var) / (a[i] * a[k])
+                 for k in range(m)]
+                for i in range(m)
+            ])
+            out.append((np.array([float(v) for v in a]), np.array([float(v) for v in b]),
+                        float(p_share * q)))
+        return out
 
 
 def normal_cdf_quad(x: float) -> float:

@@ -1,12 +1,17 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcfeedback
 from bcfeedback.channel import ChannelConfig
-from bcfeedback.cli import ConfigError, main, parse_run_config
+from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
 from bcfeedback.fixedpoint import SCHEME_IDS, rate_report
 from bcfeedback.schedules import make_schedule
 
@@ -43,6 +48,19 @@ def test_parse_run_config_defaults():
     assert cfg.rho_mode == "tracked"
     assert cfg.g == 1.0
     assert cfg.channel.power_budget == 10.0
+
+
+def test_readme_config_schema_parses_to_the_defaults():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"#### JSON config schema\n\n```json\n(.*?)```", text, re.S)
+    assert block, "README has no JSON config schema block"
+    raw = json.loads(re.sub(r"\s*//[^\n]*", "", block.group(1)))
+    (cfg,) = parse_run_config(raw)
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    del defaults["out"]  # the schema shows an example path
+    assert set(defaults) <= set(raw)
+    for key, want in defaults.items():
+        assert getattr(cfg, key) == want, key
 
 
 def test_parse_run_config_unknown_keys_named():
@@ -289,6 +307,16 @@ def test_simulate_config_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
 
 
+def test_simulate_bad_seed_and_threads_exit_2(tmp_path, capsys):
+    good = write_config(tmp_path, base_config(trials=100, horizon=4))
+    bad_seed = write_config(tmp_path, base_config(seed=-1), name="neg.json")
+    for argv in (["--config", bad_seed], ["--config", good, "--seed", "-1"],
+                 ["--config", good, "--threads", "0"]):
+        assert main(["simulate", *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert "config error" in err and ("seed" in err or "threads" in err), argv
+
+
 def test_simulate_rejects_power_list(tmp_path):
     path = write_config(tmp_path, base_config(power_budget=[1.0, 2.0]))
     assert main(["simulate", "--config", path]) == 2
@@ -316,10 +344,13 @@ def test_sweep_over_power_budgets(tmp_path, capsys):
 
 
 def test_console_script_end_to_end():
+    # the child imports the package the tests import, installed or from src/
+    src = str(Path(bcfeedback.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bcfeedback", "solve", "--scheme", "degraded",
          "-M", "1", "-P", "10", "--noise", "1,0", "--json"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)

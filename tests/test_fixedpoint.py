@@ -277,7 +277,8 @@ def test_warmup_plan_frozen_values():
     assert plan.steady_a**2 == pytest.approx(A_SQ_2_10, abs=1e-13)
     assert plan.steady_beta == pytest.approx(BETA_2_10, abs=1e-13)
     assert plan.beta_b[0] == pytest.approx(U1_2_10, abs=1e-13)
-    assert plan.p0 == pytest.approx(P0_2_10, abs=1e-12)
+    # the embedding variance (P/M)(lambda0 + gamma)
+    assert 5.0 * (plan.lambda0 + plan.bgamma.gamma) == pytest.approx(P0_2_10, abs=1e-12)
 
 
 def test_warmup_plan_structure():
@@ -295,22 +296,25 @@ def test_warmup_plan_structure():
         assert plan.steady_beta == pytest.approx(
             1.0 / math.sqrt(plan.lam + plan.bgamma.gamma), rel=1e-15
         )
-        assert plan.p0 > 0.0
+        assert plan.lambda0 + plan.bgamma.gamma > 0.0
         for u in plan.beta_b:
             assert 0.0 < u < 2.0 / m
 
 
 def test_warmup_plan_embedding_variance():
-    plan = build_warmup_plan(4, 10.0)
-    assert plan.p0 == pytest.approx(
-        (10.0 / 4) * (plan.lambda0 + plan.bgamma.gamma), rel=1e-15
-    )
+    # (P/M)(lambda0 + gamma) embeds the message points; it must stay positive
+    # and below the per-source budget P/M over the whole accepted range
+    for m in (1, 2, 64, 1024):
+        for p in (1e-9, 1.0, 1e9):
+            plan = build_warmup_plan(m, p)
+            p0 = (p / m) * (plan.lambda0 + plan.bgamma.gamma)
+            assert 0.0 < p0 < p / m, (m, p)
 
 
 def test_warmup_plan_extreme_power_stays_finite():
     # effectively noiseless: discriminant cancellation must be clamped, not fatal
     plan = build_warmup_plan(4, 1e13)
-    assert plan.p0 > 0.0
+    assert plan.lambda0 + plan.bgamma.gamma > 0.0
     assert all(0.0 < u < 0.5 for u in plan.beta_b)
     assert math.isfinite(plan.steady_beta)
 

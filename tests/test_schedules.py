@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bcfeedback.schedules import (
     hadamard_eigen_profile,
     make_schedule,
 )
-from oracles import LAMBDA_2_1, dense_eigen_profile, hadamard_eigen_step
+from oracles import LAMBDA_2_1, dense_eigen_profile, hadamard_eigen_step, mp_degraded_steps
 
 OZ_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 DEG_CHANNEL = ChannelConfig(2, 1.0, 1.0, (0.0, 0.0))
@@ -135,17 +136,44 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
         ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
     else:
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
-    sched = make_schedule(scheme, ch, check_invariants=False)
-    mu = sched.columns.T @ sched.R[0]
+    # the symmetric schedule keeps a dense R only under its invariant checks;
+    # the degraded one keeps none, so R is propagated here from its params
+    sched = make_schedule(scheme, ch, check_invariants=True)
+    R = sched.R if scheme == "symmetric" else np.eye(m)
+    mu = sched.columns.T @ R[0]
     worst = 0.0
     for n in range(horizon):
         j = n % m
         step = sched.step()
         assert np.array_equal(step.params.alpha, sched.columns[:, j])
         mu = hadamard_eigen_step(mu, j, step.params, ch, sched.p_share)
-        got = sched.columns.T @ sched.R[0]
+        if scheme == "symmetric":
+            R = sched.R
+        else:
+            R = covariance_update(R, step.params, ch, sched.p_share)
+        got = sched.columns.T @ R[0]
         worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
     assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("scheme", ["degraded", "symmetric"])
+def test_hadamard_schedules_step_without_dense_state(scheme):
+    # an unchecked step at M = 1024 touches O(M) memory; a dense M x M
+    # covariance update would allocate several 8 MiB temporaries
+    m = 1024
+    if scheme == "symmetric":
+        ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
+    else:
+        ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
+    sched = make_schedule(scheme, ch, check_invariants=False)
+    tracemalloc.start()
+    try:
+        for _ in range(32):
+            sched.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------------------------
@@ -236,11 +264,45 @@ def test_degraded_first_normalised_powers_are_exact_fractions():
     assert mus[2] == pytest.approx(14.0 / 13.0, abs=1e-14)
 
 
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
 def test_degraded_diagonal_stays_unit():
-    sched = DegradedSchedule(DEG_CHANNEL)
-    for _ in range(200):
-        sched.step()
-        assert np.max(np.abs(np.diag(sched.R) - 1.0)) < 1e-12
+    # a dense R propagated by covariance_update from the emitted params: the
+    # params are the MMSE ones read off R, mu holds R's Hadamard eigenvalues,
+    # and R's diagonal (the mean of mu) stays 1
+    for m in (1, 2, 64, 256):
+        ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
+        sched = DegradedSchedule(ch)
+        cols = sched.columns
+        R = np.eye(m)
+        for _ in range(2 * m + 20):
+            alpha = cols[:, (sched.step_index - 1) % m]
+            w = R @ alpha
+            q = float(alpha @ w)
+            out_var = q + ch.common_noise_var / sched.p_share
+            step = sched.step()
+            assert _rel_err(step.params.b, w / out_var) <= 1e-11
+            assert _rel_err(step.params.a, np.sqrt(np.diag(R) - w * w / out_var)) <= 1e-11
+            assert step.expected_power == pytest.approx(sched.p_share * q, rel=1e-11)
+            R = covariance_update(R, step.params, ch, sched.p_share)
+            assert _rel_err(cols.T @ R[0], sched.mu) <= 1e-11
+            assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
+            assert abs(np.mean(sched.mu) - 1.0) < 1e-12
+
+
+def test_degraded_coefficients_match_a_40_digit_dense_oracle():
+    # at P = 1e4 the updated mu_j is ~1e-4 of mu_j, so a form that subtracts
+    # M mu_j^2 / out_var from mu_j loses four digits; these stay at ulp level
+    m, p = 8, 1e4
+    ch = ChannelConfig(m, p, 1.0, (0.0,) * m)
+    sched = DegradedSchedule(ch)
+    for a, b, power in mp_degraded_steps(m, p, 1.0, 100):
+        step = sched.step()
+        assert _rel_err(step.params.a, a) <= 1e-14
+        assert _rel_err(step.params.b, b) <= 1e-14
+        assert step.expected_power == pytest.approx(power, rel=1e-14)
 
 
 def test_degraded_power_converges_to_lambda_budget():
