@@ -18,6 +18,10 @@ exp(log_slope + log t) so thousand-step horizons cannot underflow pairwise.
 Like the encoder step, the replay takes one trial's receivers (M,) or a batch
 (trials, M); exp and log go through libm per element, so a batch row and a
 single trial fold bitwise alike.
+
+Step n's coefficients arrive as plain arrays, row n - 1 of the table that
+``montecarlo.prepare_scheme`` unrolls and checks once; the functions here
+check only shapes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 from .numerics import _libm, std_normal_cdf, std_normal_quantile
 
 __all__ = [
-    "StepParams",
     "DecoderState",
     "IntervalPolicy",
     "embed_message",
@@ -41,38 +44,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """Schedule output for one channel use.
-
-    alpha: per-source mixing weights; beta: common input scaling;
-    a, b: per-receiver update coefficients (all a entries strictly positive).
-    """
-
-    alpha: np.ndarray
-    beta: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if not (alpha.shape == a.shape == b.shape) or alpha.ndim != 1:
-            raise ValueError("alpha, a, b must be 1-d arrays of one common length")
-        if not np.all(a > 0.0):
-            raise ValueError("all source contraction factors a must be positive")
-        for name, arr in (("alpha", alpha), ("a", a), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        beta = float(self.beta)
-        if not math.isfinite(beta):
-            raise ValueError("beta must be finite")
-        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -106,7 +77,11 @@ class IntervalPolicy:
             raise ValueError("growth_rate_bits must be nonnegative and finite")
 
     def halfwidth(self, n: int) -> float:
-        return self.base_halfwidth * 2.0 ** (n * self.growth_rate_bits)
+        """t_n, or +inf (which holds every finite residual) once 2**(n g) overflows."""
+        try:
+            return self.base_halfwidth * 2.0 ** (n * self.growth_rate_bits)
+        except OverflowError:
+            return math.inf
 
     def log_halfwidth(self, n: int) -> float:
         """Natural log of halfwidth(n); stays finite when the power of two overflows."""
@@ -120,51 +95,49 @@ def embed_message(theta: float, p0: float):
     return math.sqrt(p0) * std_normal_quantile(theta)
 
 
-def encode(s: np.ndarray, params: StepParams):
+def encode(s: np.ndarray, alpha: np.ndarray, beta: float):
     """Channel input beta * <alpha, s> for sources s of shape (M,) or (trials, M)."""
     s = np.asarray(s, dtype=float)
-    if s.shape[-1:] != params.alpha.shape:
-        raise ValueError(
-            f"source array has shape {s.shape}, schedule width is {params.alpha.shape[0]}"
-        )
-    return (s @ params.alpha) * params.beta
+    if s.shape[-1:] != alpha.shape:
+        raise ValueError(f"source array has shape {s.shape}, schedule width is {alpha.shape[0]}")
+    return (s @ alpha) * beta
 
 
-def update_sources(s: np.ndarray, params: StepParams, y: np.ndarray) -> np.ndarray:
+def update_sources(s: np.ndarray, a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-receiver refinement s <- (s - b y) / a after observing outputs y."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if s.shape[-1:] != params.a.shape or y.shape != s.shape:
+    if s.shape[-1:] != a.shape or y.shape != s.shape:
         raise ValueError("source and output arrays must match each other and the schedule width")
-    return (s - params.b * y) / params.a
+    return (s - b * y) / a
 
 
-def decoder_absorb(dec: DecoderState, params: StepParams, y: np.ndarray) -> DecoderState:
+def decoder_absorb(dec: DecoderState, a: np.ndarray, b: np.ndarray,
+                   y: np.ndarray) -> DecoderState:
     """Fold step n, with outputs y shaped like the intercept, into every replay map.
 
     The new step is the innermost map of the composition, so the intercept
-    picks up the *previous* slope: T_new(x) = T_old(a_n x + b_n y_n).
+    picks up the *previous* slope: T_new(x) = T_old(a_n x + b_n y_n).  An
+    a <= 0 has no log and raises ValueError.
     """
     y = np.asarray(y, dtype=float)
-    if dec.log_slope.shape != params.a.shape or y.shape != dec.intercept.shape:
+    if dec.log_slope.shape != a.shape or y.shape != dec.intercept.shape:
         raise ValueError("output and decoder arrays must match each other and the schedule width")
     return DecoderState(
-        log_slope=dec.log_slope + _libm(math.log, params.a),
-        intercept=dec.intercept + (dec.slope * params.b) * y,
+        log_slope=dec.log_slope + _libm(math.log, a),
+        intercept=dec.intercept + (dec.slope * b) * y,
         step=dec.step + 1,
     )
 
 
-def decode_interval(dec: DecoderState, policies, n: int,
-                    p0: float) -> tuple[tuple[float, float], ...]:
-    """Decoded subintervals of (0, 1) of one trial's receivers after n absorbed steps.
+def decode_interval(dec: DecoderState, policies, p0: float) -> tuple[tuple[float, float], ...]:
+    """Decoded subintervals of (0, 1) of one trial's receivers after dec.step steps.
 
     Maps each receiver's pivot interval (-t_n, t_n), from its policy in
     ``policies``, through its replay map and the source cdf.  At n = 0
     nothing has been observed and every receiver gets the whole interval.
     """
-    if n != dec.step:
-        raise ValueError(f"decoder has absorbed {dec.step} steps, asked to decode at {n}")
+    n = dec.step
     if not (p0 > 0.0 and math.isfinite(p0)):
         raise ValueError("p0 must be positive and finite")
     if not (dec.intercept.shape == dec.log_slope.shape == (len(policies),)):

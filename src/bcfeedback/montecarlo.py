@@ -61,35 +61,62 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class PreparedScheme:
-    """A schedule unrolled over a horizon, shareable across trials and threads."""
+    """A schedule unrolled over a horizon, shareable across trials and threads.
+
+    The unroll is one read-only coefficient table: row n - 1 of alpha, a, b
+    (shape (H, M)) and of beta, expected_power (shape (H,)) is step n.
+    """
 
     scheme: str
     channel: ChannelConfig
     p0: float
-    params: tuple
+    alpha: np.ndarray
+    beta: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     expected_power: np.ndarray
     rate_limits: np.ndarray
 
     @property
     def horizon(self) -> int:
-        return len(self.params)
+        return len(self.beta)
 
 
 def prepare_scheme(scheme: str, channel: ChannelConfig, horizon: int, *,
                    g: float = 1.0, rho_mode: str = "tracked",
                    check_invariants: bool = True) -> PreparedScheme:
-    """Unroll ``horizon`` steps of the named schedule."""
+    """Unroll ``horizon`` steps of the named schedule into one checked table.
+
+    Every row must be M wide, every coefficient finite and every a > 0.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     sched = make_schedule(scheme, channel, g=g, rho_mode=rho_mode,
                           check_invariants=check_invariants)
-    steps = [sched.step() for _ in range(horizon)]
-    power = np.array([st.expected_power for st in steps], dtype=float)
+    m = channel.num_receivers
+    alpha, a, b = np.empty((3, horizon, m))
+    beta, power = np.empty((2, horizon))
+    for row in range(horizon):
+        st = sched.step()
+        # a width-1 row would broadcast silently into the table
+        if not np.shape(st.alpha) == np.shape(st.a) == np.shape(st.b) == (m,):
+            raise ValueError(f"schedule step {row + 1} is not {m} wide")
+        alpha[row], beta[row], a[row], b[row] = st.alpha, st.beta, st.a, st.b
+        power[row] = st.expected_power
+    if not all(np.isfinite(arr).all() for arr in (alpha, beta, a, b)):
+        raise ValueError("schedule coefficients must be finite")
+    if not (a > 0.0).all():
+        raise ValueError("all source contraction factors a must be positive")
+    for arr in (alpha, beta, a, b, power):
+        arr.setflags(write=False)
     return PreparedScheme(
         scheme=scheme,
         channel=channel,
         p0=float(sched.p0),
-        params=tuple(st.params for st in steps),
+        alpha=alpha,
+        beta=beta,
+        a=a,
+        b=b,
         expected_power=power,
         rate_limits=np.asarray(sched.rate_limits(), dtype=float),
     )
@@ -147,17 +174,16 @@ def _run_args(prepared: PreparedScheme, horizon: int, policy,
 
 
 def _steps(prepared: PreparedScheme, horizon: int, s: np.ndarray, z: np.ndarray):
-    """The trial step: yields (n, params, x, y, s_{n+1}) for n = 1..horizon.
+    """The trial step: yields (n, x, y, s_{n+1}) for n = 1..horizon.
 
     s is one trial's sources (M,) with its noise z (horizon, 1 + M), or a batch
     (trials, M) with z (trials, horizon, 1 + M).
     """
     for n in range(1, horizon + 1):
-        params = prepared.params[n - 1]
-        x = encode(s, params)
+        x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
         y = channel_outputs(prepared.channel, x, z[..., n - 1, :])
-        s = update_sources(s, params, y)
-        yield n, params, x, y, s
+        s = update_sources(s, prepared.a[n - 1], prepared.b[n - 1], y)
+        yield n, x, y, s
 
 
 def _halfwidths(policies: list[IntervalPolicy], n: int) -> np.ndarray:
@@ -203,8 +229,8 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
     if 0 in mark_index:
         success[mark_index[0], :] = True  # nothing observed: the full interval
 
-    for n, params, x, y, s in _steps(prepared, horizon, s, z):
-        dec = decoder_absorb(dec, params, y)
+    for n, x, y, s in _steps(prepared, horizon, s, z):
+        dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
         power[n - 1] = x * x
         if n in mark_index:
             success[mark_index[n]] = np.abs(s) < _halfwidths(policies, n)
@@ -212,7 +238,7 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
             rows.append((n, x, tuple(y), tuple(s), tuple(dec.slope), tuple(dec.intercept)))
 
     return TrialOutcome(checkpoints=marks, success=success, power=power,
-                        final_intervals=decode_interval(dec, policies, horizon, prepared.p0),
+                        final_intervals=decode_interval(dec, policies, prepared.p0),
                         trajectory=tuple(rows) if rows is not None else None)
 
 
@@ -253,10 +279,10 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     mark_index = {n: i for i, n in enumerate(marks)}
     roundtrip = 0.0
 
-    for n, params, x, y, s in _steps(prepared, horizon, s1, noise):
+    for n, x, y, s in _steps(prepared, horizon, s1, noise):
         cum_power += x * x
         if check_roundtrip:
-            dec = decoder_absorb(dec, params, y)
+            dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
             recon = dec.slope * s + dec.intercept
             rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
             roundtrip = max(roundtrip, float(rel.max()))

@@ -5,8 +5,11 @@ channel outputs, only at deterministically propagated second moments.  A
 schedule can therefore be unrolled once per configuration and shared across
 Monte Carlo trials.
 
+Each ``step()`` returns one unvalidated ScheduleStep;
+``montecarlo.prepare_scheme`` stacks them into one table and checks it once.
+
 Shared bookkeeping is the normalised source covariance R = E[s s^T] / p_share
-with p_share = P / M.  One channel use with StepParams (alpha, beta, a, b)
+with p_share = P / M.  One channel use with coefficients (alpha, beta, a, b)
 updates it exactly:
 
     R' = D^-1 (R - beta (b w^T + w b^T)
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig
-from .core import StepParams
 from .fixedpoint import (
     SCHEME_IDS,
     WarmupPlan,
@@ -67,13 +69,16 @@ class ScheduleInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One unrolled step: coefficients plus the analytic transmit power E[x_n^2]."""
+    """One channel use: alpha, a, b of shape (M,), beta, and the analytic E[x_n^2]."""
 
-    params: StepParams
+    alpha: np.ndarray
+    beta: float
+    a: np.ndarray
+    b: np.ndarray
     expected_power: float
 
 
-def covariance_update(R: np.ndarray, params: StepParams, channel: ChannelConfig,
+def covariance_update(R: np.ndarray, step: ScheduleStep, channel: ChannelConfig,
                       p_share: float) -> np.ndarray:
     """Exact one-step update of the normalised source covariance."""
     R = np.asarray(R, dtype=float)
@@ -82,9 +87,9 @@ def covariance_update(R: np.ndarray, params: StepParams, channel: ChannelConfig,
         raise ValueError(f"R must be {m}x{m}")
     if not p_share > 0.0:
         raise ValueError("p_share must be positive")
-    alpha, beta, a, b = params.alpha, params.beta, params.a, params.b
+    alpha, beta, a, b = step.alpha, step.beta, step.a, step.b
     if alpha.shape != (m,):
-        raise ValueError("params width does not match the channel")
+        raise ValueError("step width does not match the channel")
     w = R @ alpha
     q = float(alpha @ w)
     cross = beta * (np.outer(b, w) + np.outer(w, b))
@@ -156,20 +161,14 @@ class OzarowSchedule:
         a1, a2 = _ozarow_contractions(r, p, sigma2, s1, s2, g)
         b1 = (p / 2.0) * beta * (1.0 + g * r) / v1
         b2 = (p / 2.0) * beta * sign * (g + r) / v2
-        params = StepParams(
-            alpha=np.array([1.0, g * sign]),
-            beta=beta,
-            a=np.array([a1, a2]),
-            b=np.array([b1, b2]),
-        )
-        # beta normalises the mixture variance at the current correlation, so
-        # under tracked moments E[x^2] equals the budget exactly.
-        expected_power = p
         if self.mode == "tracked":
             self.rho = rho_map(rho, p, sigma2, s1, s2, g)
         else:
             self.rho = -rho
-        return ScheduleStep(params=params, expected_power=expected_power)
+        # beta normalises the mixture variance at the current correlation, so
+        # under tracked moments E[x^2] equals the budget exactly.
+        return ScheduleStep(alpha=np.array([1.0, g * sign]), beta=beta,
+                            a=np.array([a1, a2]), b=np.array([b1, b2]), expected_power=p)
 
 
 # ----------------------------------------------------------------------------
@@ -216,11 +215,10 @@ class DegradedSchedule:
         if not a_sq > 0.0:
             raise ScheduleInvariantError("residual source variance lost positivity")
         alpha = self.columns[:, j]
-        params = StepParams(alpha=alpha, beta=1.0, a=np.full(m, math.sqrt(a_sq)),
-                            b=(mu_j / out_var) * alpha)
         mu /= a_sq
         self.step_index += 1
-        return ScheduleStep(params=params, expected_power=self.p_share * m * mu_j)
+        return ScheduleStep(alpha=alpha, beta=1.0, a=np.full(m, math.sqrt(a_sq)),
+                            b=(mu_j / out_var) * alpha, expected_power=self.p_share * m * mu_j)
 
 
 # ----------------------------------------------------------------------------
@@ -292,18 +290,13 @@ class SymmetricSchedule:
         else:
             beta = plan.steady_beta
             lam_n = plan.lam
-        params = StepParams(
-            alpha=alpha,
-            beta=beta,
-            a=np.full(m, plan.steady_a),
-            b=b * alpha,
-        )
-        expected_power = ch.power_budget * beta * beta * (lam_n + self.gamma)
+        step = ScheduleStep(alpha=alpha, beta=beta, a=np.full(m, plan.steady_a), b=b * alpha,
+                            expected_power=ch.power_budget * beta * beta * (lam_n + self.gamma))
         self.step_index += 1
         if self.check_invariants:
-            self.R = covariance_update(self.R, params, ch, self.p_share)
+            self.R = covariance_update(self.R, step, ch, self.p_share)
             self._verify()
-        return ScheduleStep(params=params, expected_power=expected_power)
+        return step
 
     def _verify(self) -> None:
         G = self.G

@@ -148,13 +148,13 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOut
         success[mark_index[0], :] = True
 
     for n in range(1, horizon + 1):
-        params = prepared.params[n - 1]
-        x = encode(s, params)
+        a, b = prepared.a[n - 1], prepared.b[n - 1]
+        x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
         y = channel_outputs(ch, x, z[n - 1])
         for j in range(m):
-            intercept[j] = intercept[j] + math.exp(log_slope[j]) * float(params.b[j]) * float(y[j])
-            log_slope[j] = log_slope[j] + math.log(float(params.a[j]))
-        s = update_sources(s, params, y)
+            intercept[j] = intercept[j] + math.exp(log_slope[j]) * float(b[j]) * float(y[j])
+            log_slope[j] = log_slope[j] + math.log(float(a[j]))
+        s = update_sources(s, a, b, y)
         power[n - 1] = x * x
         if n in mark_index:
             for j in range(m):
@@ -189,7 +189,7 @@ def dense_eigen_profile(G: np.ndarray, columns: np.ndarray):
     return vals, resid
 
 
-def hadamard_eigen_step(mu: np.ndarray, j: int, params, channel, p_share: float) -> np.ndarray:
+def hadamard_eigen_step(mu: np.ndarray, j: int, step, channel, p_share: float) -> np.ndarray:
     """One ``covariance_update`` step on the eigenvalues mu of a dyadic R.
 
     Valid when alpha is Sylvester column h_j, b = b_0 h_j, a is uniform and
@@ -203,12 +203,12 @@ def hadamard_eigen_step(mu: np.ndarray, j: int, params, channel, p_share: float)
     Sylvester column starts with +1.
     """
     m = mu.size
-    b0 = float(params.b[0])
-    beta = params.beta
+    b0 = float(step.b[0])
+    beta = step.beta
     out_var = beta * beta * m * mu[j] + channel.common_noise_var / p_share
     new = mu + b0 * b0 * channel.private_noise_vars[0] / p_share
     new[j] += m * b0 * b0 * out_var - 2.0 * beta * b0 * m * mu[j]
-    return new / float(params.a[0]) ** 2
+    return new / float(step.a[0]) ** 2
 
 
 def mp_degraded_steps(m: int, P: float, sigma2: float, steps: int):

@@ -215,8 +215,8 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
     ch = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
     pinned = OzarowSchedule(ch, mode="pinned")
     step = pinned.step()
-    assert 0.0 < step.params.a[0] < 1.0 and 0.0 < step.params.a[1] < 1.0
-    assert step.params.a[0] == pytest.approx(fp.a1_star, rel=1e-14)
+    assert 0.0 < step.a[0] < 1.0 and 0.0 < step.a[1] < 1.0
+    assert step.a[0] == pytest.approx(fp.a1_star, rel=1e-14)
 
     # tracked mode: second moments propagated through the generic covariance
     # update reproduce E[x^2] = P at every one of 200 steps
@@ -226,11 +226,10 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
     worst = 0.0
     for _ in range(200):
         step = tracked.step()
-        par = step.params
-        q = float(par.alpha @ (R @ par.alpha))
-        power = p_share * par.beta**2 * q
+        q = float(step.alpha @ (R @ step.alpha))
+        power = p_share * step.beta**2 * q
         worst = max(worst, abs(power - ch.power_budget) / ch.power_budget)
-        R = covariance_update(R, par, ch, p_share)
+        R = covariance_update(R, step, ch, p_share)
     print(f"tracked power worst relative deviation over 200 steps: {worst:.3g}")
     assert worst <= 1e-10
 

@@ -279,6 +279,17 @@ def test_simulate_cli_overrides(tmp_path, capsys):
     assert lines[-1].split(",")[3] == "8"
 
 
+def test_simulate_long_horizon_at_high_power(tmp_path, capsys):
+    # the pivot halfwidth passes 2**1024 before step 1000 here; it saturates
+    # to +inf instead of overflowing, and every trial succeeds
+    path = write_config(tmp_path, base_config(power_budget=1e5, trials=100, horizon=1000))
+    assert main(["simulate", "--config", path]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    last = [row for row in rows if row[3] == "1000"]
+    assert len(last) == 2
+    assert all(row[6] == "0" for row in last)
+
+
 def test_simulate_out_file(tmp_path):
     out = tmp_path / "res.csv"
     path = write_config(tmp_path, base_config(trials=150, horizon=6))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfeedback.channel import ChannelConfig
-from bcfeedback.core import StepParams
 from bcfeedback.fixedpoint import build_warmup_plan, rho_map, solve_lambda_bc, solve_rho
 from bcfeedback.numerics import sylvester_hadamard
 from bcfeedback.schedules import (
@@ -16,6 +15,7 @@ from bcfeedback.schedules import (
     DegradedSchedule,
     OzarowSchedule,
     ScheduleInvariantError,
+    ScheduleStep,
     SymmetricSchedule,
     covariance_update,
     hadamard_eigen_profile,
@@ -43,7 +43,7 @@ def test_covariance_update_reproduces_correlation_recursion():
     rho_pred = 0.0
     for _ in range(12):
         step = sched.step()
-        R = covariance_update(R, step.params, ch, p_share)
+        R = covariance_update(R, step, ch, p_share)
         rho_pred = rho_map(rho_pred, ch.power_budget, ch.common_noise_var,
                            ch.private_noise_vars[0], ch.private_noise_vars[1], 1.0)
         rho_from_r = R[0, 1] / math.sqrt(R[0, 0] * R[1, 1])
@@ -55,11 +55,12 @@ def test_covariance_update_reproduces_correlation_recursion():
 
 def test_covariance_update_shape_and_symmetry_checks():
     ch = DEG_CHANNEL
-    params = StepParams(alpha=np.ones(2), beta=1.0, a=np.ones(2), b=np.zeros(2))
+    step = ScheduleStep(alpha=np.ones(2), beta=1.0, a=np.ones(2), b=np.zeros(2),
+                        expected_power=1.0)
     with pytest.raises(ValueError):
-        covariance_update(np.eye(3), params, ch, 1.0)
+        covariance_update(np.eye(3), step, ch, 1.0)
     with pytest.raises(ValueError):
-        covariance_update(np.eye(2), params, ch, 0.0)
+        covariance_update(np.eye(2), step, ch, 0.0)
 
 
 @given(
@@ -71,13 +72,14 @@ def test_covariance_update_shape_and_symmetry_checks():
 def test_covariance_update_keeps_symmetry_and_psd(seed, scale, rho):
     rng = np.random.default_rng(seed)
     R = scale * np.array([[1.0, rho], [rho, 1.0]])
-    params = StepParams(
+    step = ScheduleStep(
         alpha=rng.uniform(-1.5, 1.5, 2),
         beta=float(rng.uniform(0.2, 1.5)),
         a=rng.uniform(0.3, 1.4, 2),
         b=rng.uniform(-0.8, 0.8, 2),
+        expected_power=1.0,
     )
-    out = covariance_update(R, params, OZ_CHANNEL, 5.0)
+    out = covariance_update(R, step, OZ_CHANNEL, 5.0)
     assert np.array_equal(out, out.T)
     evals = np.linalg.eigvalsh(out)
     assert evals.min() >= -1e-12 * max(1.0, evals.max())
@@ -137,7 +139,7 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
     else:
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
     # the symmetric schedule keeps a dense R only under its invariant checks;
-    # the degraded one keeps none, so R is propagated here from its params
+    # the degraded one keeps none, so R is propagated here from its steps
     sched = make_schedule(scheme, ch, check_invariants=True)
     R = sched.R if scheme == "symmetric" else np.eye(m)
     mu = sched.columns.T @ R[0]
@@ -145,12 +147,12 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
     for n in range(horizon):
         j = n % m
         step = sched.step()
-        assert np.array_equal(step.params.alpha, sched.columns[:, j])
-        mu = hadamard_eigen_step(mu, j, step.params, ch, sched.p_share)
+        assert np.array_equal(step.alpha, sched.columns[:, j])
+        mu = hadamard_eigen_step(mu, j, step, ch, sched.p_share)
         if scheme == "symmetric":
             R = sched.R
         else:
-            R = covariance_update(R, step.params, ch, sched.p_share)
+            R = covariance_update(R, step, ch, sched.p_share)
         got = sched.columns.T @ R[0]
         worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
     assert worst <= 1e-11
@@ -211,8 +213,8 @@ def test_ozarow_pinned_params_match_fixed_point():
     fp = sched.fixed_point
     step = sched.step()
     # one formula for the contraction factors, so the pinned step is exact
-    assert step.params.a[0] == fp.a1_star
-    assert step.params.a[1] == fp.a2_star
+    assert step.a[0] == fp.a1_star
+    assert step.a[1] == fp.a2_star
     assert step.expected_power == OZ_CHANNEL.power_budget
 
 
@@ -269,8 +271,8 @@ def _rel_err(got, want) -> float:
 
 
 def test_degraded_diagonal_stays_unit():
-    # a dense R propagated by covariance_update from the emitted params: the
-    # params are the MMSE ones read off R, mu holds R's Hadamard eigenvalues,
+    # a dense R propagated by covariance_update from the emitted steps: the
+    # coefficients are the MMSE ones read off R, mu holds R's Hadamard eigenvalues,
     # and R's diagonal (the mean of mu) stays 1
     for m in (1, 2, 64, 256):
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
@@ -283,10 +285,10 @@ def test_degraded_diagonal_stays_unit():
             q = float(alpha @ w)
             out_var = q + ch.common_noise_var / sched.p_share
             step = sched.step()
-            assert _rel_err(step.params.b, w / out_var) <= 1e-11
-            assert _rel_err(step.params.a, np.sqrt(np.diag(R) - w * w / out_var)) <= 1e-11
+            assert _rel_err(step.b, w / out_var) <= 1e-11
+            assert _rel_err(step.a, np.sqrt(np.diag(R) - w * w / out_var)) <= 1e-11
             assert step.expected_power == pytest.approx(sched.p_share * q, rel=1e-11)
-            R = covariance_update(R, step.params, ch, sched.p_share)
+            R = covariance_update(R, step, ch, sched.p_share)
             assert _rel_err(cols.T @ R[0], sched.mu) <= 1e-11
             assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
             assert abs(np.mean(sched.mu) - 1.0) < 1e-12
@@ -300,8 +302,8 @@ def test_degraded_coefficients_match_a_40_digit_dense_oracle():
     sched = DegradedSchedule(ch)
     for a, b, power in mp_degraded_steps(m, p, 1.0, 100):
         step = sched.step()
-        assert _rel_err(step.params.a, a) <= 1e-14
-        assert _rel_err(step.params.b, b) <= 1e-14
+        assert _rel_err(step.a, a) <= 1e-14
+        assert _rel_err(step.b, b) <= 1e-14
         assert step.expected_power == pytest.approx(power, rel=1e-14)
 
 
@@ -465,7 +467,7 @@ def test_symmetric_noise_scale_invariance():
     # (a, b, beta) depend on the noise scale only through P / s
     a = SymmetricSchedule(ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)))
     b = SymmetricSchedule(ChannelConfig(2, 40.0, 0.0, (4.0, 4.0)))
-    sa, sb = a.step().params, b.step().params
+    sa, sb = a.step(), b.step()
     assert sa.beta == pytest.approx(sb.beta, rel=1e-13)
     assert sa.a == pytest.approx(sb.a, rel=1e-13)
     assert sa.b == pytest.approx(sb.b, rel=1e-13)
