@@ -95,7 +95,7 @@ class OzarowFixedPoint:
     @property
     def rates(self) -> tuple[float, float]:
         """Per-receiver rate limits in bits."""
-        return (-math.log2(self.a1_star), -math.log2(self.a2_star))
+        return (0.0 - math.log2(self.a1_star), 0.0 - math.log2(self.a2_star))  # 0.0, not -0.0
 
 
 @dataclass(frozen=True)
@@ -333,8 +333,8 @@ def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
     rho = res.root
     a1, a2 = _ozarow_contractions(rho, P, sigma2, sigma1_2, sigma2_2, g)
     for name, val in (("a1_star", a1), ("a2_star", a2)):
-        if not (0.0 < val < 1.0):
-            raise FixedPointError(f"{name} = {val!r} escaped (0, 1)")
+        if not (0.0 < val <= 1.0):  # 1.0: a rate below float resolution
+            raise FixedPointError(f"{name} = {val!r} escaped (0, 1]")
     return OzarowFixedPoint(rho=rho, residual=res.residual, a1_star=a1, a2_star=a2)
 
 

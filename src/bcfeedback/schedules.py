@@ -17,9 +17,9 @@ updates it exactly:
                + diag(b^2 * private_vars) / p_share) D^-1
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
-implements this.  The degraded schedule carries only R's Hadamard
-eigenvalues, the symmetric one propagates R only to check its invariants,
-and the two-user schedule carries no R at all.
+implements this as a dense reference; no schedule calls it.  Both Hadamard
+schedules carry only R's M eigenvalues (the symmetric one only for its
+checks), and the two-user schedule carries no R at all.
 
 * OzarowSchedule (two receivers): tracks the scalar source correlation rho
   with ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
@@ -234,15 +234,13 @@ class SymmetricSchedule:
     resulting a, b, beta, gamma apply to the physical channel unchanged; only
     the embedding variance carries the scale s back in.
 
-    Only ``check_invariants`` keeps R; it checks every step in O(M^2), with
-    no matrix product or eigendecomposition, that G = R - gamma I stays
-    dyadic, G[i, k] = r[i ^ k]: exactly when the Sylvester-Hadamard columns
-    are its eigenvectors, with eigenvalues mu = H r.
-    ||G - D(r)||_F is the RMS of the column residuals ||G h_j - mu_j h_j||, so
-    bounding it by tol ||G||_F / sqrt(M) bounds each of them by tol ||G||_F.
-    By Weyl, min mu above it proves G positive definite.  After warmup the
-    sorted mu must match the planned profile, even with the eigenbasis intact.
-    A failure is a bug in the covariance propagation or the plan.
+    Only ``check_invariants`` carries second moments: R stays dyadic, so its
+    Hadamard eigenvalues mu, shape (M,), are the whole state.  Step n on
+    column j = (n - 1) mod M adds c = b_0^2 s / p_share to every mu, sets
+    mu_j to (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms, and
+    divides mu by a^2.  The eigenvalues mu - gamma of G = R - gamma I must
+    stay finite and positive and, after warmup, match the planned profile.
+    A failure is a bug in the emitted steps or the plan.
     """
 
     def __init__(self, channel: ChannelConfig, check_invariants: bool = True):
@@ -257,17 +255,9 @@ class SymmetricSchedule:
         self.check_invariants = check_invariants
         self.step_index = 1
         if check_invariants:
-            self.R = (self.plan.lambda0 + self.gamma) * np.eye(m)
-            i = np.arange(m)
-            self._dyadic_index = (i[:, None] ^ i) + m * i  # [d, i]: flat position of G[i, i ^ d]
+            self.mu = np.full(m, self.plan.lambda0 + self.gamma)
             self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
             self._verify()
-
-    @property
-    def G(self) -> np.ndarray:
-        G = self.R.copy()
-        G.flat[:: G.shape[0] + 1] -= self.gamma
-        return G
 
     @property
     def phase(self) -> str:
@@ -282,7 +272,8 @@ class SymmetricSchedule:
         m = ch.num_receivers
         plan = self.plan
         n = self.step_index
-        alpha = self.columns[:, (n - 1) % m]
+        j = (n - 1) % m
+        alpha = self.columns[:, j]
         b = plan.bgamma.b
         if n <= m - 1:
             beta = plan.beta_b[n - 1] / b
@@ -294,22 +285,21 @@ class SymmetricSchedule:
                             expected_power=ch.power_budget * beta * beta * (lam_n + self.gamma))
         self.step_index += 1
         if self.check_invariants:
-            self.R = covariance_update(self.R, step, ch, self.p_share)
+            mu = self.mu
+            b0 = float(step.b[0])
+            shift = b0 * b0 * ch.private_noise_vars[0] / self.p_share
+            mu_j = (1.0 - step.beta * b0 * m) ** 2 * mu[j] + shift
+            mu += shift
+            mu[j] = mu_j
+            mu /= float(step.a[0]) ** 2
             self._verify()
         return step
 
     def _verify(self) -> None:
-        G = self.G
-        scale = np.linalg.norm(G)
-        if not np.all(np.isfinite(G)):
+        vals = self.mu - self.gamma
+        if not np.all(np.isfinite(vals)):
             raise ScheduleInvariantError("covariance lost finiteness")
-        vals, resid = hadamard_eigen_profile(G, self.columns, self._dyadic_index)
-        if resid > _CHECK_TOL * scale / math.sqrt(G.shape[0]):
-            raise ScheduleInvariantError(
-                f"Hadamard columns stopped being eigenvectors at step {self.step_index}: "
-                f"dyadic residual {resid:.3g} vs scale {scale:.3g}"
-            )
-        if np.min(vals) <= resid:
+        if np.min(vals) <= 0.0:
             raise ScheduleInvariantError(
                 f"G lost positive definiteness at step {self.step_index}"
             )

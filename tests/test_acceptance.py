@@ -87,16 +87,22 @@ def test_criterion_04_symmetric_schedule_structure_1000_steps():
     m, p = 8, 10.0
     ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
     sched = SymmetricSchedule(ch, check_invariants=True)
-    assert sched.G == pytest.approx(sched.plan.lambda0 * np.eye(m), abs=1e-14)
+    assert sched.mu - sched.gamma == pytest.approx(np.full(m, sched.plan.lambda0), abs=1e-14)
+    # the schedule carries only eigenvalues; a dense R propagated from the
+    # emitted steps shows that the Hadamard columns stay its eigenvectors
+    eye = np.eye(m)
+    R = (sched.plan.lambda0 + sched.gamma) * eye
     want_multiset = np.sort(np.asarray(sched.plan.lambda_seq))
     prev_vals = None
     for n in range(1, 1001):
         step = sched.step()
+        R = covariance_update(R, step, ch, sched.p_share)
         if n >= m:
             rel = abs(step.expected_power - p) / p
             assert rel <= 1e-10, (n, rel)
-            vals, resid = dense_eigen_profile(sched.G, sched.columns)
-            scale = np.linalg.norm(sched.G) * math.sqrt(m)
+            G = R - sched.gamma * eye
+            vals, resid = dense_eigen_profile(G, sched.columns)
+            scale = np.linalg.norm(G) * math.sqrt(m)
             assert np.max(resid) <= 1e-9 * scale
             assert np.sort(vals) == pytest.approx(want_multiset, rel=1e-9)
             if prev_vals is not None:

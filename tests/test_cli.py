@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -288,6 +289,33 @@ def test_simulate_long_horizon_at_high_power(tmp_path, capsys):
     last = [row for row in rows if row[3] == "1000"]
     assert len(last) == 2
     assert all(row[6] == "0" for row in last)
+
+
+@pytest.mark.parametrize("m, p", [(4, 1e6), (1, 1e8)])
+def test_simulate_symmetric_checks_hold_at_high_power(tmp_path, m, p):
+    # the invariant checks run on the exact Hadamard eigenvalues, not on a
+    # float64 R that drifts past their tolerance at these powers
+    path = write_config(tmp_path, base_config(num_receivers=m, power_budget=p,
+                                              private_noise_vars=[1.0] * m, trials=100))
+    assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+
+
+@pytest.mark.parametrize("g, weak", [(1e-9, 1), (1e9, 0), (1e12, 0)])
+def test_ozarow2_at_extreme_g_gives_one_receiver_its_capacity(tmp_path, capsys, g, weak):
+    # the weak receiver's contraction rounds to 1.0, a rate below float
+    # resolution: it reports 0.0 (not -0.0) and the other receiver gets
+    # the Schalkwijk-Kailath capacity 1/2 log2(1 + P / N)
+    capacity = 0.5 * math.log2(1.0 + 10.0 / 1.0)
+    for cmd in ("solve", "rates"):
+        argv = [cmd, "--scheme", "ozarow2", "-P", "10", "--noise", "0,1,1", "--g", repr(g), "--json"]
+        assert main(argv) == 0
+        rates = json.loads(capsys.readouterr().out)["per_user_rate_bits"]
+        assert rates[weak] == 0.0 and math.copysign(1.0, rates[weak]) == 1.0
+        assert abs(rates[1 - weak] - capacity) <= 1e-12
+    path = write_config(tmp_path, base_config(scheme="ozarow2", g=g, trials=100, horizon=20))
+    assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert {row[5] for row in rows if row[4] == str(weak + 1)} == {"0"}
 
 
 def test_simulate_out_file(tmp_path):

@@ -118,13 +118,12 @@ def test_prepare_scheme_table_is_read_only():
        st.sampled_from(["symmetric", "degraded"]))
 @settings(max_examples=30, deadline=None)
 def test_unroll_holds_over_the_whole_input_range(log10_p, k, scheme):
-    # P log-uniform in [1e-9, 1e9], M = 1..1024; horizon M + 1 reaches the
-    # first steady step.  Unchecked: the symmetric invariant checks on a
-    # float64 R fail at high P (a known open fault), so they stay off here.
+    # P log-uniform in [1e-9, 1e9], M = 1..1024; horizon 2M + 1 runs one full
+    # steady cycle, with the symmetric invariant checks on as simulate runs them
     m, p = 2**k, 10.0**log10_p
     noise = (0.0, (1.0,) * m) if scheme == "symmetric" else (1.0, (0.0,) * m)
-    prep = prepare_scheme(scheme, ChannelConfig(m, p, *noise), m + 1, check_invariants=False)
-    assert prep.horizon == m + 1  # and the table validated
+    prep = prepare_scheme(scheme, ChannelConfig(m, p, *noise), 2 * m + 1, check_invariants=True)
+    assert prep.horizon == 2 * m + 1  # and the table validated
     assert np.all((prep.a > 0.0) & (prep.a <= 1.0))
     assert np.all(np.isfinite(prep.expected_power) & (prep.expected_power > 0.0))
     assert np.all(np.isfinite(prep.rate_limits) & (prep.rate_limits >= 0.0))

@@ -21,7 +21,13 @@ from bcfeedback.schedules import (
     hadamard_eigen_profile,
     make_schedule,
 )
-from oracles import LAMBDA_2_1, dense_eigen_profile, hadamard_eigen_step, mp_degraded_steps
+from oracles import (
+    LAMBDA_2_1,
+    dense_eigen_profile,
+    hadamard_eigen_step,
+    mp_degraded_steps,
+    mp_dense_eigenvalues,
+)
 
 OZ_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 DEG_CHANNEL = ChannelConfig(2, 1.0, 1.0, (0.0, 0.0))
@@ -31,6 +37,10 @@ SYM_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 # ----------------------------------------------------------------------------
 # covariance propagation
 # ----------------------------------------------------------------------------
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
 def test_covariance_update_reproduces_correlation_recursion():
@@ -120,10 +130,10 @@ def test_dyadic_profile_matches_the_dense_oracle_and_is_never_weaker(k, seed, lo
     assert vals == pytest.approx(want_vals, rel=1e-12, abs=1e-12 * scale)
     rms = math.sqrt(np.mean(col_resid**2))
     assert resid == pytest.approx(rms, rel=1e-12, abs=1e-12 * scale)
-    # the dyadic eigenbasis check implies the former per-column check ...
+    # a dyadic residual within tol ||G||_F / sqrt(M) bounds every column residual ...
     if resid <= _CHECK_TOL * scale / math.sqrt(m):
         assert np.max(col_resid) <= _CHECK_TOL * scale
-    # ... and, by Weyl, the positive-definiteness check implies lambda_min > 0
+    # ... and, by Weyl, Rayleigh quotients above the residual imply lambda_min > 0
     if np.min(vals) > resid:
         assert np.min(np.linalg.eigvalsh(G)) > 0.0
 
@@ -138,10 +148,13 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
         ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
     else:
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
-    # the symmetric schedule keeps a dense R only under its invariant checks;
-    # the degraded one keeps none, so R is propagated here from its steps
+    # neither schedule keeps a dense R, so it is propagated here from the
+    # emitted steps; both carry its Hadamard eigenvalues mu
     sched = make_schedule(scheme, ch, check_invariants=True)
-    R = sched.R if scheme == "symmetric" else np.eye(m)
+    if scheme == "symmetric":
+        R = (sched.plan.lambda0 + sched.gamma) * np.eye(m)
+    else:
+        R = np.eye(m)
     mu = sched.columns.T @ R[0]
     worst = 0.0
     for n in range(horizon):
@@ -149,33 +162,33 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
         step = sched.step()
         assert np.array_equal(step.alpha, sched.columns[:, j])
         mu = hadamard_eigen_step(mu, j, step, ch, sched.p_share)
-        if scheme == "symmetric":
-            R = sched.R
-        else:
-            R = covariance_update(R, step, ch, sched.p_share)
+        R = covariance_update(R, step, ch, sched.p_share)
         got = sched.columns.T @ R[0]
         worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
+        if scheme == "symmetric":
+            assert _rel_err(sched.mu, got) <= 1e-11
     assert worst <= 1e-11
 
 
 @pytest.mark.parametrize("scheme", ["degraded", "symmetric"])
 def test_hadamard_schedules_step_without_dense_state(scheme):
-    # an unchecked step at M = 1024 touches O(M) memory; a dense M x M
+    # a step at M = 1024, checked or not, touches O(M) memory; a dense M x M
     # covariance update would allocate several 8 MiB temporaries
     m = 1024
     if scheme == "symmetric":
         ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
     else:
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
-    sched = make_schedule(scheme, ch, check_invariants=False)
-    tracemalloc.start()
-    try:
-        for _ in range(32):
-            sched.step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for checked in (False, True):
+        sched = make_schedule(scheme, ch, check_invariants=checked)
+        tracemalloc.start()
+        try:
+            for _ in range(32):
+                sched.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ----------------------------------------------------------------------------
@@ -264,10 +277,6 @@ def test_degraded_first_normalised_powers_are_exact_fractions():
     assert mus[0] == pytest.approx(1.0, abs=1e-14)
     assert mus[1] == pytest.approx(4.0 / 3.0, abs=1e-14)
     assert mus[2] == pytest.approx(14.0 / 13.0, abs=1e-14)
-
-
-def _rel_err(got, want) -> float:
-    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
 def test_degraded_diagonal_stays_unit():
@@ -364,12 +373,21 @@ def test_symmetric_warmup_powers_increase():
     assert powers[7] == pytest.approx(10.0, rel=1e-10)
 
 
+def _dense_R(sched, steps, R=None):
+    """R propagated densely through the next emitted steps, from R or the schedule's start."""
+    ch = sched.channel
+    if R is None:
+        R = (sched.plan.lambda0 + sched.gamma) * np.eye(ch.num_receivers)
+    for _ in range(steps):
+        R = covariance_update(R, sched.step(), ch, sched.p_share)
+    return R
+
+
 def test_symmetric_eigen_multiset_is_the_lambda_cycle():
     ch = ChannelConfig(4, 10.0, 0.0, (1.0,) * 4)
     sched = SymmetricSchedule(ch)
-    for _ in range(4):
-        sched.step()
-    got = np.sort(np.linalg.eigvalsh(sched.G))
+    R = _dense_R(sched, 4)
+    got = np.sort(np.linalg.eigvalsh(R - sched.gamma * np.eye(4)))
     want = np.sort(np.asarray(sched.plan.lambda_seq))
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -377,11 +395,10 @@ def test_symmetric_eigen_multiset_is_the_lambda_cycle():
 def test_symmetric_eigen_assignment_rotates_one_column_per_step():
     ch = ChannelConfig(4, 10.0, 0.0, (1.0,) * 4)
     sched = SymmetricSchedule(ch)
-    for _ in range(8):
-        sched.step()
-    before, _ = dense_eigen_profile(sched.G, sched.columns)
-    sched.step()
-    after, _ = dense_eigen_profile(sched.G, sched.columns)
+    R = _dense_R(sched, 8)
+    before, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.columns)
+    R = _dense_R(sched, 1, R)
+    after, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.columns)
     # one step advances every eigenvalue one position along the column cycle
     assert after == pytest.approx(np.roll(before, 1), rel=1e-9)
     assert sorted(after) == pytest.approx(sorted(before), rel=1e-9)
@@ -394,61 +411,44 @@ def test_symmetric_invariants_hold_for_300_steps():
     assert sched.phase == "steady"
 
 
-def test_symmetric_invariant_check_catches_eigenbasis_corruption():
-    # unequal diagonal knocks the Hadamard columns out of the eigenbasis
-    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
-    sched.R = sched.R + np.diag([0.05, 0.0, 0.0, 0.0])
-    with pytest.raises(ScheduleInvariantError):
-        sched.step()
-
-
 def test_symmetric_invariant_check_catches_eigenvalue_drift():
-    # an equal-diagonal symmetric bump leaves the M=2 eigenbasis intact but
-    # moves the eigenvalues off the planned profile
+    # moving two eigenvalues apart leaves them positive but off the planned profile
     sched = SymmetricSchedule(SYM_CHANNEL)
     sched.step()  # finish warmup so the steady profile is in force
-    sched.R = sched.R + np.array([[0.0, 0.05], [0.05, 0.0]])
-    with pytest.raises(ScheduleInvariantError):
+    sched.mu += np.array([0.05, -0.05])
+    with pytest.raises(ScheduleInvariantError, match="drifted"):
         sched.step()
 
 
 def test_symmetric_invariant_check_catches_lost_positive_definiteness():
-    # a uniform shift keeps G dyadic but drives its eigenvalues negative
+    # a uniform shift drives every eigenvalue of G negative
     sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
-    sched.R = sched.R - 10.0 * np.eye(4)
+    sched.mu -= 10.0
     with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
         sched.step()
-
-
-def test_symmetric_positive_definiteness_check_keeps_the_weyl_margin():
-    # every Hadamard Rayleigh quotient of G is positive, yet G is not positive
-    # definite: two eigenvalues delta are coupled by 2 delta off the eigenbasis
-    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
-    u = sched.columns / 2.0
-    delta = 1e-12
-    G = u @ np.diag([1.0, 1.0, delta, delta]) @ u.T
-    G += 2.0 * delta * (np.outer(u[:, 2], u[:, 3]) + np.outer(u[:, 3], u[:, 2]))
-    assert np.min(np.linalg.eigvalsh(G)) < 0.0
-    sched.R = G + sched.gamma * np.eye(4)
-    with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
-        sched._verify()
 
 
 def test_symmetric_invariant_check_catches_lost_finiteness():
     sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
-    sched.R[1, 2] = sched.R[2, 1] = np.nan
+    sched.mu[1] = np.nan
     with pytest.raises(ScheduleInvariantError, match="lost finiteness"):
         sched.step()
 
 
-def test_symmetric_invariant_check_catches_one_corrupted_off_diagonal_pair():
-    # one non-dyadic pair, 1e-8 of ||G||_F, in a 64 x 64 covariance
-    sched = SymmetricSchedule(ChannelConfig(64, 10.0, 0.0, (1.0,) * 64))
-    delta = 1e-8 * np.linalg.norm(sched.G)
-    sched.R[3, 17] += delta
-    sched.R[17, 3] += delta
-    with pytest.raises(ScheduleInvariantError, match="stopped being eigenvectors"):
-        sched.step()
+@pytest.mark.parametrize("m", [2, 8])
+@pytest.mark.parametrize("p", [1e6, 1e9])
+def test_symmetric_eigenvalue_carry_matches_a_40_digit_dense_oracle(m, p):
+    # at these powers a float64 dense R drifts from these eigenvalues by up to
+    # 4e-9 (P = 1e6) and 3e-6 (P = 1e9) relative; the factored carry stays at ulp level
+    ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
+    sched = SymmetricSchedule(ch, check_invariants=True)
+    r0 = float(sched.mu[0])
+    steps, carried = [], []
+    for _ in range(3 * m):
+        steps.append(sched.step())
+        carried.append(sched.mu.copy())
+    for got, want in zip(carried, mp_dense_eigenvalues(steps, ch, sched.p_share, r0)):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_symmetric_checks_run_without_an_eigendecomposition(monkeypatch):
