@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "ChannelConfig",
     "draw_trial",
+    "draw_batch",
     "channel_outputs",
     "spawn_trial_seeds",
 ]
@@ -63,6 +64,44 @@ def draw_trial(rng: np.random.Generator, M: int, horizon: int):
     """
     theta = rng.random(M)
     return theta, rng.standard_normal((horizon, 1 + M))
+
+
+# Normals per trial in one block of draw_batch's noise: 32 KiB of float64.
+BLOCK_NORMALS = 4096
+
+
+def draw_batch(seeds: list[np.random.SeedSequence], M: int, horizon: int):
+    """draw_trial for many trials, with the noise streamed.
+
+    Each trial's generator is ``np.random.default_rng(seed)``, made once.
+    Returns the (trials, M) message points, drawn now, and an iterator over
+    steps 1..horizon that yields each step's (trials, 1 + M) noise row.  The
+    normals are drawn lazily in blocks of max(1, BLOCK_NORMALS // (1 + M))
+    steps into one buffer reused block after block, so memory does not grow
+    with the horizon.  A row is valid only until the next one is taken.
+    Successive fills continue each generator's stream, so the rows equal
+    draw_trial's bit for bit.
+    """
+    block = max(1, BLOCK_NORMALS // (1 + M))
+    # allocated before the generators, whose small allocations would otherwise
+    # pin a worker thread's heap above it and hold it resident after the chunk
+    buf = np.empty((len(seeds), min(block, horizon), 1 + M))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    theta = np.empty((len(rngs), M))
+    for row, rng in zip(theta, rngs):
+        row[:] = rng.random(M)
+    return theta, _noise_rows(rngs, buf, horizon)
+
+
+def _noise_rows(rngs, buf: np.ndarray, horizon: int):
+    done = 0
+    while done < horizon:
+        k = min(buf.shape[1], horizon - done)
+        for out, rng in zip(buf[:, :k], rngs):
+            rng.standard_normal(out=out)
+        for j in range(k):
+            yield buf[:, j]
+        done += k
 
 
 def channel_outputs(config: ChannelConfig, x, z: np.ndarray) -> np.ndarray:

@@ -5,8 +5,13 @@ master seed by trial index, laid out by ``channel.draw_trial`` (M uniforms for
 the message points, then 1 + M standard normals per step).  ``run_trial`` runs
 one trial and replays its decoders; ``run_batch`` is its vectorised twin used
 for estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so results
-are byte-identical no matter how many worker threads execute the chunks.  Both
-draw through ``draw_trial`` and step through ``_steps``, the one loop that
+are byte-identical no matter how many worker threads execute the chunks.  A
+trial draws through ``draw_trial``.  A chunk draws the same streams through
+``channel.draw_batch``, with the normals drawn in blocks of steps into one
+reused (chunk, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS // (1 + M)) and
+``channel.BLOCK_NORMALS`` = 4096.  So a chunk's noise takes at most 32 KiB per
+trial (32 MiB for a full chunk; one step's 1 + M normals once M > 4095),
+whatever the horizon.  Both step through ``_steps``, the one loop that
 encodes, forms outputs with ``channel_outputs`` and updates the sources; the
 batch folds the decoder replay maps only to check the round trip.
 
@@ -19,13 +24,14 @@ stays evaluable long after the decoded interval's float endpoints saturate.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, channel_outputs, draw_trial, spawn_trial_seeds
+from .channel import ChannelConfig, channel_outputs, draw_batch, draw_trial, spawn_trial_seeds
 from .core import (
     DecoderState,
     IntervalPolicy,
@@ -173,15 +179,15 @@ def _run_args(prepared: PreparedScheme, horizon: int, policy,
     return policies, marks
 
 
-def _steps(prepared: PreparedScheme, horizon: int, s: np.ndarray, z: np.ndarray):
-    """The trial step: yields (n, x, y, s_{n+1}) for n = 1..horizon.
+def _steps(prepared: PreparedScheme, s: np.ndarray, noise):
+    """The trial step: yields (n, x, y, s_{n+1}) for n = 1, 2, ... while noise lasts.
 
-    s is one trial's sources (M,) with its noise z (horizon, 1 + M), or a batch
-    (trials, M) with z (trials, horizon, 1 + M).
+    s is one trial's sources (M,) with noise rows (1 + M,), or a batch
+    (trials, M) with rows (trials, 1 + M); row n - 1 is step n's noise.
     """
-    for n in range(1, horizon + 1):
+    for n, z in enumerate(noise, start=1):
         x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
-        y = channel_outputs(prepared.channel, x, z[..., n - 1, :])
+        y = channel_outputs(prepared.channel, x, z)
         s = update_sources(s, prepared.a[n - 1], prepared.b[n - 1], y)
         yield n, x, y, s
 
@@ -229,7 +235,7 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
     if 0 in mark_index:
         success[mark_index[0], :] = True  # nothing observed: the full interval
 
-    for n, x, y, s in _steps(prepared, horizon, s, z):
+    for n, x, y, s in _steps(prepared, s, z):
         dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
         power[n - 1] = x * x
         if n in mark_index:
@@ -263,23 +269,18 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
                policies: list[IntervalPolicy], marks: tuple[int, ...],
                seeds, check_roundtrip: bool):
     m = prepared.channel.num_receivers
-    t = len(seeds)
-
-    theta = np.empty((t, m))
-    noise = np.empty((t, horizon, 1 + m))
-    for i, seed in enumerate(seeds):
-        theta[i], noise[i] = draw_trial(np.random.default_rng(seed), m, horizon)
+    theta, noise = draw_batch(seeds, m, horizon)
 
     s1 = embed_message(theta, prepared.p0)
     dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
-    cum_power = np.zeros(t)
+    cum_power = np.zeros(len(seeds))
     err_counts = np.zeros((len(marks), m), dtype=np.int64)
     cum_sum = np.zeros(len(marks))
     cum_sumsq = np.zeros(len(marks))
     mark_index = {n: i for i, n in enumerate(marks)}
     roundtrip = 0.0
 
-    for n, x, y, s in _steps(prepared, horizon, s1, noise):
+    for n, x, y, s in _steps(prepared, s1, noise):
         cum_power += x * x
         if check_roundtrip:
             dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
@@ -296,13 +297,23 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     return err_counts, cum_sum, cum_sumsq, roundtrip
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
               trials: int, *, checkpoints: Sequence[int] | None = None,
               threads: int = 1, check_roundtrip: bool = False) -> BatchStats:
     """Vectorised trials in fixed chunks; reduction order is chunk order.
 
     The thread count only schedules chunk execution, never the arithmetic, so
-    every (seed, trials, horizon) triple gives identical statistics.
+    every (seed, trials, horizon) triple gives identical statistics.  Each
+    worker holds one chunk's noise block, so at most min(threads, chunks,
+    usable CPUs) of them run.
     """
     m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)
@@ -313,8 +324,9 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     def work(chunk):
         return _run_chunk(prepared, horizon, policies, marks, chunk, check_roundtrip)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(chunks), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, chunks))
     else:
         results = [work(c) for c in chunks]

@@ -1,12 +1,16 @@
 import io
 import math
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcfeedback.channel import ChannelConfig, spawn_trial_seeds
+from bcfeedback import montecarlo
+from bcfeedback.channel import BLOCK_NORMALS, ChannelConfig, draw_trial, spawn_trial_seeds
 from bcfeedback.core import IntervalPolicy
 from bcfeedback.montecarlo import (
     CHUNK_SIZE,
@@ -264,15 +268,112 @@ def test_trial_success_agrees_with_decoded_interval_membership():
     assert checked >= 150  # the endpoint-tie guard should almost never trigger
 
 
-def test_batch_thread_count_does_not_change_a_byte():
-    prep = prepare_scheme("degraded", DEG_CHANNEL, 40)
-    pol = default_policies(prep, 0.5)
+def test_batch_thread_count_does_not_change_a_byte(monkeypatch):
+    # claim four CPUs, so both chunks run in worker threads on any host
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
     trials = CHUNK_SIZE + 257  # force an irregular chunk boundary
-    one = run_batch(prep, 40, pol, 99, trials, threads=1)
-    four = run_batch(prep, 40, pol, 99, trials, threads=4)
-    assert np.array_equal(one.err_counts, four.err_counts)
-    assert np.array_equal(one.cum_power_sum, four.cum_power_sum)
-    assert np.array_equal(one.cum_power_sumsq, four.cum_power_sumsq)
+    # the second input streams its noise across blocks of 240 steps, ending mid-block
+    m16 = ChannelConfig(16, 10.0, 0.0, (1.0,) * 16)
+    for scheme, channel, horizon in (("degraded", DEG_CHANNEL, 40), ("symmetric", m16, 600)):
+        prep = prepare_scheme(scheme, channel, horizon)
+        pol = default_policies(prep, 0.5)
+        one = run_batch(prep, horizon, pol, 99, trials, threads=1)
+        four = run_batch(prep, horizon, pol, 99, trials, threads=4)
+        assert np.array_equal(one.err_counts, four.err_counts)
+        assert np.array_equal(one.cum_power_sum, four.cum_power_sum)
+        assert np.array_equal(one.cum_power_sumsq, four.cum_power_sumsq)
+
+
+class _RecordingPool:
+    """A ThreadPoolExecutor stand-in that records max_workers and maps serially."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_batch_workers_are_capped_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    prep = prepare_scheme("symmetric", SYM_CHANNEL, 2)
+    pol = default_policies(prep, 0.5)
+    five_chunks = 4 * CHUNK_SIZE + 1
+    serial = run_batch(prep, 2, pol, 3, five_chunks, threads=1)
+    live = threading.active_count()
+
+    def workers(trials):
+        _RecordingPool.created.clear()
+        stats = run_batch(prep, 2, pol, 3, trials, threads=64)
+        if trials == five_chunks:
+            assert np.array_equal(stats.err_counts, serial.err_counts)
+            assert stats.cum_power_sum.tobytes() == serial.cum_power_sum.tobytes()
+        return _RecordingPool.created
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert workers(five_chunks) == [3]
+    assert workers(CHUNK_SIZE + 1) == [2]  # two chunks
+    assert workers(CHUNK_SIZE) == []  # one chunk runs inline
+    # a platform without sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert workers(five_chunks) == [4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    assert workers(five_chunks) == []
+    assert threading.active_count() == live
+
+
+def test_batch_consumes_the_trial_streams_across_noise_blocks(monkeypatch):
+    # M = 64 streams noise in blocks of 63 steps: horizon 150 crosses two block
+    # boundaries and ends mid-block, 10 stays inside one block, 0 draws none
+    m = 64
+    block = max(1, BLOCK_NORMALS // (1 + m))
+    assert 2 * block < 150 < 3 * block
+    prep = prepare_scheme("symmetric", ChannelConfig(m, 10.0, 0.0, (1.0,) * m), 150)
+    pol = default_policies(prep, 0.5)
+    seeds = spawn_trial_seeds(8, 5)
+    consumed = []
+    original = montecarlo.channel_outputs
+
+    def recording(config, x, z):
+        consumed.append(z.copy())  # the noise buffer is reused block after block
+        return original(config, x, z)
+
+    monkeypatch.setattr(montecarlo, "channel_outputs", recording)
+    for horizon in (150, 10, 0):
+        consumed.clear()
+        run_batch(prep, horizon, pol, 8, len(seeds), checkpoints=(horizon,))
+        assert len(consumed) == horizon
+        rows = np.array(consumed).reshape(horizon, len(seeds), 1 + m)
+        for i, seed in enumerate(seeds):
+            _, want = draw_trial(np.random.default_rng(seed), m, horizon)
+            assert rows[:, i].tobytes() == want.tobytes(), (horizon, i)
+
+
+def test_batch_memory_does_not_grow_with_the_horizon():
+    prep = prepare_scheme("symmetric", ChannelConfig(8, 10.0, 0.0, (1.0,) * 8), 4096)
+    pol = default_policies(prep, 0.5)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            run_batch(prep, horizon, pol, 1, 100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1024), peak(4096)
+    # a (trials, horizon, 1 + M) noise array would add 100 * 3072 * 9 * 8 B = 21 MiB
+    assert long - short <= 64 * 1024, (short, long)
 
 
 def test_batch_roundtrip_identity_across_schemes():
