@@ -13,9 +13,9 @@ imported from its module (``bcfeedback.core``, ``bcfeedback.montecarlo``, ...).
 """
 
 from .channel import ChannelConfig
-from .fixedpoint import rate_report, solve_b_gamma, solve_lambda_bc, solve_lambda_mac, solve_rho
+from .fixedpoint import solve_b_gamma, solve_lambda_bc, solve_lambda_mac, solve_rho
 from .montecarlo import estimate, prepare_scheme, write_csv
-from .schedules import make_schedule
+from .schedules import make_schedule, rate_report
 
 __version__ = "0.1.0"
 

@@ -22,13 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .channel import ChannelConfig
-from .fixedpoint import (
-    SCHEME_IDS,
-    check_channel,
-    rate_report,
-    solve_lambda_bc,
-    solve_lambda_mac,
-)
+from .fixedpoint import solve_lambda_bc, solve_lambda_mac
 from .montecarlo import (
     CSV_HEADER,
     csv_rows,
@@ -36,6 +30,7 @@ from .montecarlo import (
     estimate,
     prepare_scheme,
 )
+from .schedules import SCHEME_IDS, check_channel, rate_report
 
 __all__ = ["main"]
 
@@ -215,10 +210,8 @@ def _channel_from_args(args) -> ChannelConfig:
     m = args.M
     common, priv = _parse_noise_flag(args.noise, args.scheme, m)
     with _input_errors():
-        channel = ChannelConfig(num_receivers=m, power_budget=args.P,
-                                common_noise_var=common, private_noise_vars=priv)
-        check_channel(args.scheme, channel)
-    return channel
+        return ChannelConfig(num_receivers=m, power_budget=args.P,
+                             common_noise_var=common, private_noise_vars=priv)
 
 
 # ----------------------------------------------------------------------------

@@ -32,11 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MAX_HADAMARD_LOG2, _libm, largest_root
+from .numerics import _libm, largest_root
 
 __all__ = [
-    "SCHEME_IDS",
-    "check_channel",
     "FixedPointError",
     "WarmupPlan",
     "solve_lambda_bc",
@@ -45,10 +43,7 @@ __all__ = [
     "rho_map",
     "solve_rho",
     "build_warmup_plan",
-    "rate_report",
 ]
-
-SCHEME_IDS = ("ozarow2", "degraded", "symmetric")
 
 _ROOT_TOL = 1e-12
 _CHECK_TOL = 1e-10
@@ -110,12 +105,14 @@ class WarmupPlan:
         M u**2 (lam_n + gamma) - 2 u (lam_n + gamma) + ((1 - d_n)/M) lam_n = 0
 
     where lam_n = lambda0 / steady_a**(2(n-1)) is the eigenvalue the step acts on.
+    lam, lam_residual and sum_rate are the sum-rate solution at (M, P).
     """
 
     M: int
     P: float
     lam: float
     lam_residual: float
+    sum_rate: float
     lambda_seq: tuple[float, ...]
     lambda0: float
     beta_b: tuple[float, ...]
@@ -123,25 +120,6 @@ class WarmupPlan:
     steady_a: float
     steady_beta: float
     bgamma: BGamma
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Per-receiver rate limits plus scheme-specific diagnostics (all rates in bits)."""
-
-    scheme: str
-    M: int
-    P: float
-    per_user: tuple[float, ...]
-    sum_rate: float
-    rate_fraction: float
-    target_rates: tuple[float, ...]
-    exponent_bases: tuple[float, ...]
-    lam: float | None = None
-    rho: float | None = None
-    residual: float = 0.0
-    avg_power: float | None = None
-    capacity_at_budget: float | None = None
 
 
 # ----------------------------------------------------------------------------
@@ -293,19 +271,22 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
 
 
 def _rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g):
-    """rho_map on validated arguments; ``rho`` is a float or an array (elementwise)."""
+    """rho_map on validated arguments; ``rho`` is a float or an array (elementwise).
+
+    The textbook numerator (P + a)(P + b) rho - P (P + a + b - sigma2) h sign
+    cancels two terms of size P**2; since h - r = g (1 - r)(1 + r)/dd, the form
+    below is equal and carries 1 - r exactly (a, b, h as defined in the body).
+    """
     sign = 2.0 * (rho >= 0.0) - 1.0  # +1 where rho >= 0 (-0.0 included), else -1
     r = abs(rho)
     dd = 1.0 + g * g + 2.0 * g * r
-    v1 = P + sigma2 + sigma1_2
-    v2 = P + sigma2 + sigma2_2
-    pi = v1 * v2
-    sig_total = P + sigma2 + sigma1_2 + sigma2_2
-    one_m = 1.0 - rho * rho
-    num = pi * rho - (P * sig_total / dd) * (g + r) * (1.0 + g * r) * sign
-    den = math.sqrt(pi) * np.sqrt(
-        (sigma2 + sigma1_2 + P * g * g * one_m / dd)
-        * (sigma2 + sigma2_2 + P * one_m / dd)
+    a = sigma2 + sigma1_2
+    b = sigma2 + sigma2_2
+    one_m = (1.0 - r) * (1.0 + r)
+    h = (g + r) * (1.0 + g * r) / dd
+    num = sign * (a * b * r + P * sigma2 * h - P * (P + a + b) * g * one_m / dd)
+    den = math.sqrt((P + a) * (P + b)) * np.sqrt(
+        (a + P * g * g * one_m / dd) * (b + P * one_m / dd)
     )
     if np.count_nonzero(den <= 0.0):
         raise ValueError("degenerate update: residual variance vanished")
@@ -315,7 +296,7 @@ def _rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g):
 def _ozarow_contractions(r: float, P, sigma2, sigma1_2, sigma2_2, g) -> tuple[float, float]:
     """Per-step source contraction factors (a1, a2) at correlation magnitude r = |rho|."""
     dd = 1.0 + g * g + 2.0 * g * r
-    one_m = 1.0 - r * r
+    one_m = (1.0 - r) * (1.0 + r)
     a1 = math.sqrt((sigma2 + sigma1_2 + P * g * g * one_m / dd) / (P + sigma2 + sigma1_2))
     a2 = math.sqrt((sigma2 + sigma2_2 + P * one_m / dd) / (P + sigma2 + sigma2_2))
     return a1, a2
@@ -390,6 +371,7 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         P=P,
         lam=lam,
         lam_residual=sol.residual,
+        sum_rate=sol.sum_rate,
         lambda_seq=seq,
         lambda0=lam0,
         beta_b=tuple(beta_b),
@@ -397,97 +379,4 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         steady_a=math.sqrt(a2),
         steady_beta=steady_beta,
         bgamma=bg,
-    )
-
-
-# ----------------------------------------------------------------------------
-# rate reporting
-# ----------------------------------------------------------------------------
-
-
-def check_channel(scheme: str, channel) -> None:
-    """Raise ValueError unless ``scheme`` (one of SCHEME_IDS) can run on ``channel``.
-
-    ozarow2 needs exactly two receivers, each with positive total noise.
-    degraded needs a positive common noise and no private noise; symmetric
-    needs no common noise and equal positive private noises.  Both mix with
-    Hadamard columns, so both need a power-of-two receiver count of at most
-    2**MAX_HADAMARD_LOG2.
-    """
-    m = channel.num_receivers
-    common, priv = channel.common_noise_var, channel.private_noise_vars
-    if scheme == "ozarow2":
-        if m != 2:
-            raise ValueError("scheme 'ozarow2' needs exactly 2 receivers")
-        if common + priv[0] <= 0.0 or common + priv[1] <= 0.0:
-            raise ValueError("scheme 'ozarow2' needs positive total noise per receiver")
-        return
-    if scheme == "degraded":
-        if any(v != 0.0 for v in priv):
-            raise ValueError("scheme 'degraded' needs all private noise variances zero")
-        if common <= 0.0:
-            raise ValueError("scheme 'degraded' needs positive common noise variance")
-    elif scheme == "symmetric":
-        if common != 0.0:
-            raise ValueError("scheme 'symmetric' needs zero common noise variance")
-        if len(set(priv)) != 1 or priv[0] <= 0.0:
-            raise ValueError("scheme 'symmetric' needs equal positive private noise variances")
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
-    if m & (m - 1):
-        raise ValueError(f"scheme {scheme!r} needs a power-of-two receiver count")
-    if m > 2**MAX_HADAMARD_LOG2:
-        raise ValueError(
-            f"scheme {scheme!r} supports at most 2**{MAX_HADAMARD_LOG2} receivers"
-        )
-
-
-def _effective_power(scheme: str, channel) -> float:
-    """P over the private (symmetric) or common (degraded) noise variance."""
-    noise = channel.private_noise_vars[0] if scheme == "symmetric" else channel.common_noise_var
-    return channel.power_budget / noise
-
-
-def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
-    return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
-
-
-def rate_report(scheme: str, channel, *, g: float = 1.0,
-                rate_fraction: float = 0.5) -> RateReport:
-    """Rate limits, targets at the given fraction, and error-exponent bases.
-
-    ``channel`` is a ChannelConfig that :func:`check_channel` accepts for
-    ``scheme``; noise variances enter through the effective signal-to-noise
-    power (symmetric: P / private variance, degraded: P / common variance,
-    two-user: explicitly).  The exponent base for receiver m is
-    2**(2 (R_m* - R_m)), the per-step shrink factor of the decoded interval
-    relative to its reliability budget.
-    """
-    if not (0.0 < rate_fraction < 1.0):
-        raise ValueError("rate_fraction must lie strictly between 0 and 1")
-    check_channel(scheme, channel)
-    m = channel.num_receivers
-    p = channel.power_budget
-    if scheme == "ozarow2":
-        fp = solve_rho(
-            p, channel.common_noise_var,
-            channel.private_noise_vars[0], channel.private_noise_vars[1], g,
-        )
-        per_user = fp.rates
-        report = dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(per_user))
-    else:
-        p_eff = _effective_power(scheme, channel)
-        sol = solve_lambda_bc(m, p_eff)
-        per_user = (_per_user_rate_bits(m, p_eff, sol.lam),) * m
-        report = dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate)
-        if scheme == "degraded":
-            report.update(avg_power=p * sol.lam,
-                          capacity_at_budget=0.5 * math.log2(1.0 + p_eff))
-
-    targets = tuple(rate_fraction * r for r in per_user)
-    bases = tuple(2.0 ** (2.0 * (r - t)) for r, t in zip(per_user, targets))
-    return RateReport(
-        scheme=scheme, M=m, P=p, per_user=per_user,
-        rate_fraction=rate_fraction, target_rates=targets, exponent_bases=bases,
-        **report,
     )

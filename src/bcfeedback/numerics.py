@@ -85,7 +85,7 @@ def sylvester_hadamard(k: int) -> np.ndarray:
     Entries are +1 and -1 with H @ H.T = 2**k I, and the first row and column
     are all +1.  The int64 array is marked read-only so schedules can share
     one instance.  Supported up to k = MAX_HADAMARD_LOG2, the receiver limit
-    that ``fixedpoint.check_channel`` enforces for the Hadamard schedules; the
+    that ``schedules.check_channel`` enforces for the Hadamard schedules; the
     construction is exact in int64 far beyond that.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):

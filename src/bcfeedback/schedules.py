@@ -1,4 +1,8 @@
-"""The three concrete parameter schedules.
+"""The three schemes: the channel each accepts, its schedule and its rate limits.
+
+Only this module knows the scheme names: ``check_channel`` is the channel
+rule, ``make_schedule`` the one dispatch on a name, and ``rate_report`` reads
+the limits off the schedule it builds.  The equations live in ``fixedpoint``.
 
 All schedules are data independent: the coefficients for step n never look at
 channel outputs, only at deterministically propagated second moments.  A
@@ -43,21 +47,18 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .fixedpoint import (
-    SCHEME_IDS,
-    WarmupPlan,
-    _effective_power,
     _ozarow_contractions,
-    _per_user_rate_bits,
     build_warmup_plan,
-    check_channel,
     rho_map,
     solve_lambda_bc,
     solve_rho,
 )
-from .numerics import sylvester_hadamard
+from .numerics import MAX_HADAMARD_LOG2, sylvester_hadamard
 
-__all__ = ["ScheduleInvariantError", "covariance_update", "make_schedule"]
+__all__ = ["SCHEME_IDS", "check_channel", "ScheduleInvariantError", "covariance_update",
+           "make_schedule", "rate_report"]
 
+SCHEME_IDS = ("ozarow2", "degraded", "symmetric")
 
 # relative tolerance of the symmetric schedule's invariant checks
 _CHECK_TOL = 1e-9
@@ -65,6 +66,43 @@ _CHECK_TOL = 1e-9
 
 class ScheduleInvariantError(RuntimeError):
     """A tracked second-moment invariant failed; indicates an implementation bug."""
+
+
+def check_channel(scheme: str, channel: ChannelConfig) -> None:
+    """Raise ValueError unless ``scheme`` (one of SCHEME_IDS) can run on ``channel``.
+
+    ozarow2 needs exactly two receivers, each with positive total noise.
+    degraded needs a positive common noise and no private noise; symmetric
+    needs no common noise and equal positive private noises.  Both mix with
+    Hadamard columns, so both need a power-of-two receiver count of at most
+    2**MAX_HADAMARD_LOG2.
+    """
+    m = channel.num_receivers
+    common, priv = channel.common_noise_var, channel.private_noise_vars
+    if scheme == "ozarow2":
+        if m != 2:
+            raise ValueError("scheme 'ozarow2' needs exactly 2 receivers")
+        if common + priv[0] <= 0.0 or common + priv[1] <= 0.0:
+            raise ValueError("scheme 'ozarow2' needs positive total noise per receiver")
+        return
+    if scheme == "degraded":
+        if any(v != 0.0 for v in priv):
+            raise ValueError("scheme 'degraded' needs all private noise variances zero")
+        if common <= 0.0:
+            raise ValueError("scheme 'degraded' needs positive common noise variance")
+    elif scheme == "symmetric":
+        if common != 0.0:
+            raise ValueError("scheme 'symmetric' needs zero common noise variance")
+        if len(set(priv)) != 1 or priv[0] <= 0.0:
+            raise ValueError("scheme 'symmetric' needs equal positive private noise variances")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
+    if m & (m - 1):
+        raise ValueError(f"scheme {scheme!r} needs a power-of-two receiver count")
+    if m > 2**MAX_HADAMARD_LOG2:
+        raise ValueError(
+            f"scheme {scheme!r} supports at most 2**{MAX_HADAMARD_LOG2} receivers"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,6 +183,11 @@ class OzarowSchedule:
     def rate_limits(self) -> np.ndarray:
         return np.array(self.fixed_point.rates)
 
+    def solved(self) -> dict:
+        """RateReport constants: rho*, its residual and the sum rate."""
+        fp = self.fixed_point
+        return dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(fp.rates))
+
     def step(self) -> ScheduleStep:
         ch = self.channel
         p = ch.power_budget
@@ -176,6 +219,11 @@ class OzarowSchedule:
 # ----------------------------------------------------------------------------
 
 
+def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
+    """Per-receiver rate limit of both Hadamard schedules at effective power P."""
+    return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
+
+
 class DegradedSchedule:
     """All receivers share one output; coefficients are minimum-mean-square.
 
@@ -184,24 +232,33 @@ class DegradedSchedule:
     M mu_j + c, sends b = (mu_j / out_var) h_j, sets mu_j to mu_j c / out_var
     and divides mu by a^2, the new mean (mean mu - mu_j^2 / out_var, free of
     its cancellation at high power).  Mean mu, R's diagonal, stays 1 while
-    mu_j converges to lambda; the power P mu_j meets the budget on average.
+    mu_j converges to lambda, so the power P mu_j tends to P lambda, not to
+    the budget P: lambda lies in [1, M], and the sum rate exceeds the capacity
+    1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits against 0.5).
     """
 
     def __init__(self, channel: ChannelConfig):
         check_channel("degraded", channel)
         m = channel.num_receivers
         self.channel = channel
-        self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
+        self.columns = sylvester_hadamard(m.bit_length() - 1)
         self.mu = np.ones(m)
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share
-        self.solution = solve_lambda_bc(m, _effective_power("degraded", channel))
+        self.p_eff = channel.power_budget / channel.common_noise_var
+        self.solution = solve_lambda_bc(m, self.p_eff)
         self.step_index = 1
 
     def rate_limits(self) -> np.ndarray:
         m = self.channel.num_receivers
-        p_eff = _effective_power("degraded", self.channel)
-        return np.full(m, _per_user_rate_bits(m, p_eff, self.solution.lam))
+        return np.full(m, _per_user_rate_bits(m, self.p_eff, self.solution.lam))
+
+    def solved(self) -> dict:
+        """RateReport constants, with the power P lambda spent and the capacity at P."""
+        sol = self.solution
+        return dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate,
+                    avg_power=self.channel.power_budget * sol.lam,
+                    capacity_at_budget=0.5 * math.log2(1.0 + self.p_eff))
 
     def step(self) -> ScheduleStep:
         mu = self.mu
@@ -247,8 +304,8 @@ class SymmetricSchedule:
         check_channel("symmetric", channel)
         m = channel.num_receivers
         self.channel = channel
-        self.plan: WarmupPlan = build_warmup_plan(m, _effective_power("symmetric", channel))
-        self.columns = sylvester_hadamard(m.bit_length() - 1).astype(float)
+        self.plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
+        self.columns = sylvester_hadamard(m.bit_length() - 1)
         self.gamma = self.plan.bgamma.gamma
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)
@@ -266,6 +323,11 @@ class SymmetricSchedule:
     def rate_limits(self) -> np.ndarray:
         m = self.channel.num_receivers
         return np.full(m, _per_user_rate_bits(m, self.plan.P, self.plan.lam))
+
+    def solved(self) -> dict:
+        """RateReport constants: lambda, its residual and the sum rate."""
+        plan = self.plan
+        return dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate)
 
     def step(self) -> ScheduleStep:
         ch = self.channel
@@ -323,3 +385,50 @@ def make_schedule(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
     if scheme == "symmetric":
         return SymmetricSchedule(channel, check_invariants=check_invariants)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
+
+
+# ----------------------------------------------------------------------------
+# rate reporting
+# ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """Per-receiver rate limits plus scheme-specific diagnostics (all rates in bits)."""
+
+    scheme: str
+    M: int
+    P: float
+    per_user: tuple[float, ...]
+    sum_rate: float
+    rate_fraction: float
+    target_rates: tuple[float, ...]
+    exponent_bases: tuple[float, ...]
+    lam: float | None = None
+    rho: float | None = None
+    residual: float = 0.0
+    avg_power: float | None = None
+    capacity_at_budget: float | None = None
+
+
+def rate_report(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
+                rate_fraction: float = 0.5) -> RateReport:
+    """Rate limits, targets at the given fraction, and error-exponent bases.
+
+    ``channel`` is a ChannelConfig that :func:`check_channel` accepts for
+    ``scheme``.  The limits and solved constants are read off the scheme's
+    schedule, built without stepping state.  The exponent base for receiver
+    m is 2**(2 (R_m* - R_m)), the per-step shrink factor of the decoded
+    interval relative to its reliability budget.
+    """
+    if not (0.0 < rate_fraction < 1.0):
+        raise ValueError("rate_fraction must lie strictly between 0 and 1")
+    sched = make_schedule(scheme, channel, g=g, check_invariants=False)
+    per_user = tuple(sched.rate_limits().tolist())
+    targets = tuple(rate_fraction * r for r in per_user)
+    bases = tuple(2.0 ** (2.0 * (r - t)) for r, t in zip(per_user, targets))
+    return RateReport(
+        scheme=scheme, M=channel.num_receivers, P=channel.power_budget, per_user=per_user,
+        rate_fraction=rate_fraction, target_rates=targets, exponent_bases=bases,
+        **sched.solved(),
+    )

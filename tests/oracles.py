@@ -19,6 +19,9 @@ a package routine bit for bit rather than to rounding:
   ``run_trial``; it shares the package's trial stream, embedding, encode
   and source-update steps, channel outputs and normal cdf.
 
+:func:`mp_rho_map` is the two-user correlation map at 50 digits, in the
+textbook form whose float evaluation cancels at high power.
+
 Four references check the Hadamard schedules' second moments without the
 package's eigenvalue shortcuts: :func:`dense_eigen_profile`, the dense
 ``G @ H`` profile of a covariance, :func:`hadamard_eigen_step`,
@@ -278,6 +281,28 @@ def mp_dense_eigenvalues(steps, channel, p_share: float, r0: float):
                 for j in range(m)
             ]))
         return out
+
+
+def mp_rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
+               sigma2_2: float, g: float) -> float:
+    """``rho_map`` in its textbook form, evaluated with 50 significant digits.
+
+    The numerator (P + a)(P + b) rho - P (P + sigma_total) h sign, with
+    a = sigma2 + sigma1_2, b = sigma2 + sigma2_2 and h = (g + r)(1 + g r)/dd,
+    subtracts two terms of size P**2 and loses up to about 2 log10(P) digits;
+    at 50 digits more than 30 remain at P = 1e9.
+    """
+    with mpmath.workdps(50):
+        rho, P, s2, s1, s22, g = (mpmath.mpf(v) for v in (rho, P, sigma2, sigma1_2, sigma2_2, g))
+        sign = 1 if rho >= 0 else -1
+        r = abs(rho)
+        dd = 1 + g * g + 2 * g * r
+        pi = (P + s2 + s1) * (P + s2 + s22)
+        num = pi * rho - P * (P + s2 + s1 + s22) / dd * (g + r) * (1 + g * r) * sign
+        den = mpmath.sqrt(pi) * mpmath.sqrt(
+            (s2 + s1 + P * g * g * (1 - rho * rho) / dd) * (s2 + s22 + P * (1 - rho * rho) / dd)
+        )
+        return float(num / den)
 
 
 def normal_cdf_quad(x: float) -> float:

@@ -17,7 +17,6 @@ from bcfeedback.core import IntervalPolicy
 from bcfeedback.fixedpoint import (
     b_gamma_residuals,
     build_warmup_plan,
-    rate_report,
     rho_map,
     solve_b_gamma,
     solve_lambda_bc,
@@ -26,7 +25,7 @@ from bcfeedback.fixedpoint import (
 )
 from bcfeedback.montecarlo import default_policies, prepare_scheme, run_batch
 from bcfeedback.numerics import sylvester_hadamard
-from bcfeedback.schedules import OzarowSchedule, SymmetricSchedule, covariance_update
+from bcfeedback.schedules import OzarowSchedule, SymmetricSchedule, covariance_update, rate_report
 from oracles import LAMBDA_2_1, LAMBDA_2_10, RHO_STAR_10, dense_eigen_profile, mp_solve_b_gamma
 
 # receiver counts x power budgets; odd receiver counts keep the solver honest

@@ -13,8 +13,7 @@ import pytest
 import bcfeedback
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
-from bcfeedback.fixedpoint import SCHEME_IDS, rate_report
-from bcfeedback.schedules import make_schedule
+from bcfeedback.schedules import SCHEME_IDS, make_schedule, rate_report
 
 
 def base_config(**kw):
@@ -190,6 +189,12 @@ def test_solve_text_output(capsys):
     out = capsys.readouterr().out
     assert "rho:" in out
     assert "sum_rate_bits:" in out
+    # README's complete solve example, byte for byte
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\$ bcfeedback solve --scheme symmetric -M 2 -P 10\n(.*?\n)\n", text, re.S)
+    assert block, "README has no complete solve example"
+    assert main(["solve", "--scheme", "symmetric", "-M", "2", "-P", "10"]) == 0
+    assert capsys.readouterr().out == block.group(1)
 
 
 def test_solve_rejects_mismatched_receivers(capsys):

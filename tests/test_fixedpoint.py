@@ -12,7 +12,6 @@ from bcfeedback.fixedpoint import (
     FixedPointError,
     b_gamma_residuals,
     build_warmup_plan,
-    rate_report,
     rho_map,
     solve_b_gamma,
     solve_lambda_bc,
@@ -20,6 +19,7 @@ from bcfeedback.fixedpoint import (
     solve_rho,
 )
 from bcfeedback.numerics import _GRID_POINTS, largest_root
+from bcfeedback.schedules import rate_report
 from oracles import (
     A1_STAR_SQ_10,
     A_SQ_2_10,
@@ -34,6 +34,7 @@ from oracles import (
     RHO_STAR_10,
     U1_2_10,
     bisect,
+    mp_rho_map,
     mp_solve_b_gamma,
 )
 
@@ -398,6 +399,31 @@ def test_solve_rho_common_noise_only():
     fp = solve_rho(10.0, 1.0, 0.0, 0.0, 1.0)
     assert 0.0 < fp.rho < 1.0
     assert 0.0 < fp.a1_star < 1.0
+
+
+@pytest.mark.parametrize("p", SCAN_P)
+@pytest.mark.parametrize("noise", OZAROW_NOISES)
+def test_rho_map_matches_a_50_digit_reference(p, noise):
+    # the textbook numerator, evaluated in floats, is off by up to 3.8e-7 at
+    # P = 1e9 (worst at rho = -1); a few ulps of 1 is what rounding allows
+    rhos = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.99995, -1e-4, 1e-4, 0.99995]])
+    for g in (0.5, 1.0, 1.3):
+        for rho in rhos:
+            want = mp_rho_map(rho, p, *noise, g)
+            assert rho_map(rho, p, *noise, g) == pytest.approx(want, abs=2e-15), (rho, g)
+
+
+def test_solve_rho_answers_across_the_power_range():
+    # 10 P x 4 noise patterns x 3 g; with the textbook numerator 7 of these
+    # stop at float resolution with |f| above the tolerance (P = 1e8, 1e9)
+    assert fixedpoint._ROOT_TOL == 1e-12
+    for p in (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e3, 1e4, 1e6, 1e8, 1e9):
+        for noise in ((0.0, 1.0, 1.0), (0.0, 0.3, 3.0), (1.0, 0.0, 0.5), (0.5, 1.0, 2.0)):
+            for g in (0.5, 1.0, 1.3):
+                fp = solve_rho(p, *noise, g)
+                assert 0.0 <= fp.rho <= 1.0 and fp.residual <= fixedpoint._ROOT_TOL
+                # the root also solves the 50-digit map to the tolerance
+                assert abs(fp.rho + mp_rho_map(fp.rho, p, *noise, g)) <= fixedpoint._ROOT_TOL
 
 
 # ----------------------------------------------------------------------------
