@@ -36,7 +36,6 @@ from .numerics import _libm, largest_root
 
 __all__ = [
     "FixedPointError",
-    "WarmupPlan",
     "solve_lambda_bc",
     "solve_lambda_mac",
     "solve_b_gamma",
@@ -116,7 +115,6 @@ class WarmupPlan:
     lambda_seq: tuple[float, ...]
     lambda0: float
     beta_b: tuple[float, ...]
-    warmup_lambda: tuple[float, ...]
     steady_a: float
     steady_beta: float
     bgamma: BGamma
@@ -347,7 +345,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
     # values are cancellation noise and get clamped to zero.
     disc = gamma + a2 * lam0
     beta_b: list[float] = []
-    warm_lams: list[float] = []
     for n in range(1, M):
         lam_n = lam0 / a2 ** (n - 1)
         denom = lam_n + gamma
@@ -361,7 +358,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         if not (0.0 < u < 2.0 / M):
             raise FixedPointError(f"warmup scaling u = {u!r} escaped (0, 2/M)")
         beta_b.append(u)
-        warm_lams.append(lam_n)
 
     steady_beta = 1.0 / math.sqrt(lam + gamma)
     if not lam0 + gamma > 0.0:
@@ -375,7 +371,6 @@ def build_warmup_plan(M: int, P: float) -> WarmupPlan:
         lambda_seq=seq,
         lambda0=lam0,
         beta_b=tuple(beta_b),
-        warmup_lambda=tuple(warm_lams),
         steady_a=math.sqrt(a2),
         steady_beta=steady_beta,
         bgamma=bg,

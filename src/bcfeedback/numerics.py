@@ -10,6 +10,7 @@ scan for the last sign change).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,10 +84,11 @@ def sylvester_hadamard(k: int) -> np.ndarray:
     """Hadamard matrix of order 2**k via the doubling construction [[H, H], [H, -H]].
 
     Entries are +1 and -1 with H @ H.T = 2**k I, and the first row and column
-    are all +1.  The int64 array is marked read-only so schedules can share
-    one instance.  Supported up to k = MAX_HADAMARD_LOG2, the receiver limit
-    that ``schedules.check_channel`` enforces for the Hadamard schedules; the
-    construction is exact in int64 far beyond that.
+    are all +1.  The int64 array is read-only and built once per order, so
+    every schedule of one width shares one instance.  Supported up to
+    k = MAX_HADAMARD_LOG2, the receiver limit that ``schedules.check_channel``
+    enforces for the Hadamard schedules; the construction is exact in int64
+    far beyond that.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError("k must be an integer")
@@ -96,8 +98,13 @@ def sylvester_hadamard(k: int) -> np.ndarray:
         raise ValueError(
             f"order 2**{k} exceeds the supported limit 2**{MAX_HADAMARD_LOG2}"
         )
+    return _sylvester_table(int(k))
+
+
+@functools.cache
+def _sylvester_table(k: int) -> np.ndarray:
     h = np.ones((1, 1), dtype=np.int64)
-    for _ in range(int(k)):
+    for _ in range(k):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h

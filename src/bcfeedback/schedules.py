@@ -22,8 +22,8 @@ updates it exactly:
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
 implements this as a dense reference; no schedule calls it.  Both Hadamard
-schedules carry only R's M eigenvalues (the symmetric one only for its
-checks), and the two-user schedule carries no R at all.
+schedules carry only R's M eigenvalues mu and read E[x^2] off them, and the
+two-user schedule carries no R at all.
 
 * OzarowSchedule (two receivers): tracks the scalar source correlation rho
   with ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
@@ -291,13 +291,14 @@ class SymmetricSchedule:
     resulting a, b, beta, gamma apply to the physical channel unchanged; only
     the embedding variance carries the scale s back in.
 
-    Only ``check_invariants`` carries second moments: R stays dyadic, so its
-    Hadamard eigenvalues mu, shape (M,), are the whole state.  Step n on
-    column j = (n - 1) mod M adds c = b_0^2 s / p_share to every mu, sets
-    mu_j to (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms, and
-    divides mu by a^2.  The eigenvalues mu - gamma of G = R - gamma I must
-    stay finite and positive and, after warmup, match the planned profile.
-    A failure is a bug in the emitted steps or the plan.
+    R stays dyadic, so its Hadamard eigenvalues mu, shape (M,), are the whole
+    state, carried on every step.  Step n on column j = (n - 1) mod M sends
+    E[x^2] = p_share M beta^2 mu_j, adds c = b_0^2 s / p_share to every mu,
+    sets mu_j to (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms,
+    and divides mu by a^2.  ``check_invariants`` only decides whether each
+    step is verified: the eigenvalues mu - gamma of G = R - gamma I must stay
+    finite and positive and, after warmup, match the planned profile.  A
+    failure is a bug in the emitted steps or the plan.
     """
 
     def __init__(self, channel: ChannelConfig, check_invariants: bool = True):
@@ -307,12 +308,13 @@ class SymmetricSchedule:
         self.plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
         self.columns = sylvester_hadamard(m.bit_length() - 1)
         self.gamma = self.plan.bgamma.gamma
+        r0 = self.plan.lambda0 + self.gamma  # R_1 = r0 I
+        self.mu = np.full(m, r0)
         self.p_share = channel.power_budget / m
-        self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)
+        self.p0 = self.p_share * r0
         self.check_invariants = check_invariants
         self.step_index = 1
         if check_invariants:
-            self.mu = np.full(m, self.plan.lambda0 + self.gamma)
             self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
             self._verify()
 
@@ -330,32 +332,24 @@ class SymmetricSchedule:
         return dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate)
 
     def step(self) -> ScheduleStep:
-        ch = self.channel
-        m = ch.num_receivers
+        m = self.channel.num_receivers
         plan = self.plan
         n = self.step_index
         j = (n - 1) % m
         alpha = self.columns[:, j]
         b = plan.bgamma.b
-        if n <= m - 1:
-            beta = plan.beta_b[n - 1] / b
-            lam_n = plan.warmup_lambda[n - 1]
-        else:
-            beta = plan.steady_beta
-            lam_n = plan.lam
-        step = ScheduleStep(alpha=alpha, beta=beta, a=np.full(m, plan.steady_a), b=b * alpha,
-                            expected_power=ch.power_budget * beta * beta * (lam_n + self.gamma))
+        beta = plan.beta_b[n - 1] / b if n <= m - 1 else plan.steady_beta
+        mu = self.mu
+        mu_j = float(mu[j])
+        shift = b * b * self.channel.private_noise_vars[0] / self.p_share
+        mu += shift
+        mu[j] = (1.0 - beta * b * m) ** 2 * mu_j + shift
+        mu /= plan.steady_a**2
         self.step_index += 1
         if self.check_invariants:
-            mu = self.mu
-            b0 = float(step.b[0])
-            shift = b0 * b0 * ch.private_noise_vars[0] / self.p_share
-            mu_j = (1.0 - step.beta * b0 * m) ** 2 * mu[j] + shift
-            mu += shift
-            mu[j] = mu_j
-            mu /= float(step.a[0]) ** 2
             self._verify()
-        return step
+        return ScheduleStep(alpha=alpha, beta=beta, a=np.full(m, plan.steady_a), b=b * alpha,
+                            expected_power=self.p_share * m * beta * beta * mu_j)
 
     def _verify(self) -> None:
         vals = self.mu - self.gamma
@@ -417,13 +411,13 @@ def rate_report(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
 
     ``channel`` is a ChannelConfig that :func:`check_channel` accepts for
     ``scheme``.  The limits and solved constants are read off the scheme's
-    schedule, built without stepping state.  The exponent base for receiver
+    schedule, which is built but never stepped.  The exponent base for receiver
     m is 2**(2 (R_m* - R_m)), the per-step shrink factor of the decoded
     interval relative to its reliability budget.
     """
     if not (0.0 < rate_fraction < 1.0):
         raise ValueError("rate_fraction must lie strictly between 0 and 1")
-    sched = make_schedule(scheme, channel, g=g, check_invariants=False)
+    sched = make_schedule(scheme, channel, g=g)
     per_user = tuple(sched.rate_limits().tolist())
     targets = tuple(rate_fraction * r for r in per_user)
     bases = tuple(2.0 ** (2.0 * (r - t)) for r, t in zip(per_user, targets))

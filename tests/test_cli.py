@@ -1,18 +1,22 @@
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcfeedback
+from bcfeedback import cli
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
+from bcfeedback.fixedpoint import FixedPointError
+from bcfeedback.montecarlo import default_policies, estimate, prepare_scheme, write_csv
 from bcfeedback.schedules import SCHEME_IDS, make_schedule, rate_report
 
 
@@ -210,6 +214,13 @@ def test_solve_noise_flag_validation(capsys):
     assert rc == 2
 
 
+def test_solve_degraded_defaults_to_unit_common_noise(capsys):
+    assert main(["solve", "--scheme", "degraded"]) == 0
+    default = capsys.readouterr().out
+    assert main(["solve", "--scheme", "degraded", "--noise", "1,0,0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_rates_degraded_reports_power_and_capacity(capsys):
     rc = main(["rates", "--scheme", "degraded", "-M", "2", "-P", "1",
                "--noise", "1,0,0", "--json"])
@@ -238,6 +249,21 @@ def test_duality_at_the_top_of_the_power_range(capsys):
     assert row.startswith("2,1000000000,") and row.endswith(",yes")
 
 
+def test_duality_gap_above_tolerance_exits_1(monkeypatch, capsys):
+    real = cli.solve_lambda_mac
+
+    def widened(m, p):
+        sol = real(m, p)
+        gap = 2.0 * cli.DUALITY_TOL if m == 4 else 0.0
+        return replace(sol, sum_rate=sol.sum_rate + gap)
+
+    monkeypatch.setattr(cli, "solve_lambda_mac", widened)
+    assert main(["duality", "-M", "2,4", "-P", "10"]) == 1
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.startswith("4,") for row in rows] == [False, True]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["yes", "no"]
+
+
 def test_duality_bad_grid(capsys):
     assert main(["duality", "-M", "1,two"]) == 2
 
@@ -254,6 +280,17 @@ def test_duality_bad_grid(capsys):
 def test_values_the_library_checks_exit_2(argv, code, capsys):
     assert main(argv) == code
     assert ("config error" in capsys.readouterr().err) == (code == 2)
+
+
+def test_runtime_failure_exits_1(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise FixedPointError("solver gave up")
+
+    monkeypatch.setattr(cli, "rate_report", fail)
+    assert main(["solve", "--scheme", "symmetric"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solver gave up\n"
 
 
 def test_simulate_roundtrip(tmp_path, capsys):
@@ -283,6 +320,23 @@ def test_simulate_cli_overrides(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert all(",256," in line for line in lines[1:])
     assert lines[-1].split(",")[3] == "8"
+
+
+def test_simulate_interval_keys_reach_the_policies(tmp_path, capsys):
+    # README's decay example, shortened
+    cfg = base_config(seed=0, trials=400, horizon=40, interval_base_halfwidth=1.479,
+                      interval_growth_fraction=0.021)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 0
+    got = capsys.readouterr().out
+    prep = prepare_scheme("symmetric", ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)), 40)
+    pols = default_policies(prep, 0.5, base_halfwidth=1.479, growth_fraction=0.021)
+    buf = io.StringIO()
+    write_csv(buf, prep, estimate(prep, trials=400, horizon=40, rate_fraction=0.5, seed=0,
+                                  policies=pols))
+    assert got == buf.getvalue()
+    del cfg["interval_base_halfwidth"]
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 0
+    assert capsys.readouterr().out != got
 
 
 def test_simulate_long_horizon_at_high_power(tmp_path, capsys):

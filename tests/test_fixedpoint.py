@@ -286,14 +286,18 @@ def test_warmup_plan_structure():
     for m, p in [(1, 10.0), (2, 1.0), (4, 10.0), (8, 3.0)]:
         plan = build_warmup_plan(m, p)
         assert len(plan.beta_b) == m - 1
-        assert len(plan.warmup_lambda) == m - 1
         assert len(plan.lambda_seq) == m
         a2 = plan.steady_a**2
-        # d_n lambda_n is constant along the warmup: a^2 lambda_0, d_n = a**(2n)
-        for n, lam_n in enumerate(plan.warmup_lambda, start=1):
-            assert plan.steady_a ** (2 * n) * lam_n == pytest.approx(a2 * plan.lambda0, rel=1e-12)
-        if m > 1:
-            assert plan.warmup_lambda[0] == pytest.approx(plan.lambda0, rel=1e-15)
+        gamma = plan.bgamma.gamma
+        # warmup step n acts on lam_n = lambda0 / a**(2(n-1)) and targets
+        # d_n = a**(2n); beta_b[n - 1] is the smaller positive root of the
+        # documented quadratic, checked here without the plan's shortcut
+        for n, u in enumerate(plan.beta_b, start=1):
+            lam_n = plan.lambda0 / a2 ** (n - 1)
+            shifted = lam_n + gamma
+            quad = m * u * u * shifted - 2.0 * u * shifted + (1.0 - a2**n) / m * lam_n
+            assert abs(quad) <= 1e-12 * shifted / m
+            assert 0.0 < u <= 1.0 / m
         assert plan.steady_beta == pytest.approx(
             1.0 / math.sqrt(plan.lam + plan.bgamma.gamma), rel=1e-15
         )

@@ -166,6 +166,23 @@ def test_default_policies_overrides():
         default_policies(prep, 0.5, growth_fraction=1.0)
 
 
+def test_one_policy_stands_for_every_receiver():
+    prep = prepare_scheme("symmetric", ChannelConfig(4, 10.0, 0.0, (1.0,) * 4), 16)
+    pol = IntervalPolicy(base_halfwidth=1.2, growth_rate_bits=0.1)
+    one = run_batch(prep, 16, pol, 5, 200)
+    each = run_batch(prep, 16, [pol] * 4, 5, 200)
+    for name in ("err_counts", "cum_power_sum", "cum_power_sumsq"):
+        assert np.array_equal(getattr(one, name), getattr(each, name))
+    assert 0 < one.err_counts.sum() and one.err_counts.max() < 200  # the policy decides
+    for seed in range(3):
+        got = run_trial(prep, 16, pol, np.random.default_rng(seed), record_trajectory=True)
+        want = run_trial(prep, 16, [pol] * 4, np.random.default_rng(seed),
+                         record_trajectory=True)
+        assert np.array_equal(got.success, want.success)
+        assert got.final_intervals == want.final_intervals
+        assert got.trajectory == want.trajectory
+
+
 # ----------------------------------------------------------------------------
 # scalar trials vs vectorised batches
 # ----------------------------------------------------------------------------

@@ -191,6 +191,18 @@ def test_hadamard_schedules_step_without_dense_state(scheme):
         assert peak < 2**20
 
 
+def test_hadamard_schedules_share_one_read_only_table():
+    m = 64
+    tables = [
+        DegradedSchedule(ChannelConfig(m, 10.0, 1.0, (0.0,) * m)).columns,
+        SymmetricSchedule(ChannelConfig(m, 10.0, 0.0, (1.0,) * m)).columns,
+        SymmetricSchedule(ChannelConfig(m, 1e3, 0.0, (2.0,) * m), check_invariants=False).columns,
+    ]
+    assert all(t is tables[0] for t in tables)
+    assert tables[0] is sylvester_hadamard(6)
+    assert not tables[0].flags.writeable
+
+
 # ----------------------------------------------------------------------------
 # two-user schedule
 # ----------------------------------------------------------------------------
@@ -447,8 +459,14 @@ def test_symmetric_eigenvalue_carry_matches_a_40_digit_dense_oracle(m, p):
     for _ in range(3 * m):
         steps.append(sched.step())
         carried.append(sched.mu.copy())
-    for got, want in zip(carried, mp_dense_eigenvalues(steps, ch, sched.p_share, r0)):
+    oracle = mp_dense_eigenvalues(steps, ch, sched.p_share, r0)
+    for got, want in zip(carried, oracle):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    # E[x^2] is read off column j's eigenvalue as it stands before the step
+    before = [np.full(m, r0)] + oracle[:-1]
+    for n, (step, mu) in enumerate(zip(steps, before)):
+        want = sched.p_share * m * step.beta**2 * mu[n % m]
+        assert abs(step.expected_power - want) <= 1e-14 * want
 
 
 def test_symmetric_checks_run_without_an_eigendecomposition(monkeypatch):
