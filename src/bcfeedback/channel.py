@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ChannelConfig",
-    "draw_trial",
     "draw_batch",
     "channel_outputs",
     "spawn_trial_seeds",
@@ -55,32 +54,26 @@ class ChannelConfig:
         object.__setattr__(self, "private_noise_vars", priv)
 
 
-def draw_trial(rng: np.random.Generator, M: int, horizon: int):
-    """All of one trial's randomness: M message points, then 1 + M normals per step.
-
-    This is the trial stream layout.  Row n of the normals is step n + 1's noise
-    (shared component first); zero-variance components still consume theirs,
-    so streams stay aligned whichever variances are switched off.
-    """
-    theta = rng.random(M)
-    return theta, rng.standard_normal((horizon, 1 + M))
-
-
 # Normals per trial in one block of draw_batch's noise: 32 KiB of float64.
 BLOCK_NORMALS = 4096
 
 
-def draw_batch(seeds: list[np.random.SeedSequence], M: int, horizon: int):
-    """draw_trial for many trials, with the noise streamed.
+def draw_batch(seeds: list, M: int, horizon: int):
+    """The trial stream layout for each of ``seeds``: the only code that draws.
 
-    Each trial's generator is ``np.random.default_rng(seed)``, made once.
+    A trial's stream holds M message-point uniforms, then 1 + M standard
+    normals per step, the common component first.  Zero-variance components
+    still consume theirs, so streams stay aligned whichever variances are
+    switched off.  Each trial's generator is ``np.random.default_rng(seed)``,
+    made once; a Generator passes through it as it is and is advanced.
+
     Returns the (trials, M) message points, drawn now, and an iterator over
     steps 1..horizon that yields each step's (trials, 1 + M) noise row.  The
     normals are drawn lazily in blocks of max(1, BLOCK_NORMALS // (1 + M))
     steps into one buffer reused block after block, so memory does not grow
     with the horizon.  A row is valid only until the next one is taken.
-    Successive fills continue each generator's stream, so the rows equal
-    draw_trial's bit for bit.
+    Successive fills continue each generator's stream, so the rows are the
+    whole stream's normals in order, bit for bit.
     """
     block = max(1, BLOCK_NORMALS // (1 + M))
     # allocated before the generators, whose small allocations would otherwise

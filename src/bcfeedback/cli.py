@@ -30,7 +30,7 @@ from .montecarlo import (
     estimate,
     prepare_scheme,
 )
-from .schedules import SCHEME_IDS, check_channel, rate_report
+from .schedules import DEFAULT_NOISE, SCHEME_IDS, check_channel, rate_report
 
 __all__ = ["main"]
 
@@ -192,9 +192,8 @@ def parse_run_config(raw: dict, *, allow_power_list: bool = False) -> list[RunCo
 
 def _parse_noise_flag(noise: str | None, scheme: str, m: int) -> tuple[float, tuple[float, ...]]:
     if noise is None:
-        if scheme == "degraded":
-            return 1.0, (0.0,) * m
-        return 0.0, (1.0,) * m
+        common, private = DEFAULT_NOISE[scheme]
+        return common, (private,) * m
     try:
         vals = [float(v) for v in noise.split(",")]
     except ValueError as exc:
@@ -323,7 +322,9 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _apply_overrides(raw: dict, args) -> dict:
+def _apply_overrides(raw, args):
+    if not isinstance(raw, dict):
+        return raw  # parse_run_config rejects the root by name
     raw = dict(raw)
     for key in ("seed", "trials", "horizon"):
         val = getattr(args, key, None)

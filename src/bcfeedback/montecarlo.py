@@ -1,15 +1,15 @@
 """Monte Carlo harness: per-trial streams, vectorised batches, error estimates.
 
 Reproducibility contract: trial i draws from a child stream spawned from the
-master seed by trial index, laid out by ``channel.draw_trial`` (M uniforms for
-the message points, then 1 + M standard normals per step).  ``run_trial`` runs
-one trial and replays its decoders; ``run_batch`` is its vectorised twin used
-for estimation, processing trials in fixed chunks of ``CHUNK_SIZE`` so results
-are byte-identical no matter how many worker threads execute the chunks.  A
-trial draws through ``draw_trial``.  A chunk draws the same streams through
-``channel.draw_batch``, with the normals drawn in blocks of steps into one
-reused (chunk, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS // (1 + M)) and
-``channel.BLOCK_NORMALS`` = 4096.  So a chunk's noise takes at most 32 KiB per
+master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
+the message points, then 1 + M standard normals per step), the only code that
+draws.  ``run_trial`` runs one trial and replays its decoders; ``run_batch``
+is its vectorised twin used for estimation, processing trials in fixed chunks
+of ``CHUNK_SIZE`` so results are byte-identical no matter how many worker
+threads execute the chunks.  A trial draws as a batch of one and a chunk as a
+batch of its trials, with the normals drawn in blocks of steps into one
+reused (trials, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS // (1 + M)) and
+``channel.BLOCK_NORMALS`` = 4096.  So the noise takes at most 32 KiB per
 trial (32 MiB for a full chunk; one step's 1 + M normals once M > 4095),
 whatever the horizon.  Both step through ``_steps``, the one loop that
 encodes, forms outputs with ``channel_outputs`` and updates the sources; the
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, channel_outputs, draw_batch, draw_trial, spawn_trial_seeds
+from .channel import ChannelConfig, channel_outputs, draw_batch, spawn_trial_seeds
 from .core import (
     DecoderState,
     IntervalPolicy,
@@ -224,8 +224,8 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
     m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)
 
-    theta, z = draw_trial(rng, m, horizon)
-    s = embed_message(theta, prepared.p0)
+    theta, noise = draw_batch([rng], m, horizon)
+    s = embed_message(theta[0], prepared.p0)
     dec = DecoderState(np.zeros(m), np.zeros(s.shape), 0)
     power = np.zeros(horizon)
     success = np.zeros((len(marks), m), dtype=bool)
@@ -235,7 +235,7 @@ def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
     if 0 in mark_index:
         success[mark_index[0], :] = True  # nothing observed: the full interval
 
-    for n, x, y, s in _steps(prepared, s, z):
+    for n, x, y, s in _steps(prepared, s, (row[0] for row in noise)):
         dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
         power[n - 1] = x * x
         if n in mark_index:

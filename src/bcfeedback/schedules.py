@@ -55,10 +55,12 @@ from .fixedpoint import (
 )
 from .numerics import MAX_HADAMARD_LOG2, sylvester_hadamard
 
-__all__ = ["SCHEME_IDS", "check_channel", "ScheduleInvariantError", "covariance_update",
-           "make_schedule", "rate_report"]
+__all__ = ["SCHEME_IDS", "DEFAULT_NOISE", "check_channel", "ScheduleInvariantError",
+           "covariance_update", "make_schedule", "rate_report"]
 
 SCHEME_IDS = ("ozarow2", "degraded", "symmetric")
+# each scheme's default (common, per-receiver private) noise variances
+DEFAULT_NOISE = {"ozarow2": (0.0, 1.0), "degraded": (1.0, 0.0), "symmetric": (0.0, 1.0)}
 
 # relative tolerance of the symmetric schedule's invariant checks
 _CHECK_TOL = 1e-9

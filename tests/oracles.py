@@ -8,16 +8,19 @@ affine state.  Constants frozen into the tests were produced by these
 routines (or by 50-digit decimal arithmetic on exact polynomial forms) and
 are cited next to their definitions.
 
-Two references share package code on purpose, because each must reproduce
-a package routine bit for bit rather than to rounding:
+Three references share package code or layout on purpose, because each
+must reproduce a package routine bit for bit rather than to rounding:
 
 * :func:`scan_largest_root`, the package's former point-by-point scan, is
   the reference that the array scan of ``largest_root`` must reproduce
   exactly; it shares the package's bisection.
+* :func:`draw_trial`, the package's former one-call draw, takes a whole
+  trial's stream at once and is the reference for ``draw_batch``'s blocks.
 * :func:`scalar_trial`, the package's former single-trial loop, folds each
   receiver's decoder one float at a time and is the reference for
-  ``run_trial``; it shares the package's trial stream, embedding, encode
-  and source-update steps, channel outputs and normal cdf.
+  ``run_trial``; it draws through :func:`draw_trial` and shares the
+  package's embedding, encode and source-update steps, channel outputs and
+  normal cdf.
 
 :func:`mp_rho_map` is the two-user correlation map at 50 digits, in the
 textbook form whose float evaluation cancels at high power.
@@ -40,7 +43,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from bcfeedback.channel import channel_outputs, draw_trial
+from bcfeedback.channel import channel_outputs
 from bcfeedback.core import embed_message, encode, update_sources
 from bcfeedback.montecarlo import TrialOutcome
 from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect, std_normal_cdf
@@ -131,6 +134,15 @@ def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+def draw_trial(rng: np.random.Generator, M: int, horizon: int):
+    """One trial's whole stream in two calls: M uniforms, then (horizon, 1 + M) normals.
+
+    Row n of the normals is step n + 1's noise, shared component first.
+    """
+    theta = rng.random(M)
+    return theta, rng.standard_normal((horizon, 1 + M))
 
 
 def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOutcome:

@@ -10,9 +10,15 @@ from bcfeedback.channel import (
     ChannelConfig,
     channel_outputs,
     draw_batch,
-    draw_trial,
     spawn_trial_seeds,
 )
+from oracles import draw_trial
+
+
+def one_trial(seed, m, horizon):
+    """draw_batch's message points and stacked noise rows for one trial."""
+    theta, rows = draw_batch([np.random.default_rng(seed)], m, horizon)
+    return theta[0], np.array([row[0].copy() for row in rows]).reshape(horizon, 1 + m)
 
 
 def make_config(**kw):
@@ -74,8 +80,8 @@ def test_noise_stds():
 
 
 def test_sample_noise_shapes_and_determinism():
-    theta1, z1 = draw_trial(np.random.default_rng(7), 2, 5)
-    theta2, z2 = draw_trial(np.random.default_rng(7), 2, 5)
+    theta1, z1 = one_trial(7, 2, 5)
+    theta2, z2 = one_trial(7, 2, 5)
     assert theta1.shape == (2,) and z1.shape == (5, 3)
     assert np.array_equal(theta1, theta2)
     assert np.array_equal(z1, z2)
@@ -88,14 +94,14 @@ def test_sample_noise_stream_alignment_across_variance_patterns():
     # read: each step's row keeps one slot per component whatever its variance
     noisy = make_config(common_noise_var=1.0, private_noise_vars=(1.0, 1.0))
     silent = make_config(common_noise_var=0.0, private_noise_vars=(1.0, 0.0))
-    _, z = draw_trial(np.random.default_rng(3), 2, 4)
+    _, z = one_trial(3, 2, 4)
     assert np.array_equal(channel_outputs(silent, np.zeros(4), z)[:, 0], z[:, 1])
     assert np.array_equal(channel_outputs(noisy, np.zeros(4), z)[:, 1], z[:, 0] + z[:, 2])
 
 
 def test_sample_noise_zero_variance_gives_exact_zero():
     cfg = make_config(common_noise_var=0.0, private_noise_vars=(0.0, 2.0))
-    _, z = draw_trial(np.random.default_rng(0), 2, 1)
+    _, z = one_trial(0, 2, 1)
     y = channel_outputs(cfg, 0.0, z[0])
     assert y[0] == 0.0
     assert y[1] != 0.0
@@ -104,7 +110,7 @@ def test_sample_noise_zero_variance_gives_exact_zero():
 def test_sample_noise_consumes_one_plus_m_normals():
     cfg = make_config()
     ref = np.random.default_rng(11)
-    theta, z = draw_trial(np.random.default_rng(11), 2, 3)
+    theta, z = one_trial(11, 2, 3)
     assert np.array_equal(theta, ref.random(2))
     for row in z:  # one step at a time gives the same normals as the block
         assert np.array_equal(row, ref.standard_normal(3))
@@ -117,7 +123,9 @@ def test_sample_noise_consumes_one_plus_m_normals():
 def test_draw_trial_stream_layout(m, horizon):
     # after a trial the generator sits exactly M + H (1 + M) draws further on
     rng = np.random.default_rng(23)
-    draw_trial(rng, m, horizon)
+    _, rows = draw_batch([rng], m, horizon)
+    for _ in rows:
+        pass
     ref = np.random.default_rng(23)
     for _ in range(m):
         ref.random()
@@ -149,7 +157,7 @@ def test_draw_batch_is_draw_trial_in_blocks(m, horizon):
 
 def test_sample_noise_moments():
     cfg = make_config(common_noise_var=0.25, private_noise_vars=(1.0, 4.0))
-    _, z = draw_trial(np.random.default_rng(19), 2, 20000)
+    _, z = one_trial(19, 2, 20000)
     draws = channel_outputs(cfg, np.zeros(20000), z)
     var = draws.var(axis=0)
     # y_m = z + z_m so Var = common + private
@@ -161,7 +169,7 @@ def test_sample_noise_moments():
 
 def test_transmit_adds_components():
     cfg = make_config()
-    _, z = draw_trial(np.random.default_rng(2), 2, 1)
+    _, z = one_trial(2, 2, 1)
     y = channel_outputs(cfg, 1.5, z[0])
     assert y.shape == (2,)
     assert y == pytest.approx(1.5 + np.sqrt(0.5) * z[0, 0] + np.sqrt([1.0, 2.0]) * z[0, 1:])

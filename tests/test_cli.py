@@ -108,6 +108,15 @@ def test_parse_run_config_rejections(kw):
         parse_run_config(base_config(**kw))
 
 
+@pytest.mark.parametrize("kw, allow_list, match", [
+    (dict(power_budget="10"), False, "'power_budget' must be a number"),
+    (dict(power_budget=[1.0, -1]), True, "'power_budget' entries must be positive numbers"),
+])
+def test_parse_run_config_names_the_bad_power(kw, allow_list, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_run_config(base_config(**kw), allow_power_list=allow_list)
+
+
 def test_parse_run_config_scheme_channel_compat():
     with pytest.raises(ConfigError):
         parse_run_config(base_config(common_noise_var=1.0))  # symmetric wants 0
@@ -214,10 +223,13 @@ def test_solve_noise_flag_validation(capsys):
     assert rc == 2
 
 
-def test_solve_degraded_defaults_to_unit_common_noise(capsys):
-    assert main(["solve", "--scheme", "degraded"]) == 0
+@pytest.mark.parametrize("scheme, noise", [
+    ("ozarow2", "0,1,1"), ("degraded", "1,0,0"), ("symmetric", "0,1,1"),
+])
+def test_solve_defaults_to_the_scheme_noise(capsys, scheme, noise):
+    assert main(["solve", "--scheme", scheme]) == 0
     default = capsys.readouterr().out
-    assert main(["solve", "--scheme", "degraded", "--noise", "1,0,0"]) == 0
+    assert main(["solve", "--scheme", scheme, "--noise", noise]) == 0
     assert capsys.readouterr().out == default
 
 
@@ -403,6 +415,25 @@ def test_simulate_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("root", ["null", '"ab"', "3", "[]", '[["seed", 1]]'])
+@pytest.mark.parametrize("extra", [[], ["--seed", "4"]])
+def test_simulate_non_object_config_root_exits_2(tmp_path, capsys, root, extra):
+    path = tmp_path / "root.json"
+    path.write_text(root)
+    assert main(["simulate", "--config", str(path), *extra]) == 2
+    assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+
+@pytest.mark.parametrize("key", ["power_budget", "rate_fraction"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_simulate_nonfinite_json_literals_exit_2(tmp_path, capsys, key, value):
+    # json writes and reads the literals NaN and Infinity
+    path = write_config(tmp_path, base_config(**{key: value}))
+    assert ("NaN" if math.isnan(value) else "Infinity") in Path(path).read_text()
+    assert main(["simulate", "--config", path]) == 2
+    assert f"config key '{key}' must be finite" in capsys.readouterr().err
 
 
 def test_simulate_bad_seed_and_threads_exit_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfeedback import montecarlo
-from bcfeedback.channel import BLOCK_NORMALS, ChannelConfig, draw_trial, spawn_trial_seeds
+from bcfeedback.channel import BLOCK_NORMALS, ChannelConfig, spawn_trial_seeds
 from bcfeedback.core import IntervalPolicy
 from bcfeedback.montecarlo import (
     CHUNK_SIZE,
@@ -25,7 +25,7 @@ from bcfeedback.montecarlo import (
     write_trajectory_csv,
 )
 from bcfeedback.schedules import ScheduleStep
-from oracles import scalar_trial
+from oracles import draw_trial, scalar_trial
 
 SYM_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
 OZ_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
@@ -391,6 +391,24 @@ def test_batch_memory_does_not_grow_with_the_horizon():
     short, long = peak(1024), peak(4096)
     # a (trials, horizon, 1 + M) noise array would add 100 * 3072 * 9 * 8 B = 21 MiB
     assert long - short <= 64 * 1024, (short, long)
+
+
+def test_trial_memory_grows_only_by_its_power_array():
+    prep = prepare_scheme("symmetric", ChannelConfig(8, 10.0, 0.0, (1.0,) * 8), 4096)
+    pol = default_policies(prep, 0.5)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            run_trial(prep, horizon, pol, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1024), peak(4096)
+    # the (horizon,) power array adds 3072 * 8 B = 24 KiB; a (horizon, 1 + M)
+    # noise array would add 3072 * 9 * 8 B = 216 KiB
+    assert long - short <= 3072 * 8 + 16 * 1024, (short, long)
 
 
 def test_batch_roundtrip_identity_across_schemes():

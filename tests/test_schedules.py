@@ -11,12 +11,14 @@ from bcfeedback.fixedpoint import build_warmup_plan, rho_map, solve_lambda_bc, s
 from bcfeedback.numerics import sylvester_hadamard
 from bcfeedback.schedules import (
     _CHECK_TOL,
+    DEFAULT_NOISE,
     SCHEME_IDS,
     DegradedSchedule,
     OzarowSchedule,
     ScheduleInvariantError,
     ScheduleStep,
     SymmetricSchedule,
+    check_channel,
     covariance_update,
     hadamard_eigen_profile,
     make_schedule,
@@ -531,3 +533,16 @@ def test_make_schedule_dispatch():
     assert set(SCHEME_IDS) == {"ozarow2", "degraded", "symmetric"}
     with pytest.raises(ValueError):
         make_schedule("other", OZ_CHANNEL)
+
+
+def test_check_channel_names_the_schemes_for_an_unknown_one():
+    with pytest.raises(ValueError, match=r"unknown scheme 'nope'; expected one of \('ozarow2'"):
+        check_channel("nope", SYM_CHANNEL)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_default_noise_is_a_channel_the_scheme_accepts(scheme):
+    assert set(DEFAULT_NOISE) == set(SCHEME_IDS)
+    common, private = DEFAULT_NOISE[scheme]
+    for m in (2,) if scheme == "ozarow2" else (1, 2, 4):
+        check_channel(scheme, ChannelConfig(m, 10.0, common, (private,) * m))
