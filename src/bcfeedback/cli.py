@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -372,7 +373,9 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser; ``parse_args`` keeps its state in the namespace it returns."""
     parser = argparse.ArgumentParser(
         prog="bcfeedback",
         description="Feedback coding over the Gaussian broadcast channel",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _libm, largest_root
+from .numerics import largest_root
 
 __all__ = [
     "FixedPointError",
@@ -134,16 +134,21 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
     return int(M), P
 
 
-# The gaps take a float or an array and log1p through libm element by element,
-# so a scan on the array agrees bitwise with scalar bisection on the same points.
+# The gaps take a float or an array.  A scan takes the array and numpy's log1p,
+# which may differ from libm's in the last bit; largest_root re-evaluates every
+# grid point near zero as a float, through libm's log1p, as bisection does.
+
+
+def _log1p(x):
+    return np.log1p(x) if isinstance(x, np.ndarray) else math.log1p(x)
 
 
 def _bc_log_gap(x, M: int, P: float):
-    return M * _libm(math.log1p, (P / M) * x * (M - x)) - (M - 1) * _libm(math.log1p, P * x)
+    return M * _log1p((P / M) * x * (M - x)) - (M - 1) * _log1p(P * x)
 
 
 def _mac_log_gap(x, M: int, P: float):
-    return M * _libm(math.log1p, P * x * (M - x)) - (M - 1) * _libm(math.log1p, M * P * x)
+    return M * _log1p(P * x * (M - x)) - (M - 1) * _log1p(M * P * x)
 
 
 def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "MAX_HADAMARD_LOG2",
@@ -29,6 +28,7 @@ __all__ = [
 
 MAX_HADAMARD_LOG2 = 10
 _GRID_POINTS = 10_001  # samples in the scan grid of largest_root
+_ARRAY_SLACK = 1e3  # f on an array may differ from f on a float by less than this times tol
 
 
 class RootFindingError(RuntimeError):
@@ -59,8 +59,14 @@ def _libm(fn, x):
     return fn(x)
 
 
+# scipy.special is imported where it is called, so the solve path never loads
+# it: the cdf and quantile run once per chunk or decoded trial, never per step.
+
+
 def std_normal_cdf(x):
     """Standard normal cdf.  Scalars in, float out; ndarrays map elementwise."""
+    from scipy.special import ndtr
+
     if np.ndim(x) == 0:
         return float(ndtr(float(x)))
     return ndtr(np.asarray(x, dtype=float))
@@ -72,6 +78,8 @@ def std_normal_quantile(p):
     Raises ValueError outside (0, 1); the embedding step relies on this to
     reject degenerate message points rather than emitting infinities.
     """
+    from scipy.special import ndtri
+
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
@@ -118,23 +126,30 @@ def largest_root(
 ) -> RootResult:
     """Largest x in [lo, hi] with f(x) = 0.
 
-    ``f`` must act elementwise on a 1-D float array and also accept a float:
-    it is called once on the whole uniform grid of 10 001 samples, and then
-    on floats only, for the two ends of the chosen cell and each bisection
-    step.  The largest cell whose values change sign (or that ends on an
-    exact zero) is bisected to floating-point resolution; a grid point where
-    f vanishes exactly short-circuits.  If no sign change exists, the
+    ``f`` must act elementwise on a 1-D float array and also accept a float.
+    It is called once on the whole uniform grid of 10 001 samples, and then
+    on floats only.  f on an array may differ from f on a float by less than
+    1e3·tol, and is NaN exactly where the float is.  So every grid value
+    within (1e3 + 1)·tol of zero is evaluated again as a float, and no other
+    value can differ from its float value in sign, in being zero or in
+    |f| <= tol: the scan finds what one float call per grid point would.
+    The largest cell whose values change sign (or that ends on an exact
+    zero) is bisected on floats to floating-point resolution; a grid point
+    where f vanishes exactly short-circuits.  If no sign change exists, the
     largest grid point with |f| <= tol is accepted (tangent roots), otherwise
-    NoSignChangeError carries the scan diagnostics.
+    NoSignChangeError carries the scan diagnostics, read off the whole grid
+    on floats.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
     xs = np.linspace(float(lo), float(hi), _GRID_POINTS)
-    vals = np.asarray(f(xs), dtype=float)
+    vals = np.array(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("f must map the scan grid elementwise")
     if np.any(np.isnan(vals)):
         raise ValueError("f evaluated to NaN on the scan grid")
+    recheck = np.flatnonzero(np.abs(vals) <= (_ARRAY_SLACK + 1.0) * tol)
+    vals[recheck] = [f(x) for x in xs[recheck].tolist()]
 
     neg = vals < 0.0
     hits = np.flatnonzero((vals[1:] == 0.0) | (neg[1:] != neg[:-1]))
@@ -151,6 +166,7 @@ def largest_root(
     if near.size:
         i = int(near[-1])
         return RootResult(float(xs[i]), float(abs(vals[i])), 0)
+    vals = np.array([f(x) for x in xs.tolist()], dtype=float)
     raise NoSignChangeError(
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"

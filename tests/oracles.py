@@ -13,7 +13,9 @@ must reproduce a package routine bit for bit rather than to rounding:
 
 * :func:`scan_largest_root`, the package's former point-by-point scan, is
   the reference that the array scan of ``largest_root`` must reproduce
-  exactly; it shares the package's bisection.
+  exactly; it shares the package's bisection.  Fed :func:`libm_bc_log_gap`
+  or :func:`libm_mac_log_gap`, the sum-rate gaps with libm's ``log1p`` on
+  one float at a time, it is the pure-float scan of a lambda solve.
 * :func:`draw_trial`, the package's former one-call draw, takes a whole
   trial's stream at once and is the reference for ``draw_batch``'s blocks.
 * :func:`scalar_trial`, the package's former single-trial loop, folds each
@@ -134,6 +136,16 @@ def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+def libm_bc_log_gap(x: float, M: int, P: float) -> float:
+    """The broadcast log gap of one float, through libm's log1p."""
+    return M * math.log1p((P / M) * x * (M - x)) - (M - 1) * math.log1p(P * x)
+
+
+def libm_mac_log_gap(x: float, M: int, P: float) -> float:
+    """The multiple-access log gap of one float, through libm's log1p."""
+    return M * math.log1p(P * x * (M - x)) - (M - 1) * math.log1p(M * P * x)
 
 
 def draw_trial(rng: np.random.Generator, M: int, horizon: int):

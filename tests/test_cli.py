@@ -485,3 +485,47 @@ def test_console_script_end_to_end():
     payload = json.loads(proc.stdout)
     # single receiver: the full point-to-point capacity
     assert payload["sum_rate_bits"] == pytest.approx(1.7297158093186487, abs=1e-12)
+
+
+def test_solve_path_never_loads_scipy_special(tmp_path, capsys):
+    # scipy.special is imported at the first normal cdf or quantile, which only
+    # simulate and sweep reach; the child prints the same CSV as this process
+    path = write_config(tmp_path, base_config(trials=200, horizon=12))
+    assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+    want = capsys.readouterr().out
+    code = "\n".join([
+        "import sys",
+        "from bcfeedback.cli import main",
+        "assert main(['duality', '-M', '2,64', '-P', '1e-9,10']) == 0",
+        "assert main(['solve', '--scheme', 'ozarow2', '-P', '10']) == 0",
+        "assert 'scipy.special' not in sys.modules, 'the solve path loaded scipy.special'",
+        f"assert main(['simulate', '--config', {path!r}, '--threads', '1']) == 0",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    src = str(Path(bcfeedback.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(want)
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["solve", "--scheme", "ozarow2", "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(["solve", "--scheme", "ozarow2"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("scheme: ozarow2\n")
+    assert main(["duality", "-M", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+    assert main(["duality"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9  # -M 2,4,8 by -P 1,10,100
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scheme", "ozarow2", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["solve", "--scheme", "ozarow2"]) == 0
+    assert capsys.readouterr().out == text

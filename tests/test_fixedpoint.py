@@ -18,7 +18,7 @@ from bcfeedback.fixedpoint import (
     solve_lambda_mac,
     solve_rho,
 )
-from bcfeedback.numerics import _GRID_POINTS, largest_root
+from bcfeedback.numerics import _ARRAY_SLACK, _GRID_POINTS, largest_root
 from bcfeedback.schedules import rate_report
 from oracles import (
     A1_STAR_SQ_10,
@@ -34,8 +34,11 @@ from oracles import (
     RHO_STAR_10,
     U1_2_10,
     bisect,
+    libm_bc_log_gap,
+    libm_mac_log_gap,
     mp_rho_map,
     mp_solve_b_gamma,
+    scan_largest_root,
 )
 
 MP_GRID = [(2, 0.5), (2, 1.0), (2, 10.0), (4, 1.0), (4, 10.0), (8, 10.0),
@@ -136,11 +139,13 @@ def test_lambda_solvers_cover_the_whole_input_range(m, logp):
 
 
 # ----------------------------------------------------------------------------
-# root scans: one array call, bitwise the float values
+# root scans: one array call, certified on the float path
 # ----------------------------------------------------------------------------
 
+SCAN_M = (2, 3, 7, 64, 100, 1000, 1024)
 SCAN_P = (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9)
 OZAROW_NOISES = ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1.0, 2.0), (0.0, 0.3, 3.0))
+LAMBDA_SOLVERS = ((solve_lambda_bc, libm_bc_log_gap), (solve_lambda_mac, libm_mac_log_gap))
 
 
 def _same_bits_as_float_calls(f, xs):
@@ -148,12 +153,69 @@ def _same_bits_as_float_calls(f, xs):
     return np.array_equal(f(xs).view(np.int64), one_by_one.view(np.int64))
 
 
-@pytest.mark.parametrize("m", [2, 3, 7, 64, 100, 1000, 1024])
-def test_log_gaps_on_the_grid_are_bitwise_the_float_values(m):
-    xs = np.linspace(1.0, float(m), _GRID_POINTS)
+def _scan_of(solve, monkeypatch):
+    """(f, lo, hi, tol, result) of the one root scan that ``solve()`` runs."""
+    seen = []
+
+    def recording_largest_root(f, lo, hi, tol):
+        res = largest_root(f, lo, hi, tol)
+        seen.append((f, lo, hi, tol, res))
+        return res
+
+    monkeypatch.setattr(fixedpoint, "largest_root", recording_largest_root)
+    solve()
+    (scan,) = seen
+    return scan
+
+
+def _scans(m, monkeypatch):
+    """Every lambda scan at m over SCAN_P, with its libm oracle of one float."""
     for p in SCAN_P:
-        for gap in (fixedpoint._bc_log_gap, fixedpoint._mac_log_gap):
-            assert _same_bits_as_float_calls(lambda x: gap(x, m, p), xs), (gap, p)
+        for solve, oracle in LAMBDA_SOLVERS:
+            scan = _scan_of(lambda: solve(m, p), monkeypatch)
+            yield scan, (lambda x, p=p, oracle=oracle: oracle(x, m, p))
+
+
+@pytest.mark.parametrize("m", SCAN_M)
+def test_lambda_scans_return_the_pure_float_scan_result(m, monkeypatch):
+    for (_, lo, hi, tol, res), oracle in _scans(m, monkeypatch):
+        assert repr(res) == repr(scan_largest_root(oracle, lo, hi, tol))
+
+
+@pytest.mark.parametrize("noise", OZAROW_NOISES)
+def test_rho_scans_return_the_pure_float_scan_result(noise, monkeypatch):
+    for p in SCAN_P:
+        f, lo, hi, tol, res = _scan_of(lambda: solve_rho(p, *noise, 1.0), monkeypatch)
+        assert repr(res) == repr(scan_largest_root(f, lo, hi, tol))
+
+
+@pytest.mark.parametrize("m", SCAN_M)
+def test_log_gaps_on_the_grid_are_far_inside_the_recheck_band(m, monkeypatch):
+    # numpy's log1p is off by an ulp or so; largest_root re-evaluates on floats
+    # every grid value within _ARRAY_SLACK * tol of zero
+    for (f, lo, hi, tol, _), oracle in _scans(m, monkeypatch):
+        xs = np.linspace(lo, hi, _GRID_POINTS)
+        floats = np.array([oracle(x) for x in xs.tolist()])
+        assert np.max(np.abs(f(xs) - floats)) < 1e-6 * _ARRAY_SLACK * tol
+
+
+@pytest.mark.parametrize("m", SCAN_M)
+def test_scan_survives_array_errors_of_half_the_recheck_band(m, monkeypatch):
+    # an array path off by up to half the band, at random or pushing every
+    # value across zero, still gives the pure-float answer
+    rng = np.random.default_rng(m)
+    for (f, lo, hi, tol, _), oracle in _scans(m, monkeypatch):
+        slack = 0.5 * _ARRAY_SLACK * tol
+        want = repr(scan_largest_root(oracle, lo, hi, tol))
+        for push in (lambda v: rng.uniform(-slack, slack, v.shape),
+                     lambda v: -slack * np.sign(v)):
+            def perturbed(x, f=f, push=push):
+                if np.ndim(x) == 0:
+                    return f(x)
+                v = f(x)
+                return v + push(v)
+
+            assert repr(largest_root(perturbed, lo, hi, tol)) == want
 
 
 @pytest.mark.parametrize("noise", OZAROW_NOISES)
@@ -170,27 +232,34 @@ def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise):
     lambda: solve_lambda_mac(64, 1e-6),
     lambda: solve_rho(10.0, 0.0, 1.0, 1.0, 1.0),
     lambda: solve_rho(1e3, 0.5, 1.0, 2.0, 2.0),
+    lambda: solve_lambda_bc(2, 1e-9),
+    lambda: solve_lambda_mac(1024, 1e-6),
 ])
 def test_solvers_scan_with_one_array_call(solve, monkeypatch):
-    # f once on the whole grid, twice at the bracket ends, once per bisection step
+    # f once on the whole grid; then on floats only: once per grid value near
+    # zero, in grid order, then twice at the bracket ends and once per
+    # bisection step
     seen = []
 
     def counting_largest_root(f, lo, hi, tol):
         calls = []
 
         def counted(x):
-            calls.append(np.ndim(x))
-            return f(x)
+            calls.append((x, f(x)))
+            return calls[-1][1]
 
         res = largest_root(counted, lo, hi, tol)
-        seen.append((calls, res.iterations))
+        seen.append((calls, tol, res.iterations))
         return res
 
     monkeypatch.setattr(fixedpoint, "largest_root", counting_largest_root)
     solve()
-    ((calls, iterations),) = seen
-    assert calls[0] == 1 and calls[1:].count(1) == 0
-    assert len(calls) <= 3 + iterations
+    ((calls, tol, iterations),) = seen
+    (grid, vals), floats = calls[0], [x for x, _ in calls[1:]]
+    assert np.ndim(grid) == 1 and all(np.ndim(x) == 0 for x in floats)
+    near = grid[np.abs(vals) <= (_ARRAY_SLACK + 1.0) * tol].tolist()
+    assert floats[:len(near)] == near
+    assert len(calls) <= 3 + iterations + len(near)
 
 
 # ----------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfeedback.numerics import (
+    _ARRAY_SLACK,
     MAX_HADAMARD_LOG2,
     NoSignChangeError,
     RootFindingError,
@@ -223,6 +224,27 @@ def scan_cases(draw):
 def test_largest_root_matches_the_point_by_point_scan(case):
     f, lo, hi, tol = case
     assert _outcome(largest_root, f, lo, hi, tol) == _outcome(scan_largest_root, f, lo, hi, tol)
+
+
+@given(scan_cases(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_largest_root_ignores_array_errors_inside_the_slack(case, seed, push):
+    # f on an array may differ from f on a float by less than _ARRAY_SLACK * tol:
+    # an array path off by up to half that, at random or pushing every value
+    # toward and across zero, still gives what one float call per point gives,
+    # diagnostics included
+    f, lo, hi, tol = case
+    slack = 0.5 * _ARRAY_SLACK * tol
+    rng = np.random.default_rng(seed)
+
+    def perturbed(x):
+        v = f(x)
+        if np.ndim(x) == 0:
+            return v
+        return v - slack * np.sign(v) if push else v + rng.uniform(-slack, slack, v.shape)
+
+    got = _outcome(largest_root, perturbed, lo, hi, tol)
+    assert got == _outcome(scan_largest_root, f, lo, hi, tol)
 
 
 def test_largest_root_rejects_f_that_is_not_elementwise():
