@@ -10,6 +10,8 @@ output variance.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ class ChannelConfig:
 BLOCK_NORMALS = 4096
 
 
-def draw_batch(seeds: list, M: int, horizon: int):
+def draw_batch(seeds: list, M: int, horizon: int, threads: int = 1):
     """The trial stream layout for each of ``seeds``: the only code that draws.
 
     A trial's stream holds M message-point uniforms, then 1 + M standard
@@ -74,6 +76,11 @@ def draw_batch(seeds: list, M: int, horizon: int):
     with the horizon.  A row is valid only until the next one is taken.
     Successive fills continue each generator's stream, so the rows are the
     whole stream's normals in order, bit for bit.
+
+    Each block fill is split into min(threads, trials) contiguous slices of
+    trials, filled side by side before the block's rows are yielded, so each
+    generator is advanced by one thread only, in stream order, and the
+    normals do not depend on ``threads``.
     """
     block = max(1, BLOCK_NORMALS // (1 + M))
     # allocated before the generators, whose small allocations would otherwise
@@ -83,18 +90,28 @@ def draw_batch(seeds: list, M: int, horizon: int):
     theta = np.empty((len(rngs), M))
     for row, rng in zip(theta, rngs):
         row[:] = rng.random(M)
-    return theta, _noise_rows(rngs, buf, horizon)
+    return theta, _noise_rows(rngs, buf, horizon, max(1, min(threads, len(rngs))))
 
 
-def _noise_rows(rngs, buf: np.ndarray, horizon: int):
-    done = 0
-    while done < horizon:
-        k = min(buf.shape[1], horizon - done)
-        for out, rng in zip(buf[:, :k], rngs):
-            rng.standard_normal(out=out)
-        for j in range(k):
-            yield buf[:, j]
-        done += k
+def _fill(rngs, block: np.ndarray) -> None:
+    for out, rng in zip(block, rngs):
+        rng.standard_normal(out=out)  # releases the GIL while it fills
+
+
+def _noise_rows(rngs, buf: np.ndarray, horizon: int, parts: int):
+    cuts = [len(rngs) * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) if parts > 1 else nullcontext() as helpers:
+        done = 0
+        while done < horizon:
+            k = min(buf.shape[1], horizon - done)
+            slices = [(rngs[lo:hi], buf[lo:hi, :k]) for lo, hi in zip(cuts, cuts[1:])]
+            helped = [helpers.submit(_fill, *part) for part in slices[1:]]
+            _fill(*slices[0])
+            for fut in helped:
+                fut.result()
+            for j in range(k):
+                yield buf[:, j]
+            done += k
 
 
 def channel_outputs(config: ChannelConfig, x, z: np.ndarray) -> np.ndarray:
@@ -105,7 +122,10 @@ def channel_outputs(config: ChannelConfig, x, z: np.ndarray) -> np.ndarray:
     """
     common_std = math.sqrt(config.common_noise_var)
     private_std = np.sqrt(np.asarray(config.private_noise_vars, dtype=float))
-    return np.asarray(x)[..., None] + common_std * z[..., :1] + private_std * z[..., 1:]
+    # (x + common) + private, added in place: addition commutes bit for bit
+    y = private_std * z[..., 1:]
+    y += np.asarray(x)[..., None] + common_std * z[..., :1]
+    return y
 
 
 def spawn_trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:

@@ -18,7 +18,6 @@ import functools
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .channel import ChannelConfig
 from .fixedpoint import solve_lambda_bc, solve_lambda_mac
 from .montecarlo import (
     CSV_HEADER,
+    _usable_cpus,
     csv_rows,
     default_policies,
     estimate,
@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--config", required=True, help="JSON config path")
         p_sim.add_argument("--out", default=None,
                            help="CSV output path (default: config 'out' or stdout)")
-        p_sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p_sim.add_argument("--threads", type=int, default=_usable_cpus(),
+                           help="threads to use (default: the CPUs this process may "
+                                "run on); the output does not depend on it")
         p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
         p_sim.add_argument("--trials", type=int, default=None)
         p_sim.add_argument("--horizon", type=int, default=None)

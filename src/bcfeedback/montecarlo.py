@@ -5,15 +5,16 @@ master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
 the message points, then 1 + M standard normals per step), the only code that
 draws.  ``run_trial`` runs one trial and replays its decoders; ``run_batch``
 is its vectorised twin used for estimation, processing trials in fixed chunks
-of ``CHUNK_SIZE`` so results are byte-identical no matter how many worker
-threads execute the chunks.  A trial draws as a batch of one and a chunk as a
-batch of its trials, with the normals drawn in blocks of steps into one
-reused (trials, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS // (1 + M)) and
-``channel.BLOCK_NORMALS`` = 4096.  So the noise takes at most 32 KiB per
-trial (32 MiB for a full chunk; one step's 1 + M normals once M > 4095),
-whatever the horizon.  Both step through ``_steps``, the one loop that
-encodes, forms outputs with ``channel_outputs`` and updates the sources; the
-batch folds the decoder replay maps only to check the round trip.
+of ``CHUNK_SIZE`` reduced in chunk order.  Threads run chunks side by side and
+split a chunk's noise fills by trial, each generator advanced by one thread,
+so results are byte-identical for any thread count.  A trial draws as a batch
+of one and a chunk as a batch of its trials, with the normals drawn in blocks
+of steps into one reused (trials, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS
+// (1 + M)) and ``channel.BLOCK_NORMALS`` = 4096.  So the noise takes at most
+32 KiB per trial (32 MiB for a full chunk; one step's 1 + M normals once
+M > 4095), whatever the horizon.  Both step through ``_steps``, the one loop
+that encodes, forms outputs with ``channel_outputs`` and updates the sources;
+the batch folds the decoder replay maps only to check the round trip.
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
@@ -267,9 +268,9 @@ class BatchStats:
 
 def _run_chunk(prepared: PreparedScheme, horizon: int,
                policies: list[IntervalPolicy], marks: tuple[int, ...],
-               seeds, check_roundtrip: bool):
+               seeds, check_roundtrip: bool, draw_threads: int):
     m = prepared.channel.num_receivers
-    theta, noise = draw_batch(seeds, m, horizon)
+    theta, noise = draw_batch(seeds, m, horizon, draw_threads)
 
     s1 = embed_message(theta, prepared.p0)
     dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
@@ -310,10 +311,12 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
               threads: int = 1, check_roundtrip: bool = False) -> BatchStats:
     """Vectorised trials in fixed chunks; reduction order is chunk order.
 
-    The thread count only schedules chunk execution, never the arithmetic, so
-    every (seed, trials, horizon) triple gives identical statistics.  Each
-    worker holds one chunk's noise block, so at most min(threads, chunks,
-    usable CPUs) of them run.
+    At most cpus = min(threads, usable CPUs) threads run at once: one worker
+    per chunk, up to cpus of them, and when fewer chunks than that run, each
+    chunk's noise blocks are filled by cpus // workers threads.  Threads only
+    decide where a chunk runs and which thread advances a trial's generator,
+    never the arithmetic or its order, so every (seed, trials, horizon) triple
+    gives identical statistics.
     """
     m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)
@@ -321,10 +324,13 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     seeds = spawn_trial_seeds(seed, trials)
     chunks = [seeds[i:i + CHUNK_SIZE] for i in range(0, trials, CHUNK_SIZE)]
 
-    def work(chunk):
-        return _run_chunk(prepared, horizon, policies, marks, chunk, check_roundtrip)
+    cpus = max(1, min(threads, _usable_cpus()))
+    workers = min(cpus, len(chunks))
 
-    workers = min(threads, len(chunks), _usable_cpus())
+    def work(chunk):
+        return _run_chunk(prepared, horizon, policies, marks, chunk, check_roundtrip,
+                          cpus // workers)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, chunks))

@@ -74,6 +74,19 @@ def test_noise_stds():
     assert np.array_equal(channel_outputs(cfg, 0.0, np.ones(3)), [5.0, 2.0])
 
 
+def test_outputs_add_the_private_noise_last():
+    # y = (x + sigma z_0) + sigma_m z_m, rounded in that order, for a batch and
+    # for one trial's 0-d x; a different grouping moves the last bits
+    cfg = make_config(common_noise_var=0.3, private_noise_vars=(0.7, 1.9))
+    rng = np.random.default_rng(5)
+    x, z = 3.0 * rng.standard_normal(200), rng.standard_normal((200, 3))
+    c, p = np.sqrt(0.3), np.sqrt([0.7, 1.9])
+    want = (x[:, None] + c * z[:, :1]) + p * z[:, 1:]
+    assert channel_outputs(cfg, x, z).tobytes() == want.tobytes()
+    for i in range(200):
+        assert channel_outputs(cfg, x[i], z[i]).tobytes() == want[i].tobytes()
+
+
 # ----------------------------------------------------------------------------
 # sampling
 # ----------------------------------------------------------------------------

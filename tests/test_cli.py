@@ -324,6 +324,13 @@ def test_simulate_deterministic_across_threads(tmp_path, capsys):
     assert out1 == out4
 
 
+def test_simulate_threads_default_to_the_usable_cpus():
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    for name in ("simulate", "sweep"):
+        assert cli.build_parser().parse_args([name, "--config", "c.json"]).threads == usable
+
+
 def test_simulate_cli_overrides(tmp_path, capsys):
     path = write_config(tmp_path, base_config(trials=200, horizon=12))
     rc = main(["simulate", "--config", path, "--trials", "256", "--horizon", "8",

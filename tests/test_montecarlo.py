@@ -1,14 +1,18 @@
 import io
+import itertools
 import math
 import os
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcfeedback import channel as channel_module
 from bcfeedback import montecarlo
 from bcfeedback.channel import BLOCK_NORMALS, ChannelConfig, spawn_trial_seeds
 from bcfeedback.core import IntervalPolicy
@@ -301,8 +305,31 @@ def test_batch_thread_count_does_not_change_a_byte(monkeypatch):
         assert np.array_equal(one.cum_power_sumsq, four.cum_power_sumsq)
 
 
+def test_batch_draws_split_over_spare_cpus_do_not_change_a_byte(monkeypatch):
+    # claim four CPUs, so a lone chunk's noise fills split four ways on any host
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    m8 = ChannelConfig(8, 10.0, 0.0, (1.0,) * 8)
+    block = max(1, BLOCK_NORMALS // 9)
+    horizon = block + 7  # the second block ends mid-block
+    prep = prepare_scheme("symmetric", m8, horizon)
+    pol = default_policies(prep, 0.5)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        # 3 and 101 trials do not divide into four parts, 1 and 2 are fewer than four
+        for trials, check in itertools.product((1, 2, 3, 101, CHUNK_SIZE), (False, True)):
+            one = run_batch(prep, horizon, pol, 21, trials, threads=1, check_roundtrip=check)
+            four = run_batch(prep, horizon, pol, 21, trials, threads=4, check_roundtrip=check)
+            assert one.err_counts.tobytes() == four.err_counts.tobytes(), (trials, check)
+            assert one.cum_power_sum.tobytes() == four.cum_power_sum.tobytes(), (trials, check)
+            assert one.cum_power_sumsq.tobytes() == four.cum_power_sumsq.tobytes(), (trials, check)
+            assert one.roundtrip_max_relerr == four.roundtrip_max_relerr, (trials, check)
+    finally:
+        sys.setswitchinterval(switch)
+
+
 class _RecordingPool:
-    """A ThreadPoolExecutor stand-in that records max_workers and maps serially."""
+    """A ThreadPoolExecutor stand-in that records max_workers and runs work serially."""
 
     created: list[int] = []
 
@@ -318,34 +345,67 @@ class _RecordingPool:
     def map(self, fn, items):
         return map(fn, items)
 
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
 
 def test_batch_workers_are_capped_by_chunks_and_cpus(monkeypatch):
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 2)
     pol = default_policies(prep, 0.5)
     five_chunks = 4 * CHUNK_SIZE + 1
     serial = run_batch(prep, 2, pol, 3, five_chunks, threads=1)
     live = threading.active_count()
 
-    def workers(trials):
+    # real threads: at most min(threads, usable CPUs) of them work at once,
+    # counting this thread when it runs a lone chunk and not when it waits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    alive = []
+    fill = channel_module._fill
+
+    def counting(rngs, block):
+        alive.append(threading.active_count() - live)
+        fill(rngs, block)
+
+    monkeypatch.setattr(channel_module, "_fill", counting)
+    for trials, threads in ((five_chunks, 64), (CHUNK_SIZE + 1, 64), (CHUNK_SIZE, 64),
+                            (5, 64), (CHUNK_SIZE, 2)):
+        alive.clear()
+        run_batch(prep, 2, pol, 3, trials, threads=threads)
+        busy = max(alive) + (trials <= CHUNK_SIZE)
+        assert 1 <= busy <= min(threads, 3), (trials, threads, alive)
+    monkeypatch.setattr(channel_module, "_fill", fill)
+    assert threading.active_count() == live
+
+    for module in (montecarlo, channel_module):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+
+    def workers(trials, threads=64):
         _RecordingPool.created.clear()
-        stats = run_batch(prep, 2, pol, 3, trials, threads=64)
+        stats = run_batch(prep, 2, pol, 3, trials, threads=threads)
         if trials == five_chunks:
             assert np.array_equal(stats.err_counts, serial.err_counts)
             assert stats.cum_power_sum.tobytes() == serial.cum_power_sum.tobytes()
         return _RecordingPool.created
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert workers(five_chunks) == [3]
-    assert workers(CHUNK_SIZE + 1) == [2]  # two chunks
-    assert workers(CHUNK_SIZE) == []  # one chunk runs inline
+    assert workers(CHUNK_SIZE + 1) == [2]  # two chunks, too few spare CPUs to split
+    # one chunk runs on this thread, and two helpers fill parts of its noise blocks
+    assert workers(CHUNK_SIZE) == [2]
+    assert workers(CHUNK_SIZE, threads=2) == [1]
+    assert workers(CHUNK_SIZE, threads=1) == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert workers(CHUNK_SIZE) == []  # one usable CPU
     # a platform without sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert workers(five_chunks) == [4]
+    assert workers(2 * CHUNK_SIZE) == [2, 1, 1]  # two workers, each with one helper
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
     assert workers(five_chunks) == []
+    assert workers(CHUNK_SIZE) == []
     assert threading.active_count() == live
 
 
