@@ -298,7 +298,12 @@ def cmd_duality(args) -> int:
         for p in ps:
             with _input_errors():
                 bc = solve_lambda_bc(m, p)
-                mac = solve_lambda_mac(m, p / m)
+            p_mac = p / m
+            if p_mac == 0.0:
+                raise ConfigError(f"P/M = {p!r}/{m} underflows to 0: the multiple-access "
+                                  "twin needs a positive power")
+            with _input_errors():
+                mac = solve_lambda_mac(m, p_mac)
             diff = abs(bc.sum_rate - mac.sum_rate)
             worst = max(worst, diff)
             ok = "yes" if diff <= DUALITY_TOL else "no"

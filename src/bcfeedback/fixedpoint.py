@@ -135,8 +135,9 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
 
 
 # The gaps take a float or an array.  A scan takes the array and numpy's log1p,
-# which may differ from libm's in the last bit; largest_root re-evaluates every
-# grid point near zero as a float, through libm's log1p, as bisection does.
+# which may differ from libm's in the last bit; largest_root re-evaluates as a
+# float, through libm's log1p as bisection does, every grid point within the
+# slack that _solve_lambda sizes to the gap's two log terms.
 
 
 def _log1p(x):
@@ -152,13 +153,26 @@ def _mac_log_gap(x, M: int, P: float):
 
 
 def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:
+    """Largest root in [1, M] of ``gap``, a difference of two log terms.
+
+    Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops
+    at float resolution, so an absolute tol alone fails at large P: tol is
+    1e-12·max(1, T).  The scan's slack is 1e3·1e-12·T, the same without the
+    clamp.  The array and float gaps form the log1p arguments with the same
+    IEEE operations and differ only by numpy's and libm's log1p: by at most
+    2 ulp of the terms' sum over M <= 1024 and P from 5e-324 to 1e300, under
+    1e-6 of the slack.  So the slack is 1e3·tol wherever T >= 1, and below
+    that it shrinks with T, as the gap does: at M = 2, P = 1e-9 the scan
+    re-evaluates 10 grid points on floats instead of 6181.  Where T is so
+    small that the slack underflows to 0, every grid value lies within tol
+    and is re-evaluated anyway.
+    """
     if M == 1:
         lam, residual = 1.0, abs(gap(1.0, 1, P))
     else:
-        # the log terms grow to (M - 1) log1p(gain M), and bisection stops at
-        # float resolution, so an absolute tol alone fails at large P
-        scale = max(1.0, (M - 1) * math.log1p(gain * M))
-        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M), _ROOT_TOL * scale)
+        terms = (M - 1) * math.log1p(gain * M)
+        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M),
+                           _ROOT_TOL * max(1.0, terms), slack=1e3 * _ROOT_TOL * terms)
         lam, residual = res.root, res.residual
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")

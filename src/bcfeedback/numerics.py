@@ -28,7 +28,7 @@ __all__ = [
 
 MAX_HADAMARD_LOG2 = 10
 _GRID_POINTS = 10_001  # samples in the scan grid of largest_root
-_ARRAY_SLACK = 1e3  # f on an array may differ from f on a float by less than this times tol
+_ARRAY_SLACK = 1e3  # default slack of largest_root, in units of tol
 
 
 class RootFindingError(RuntimeError):
@@ -123,14 +123,18 @@ def largest_root(
     lo: float,
     hi: float,
     tol: float = 1e-12,
+    slack: float | None = None,
 ) -> RootResult:
     """Largest x in [lo, hi] with f(x) = 0.
 
     ``f`` must act elementwise on a 1-D float array and also accept a float.
     It is called once on the whole uniform grid of 10 001 samples, and then
     on floats only.  f on an array may differ from f on a float by less than
-    1e3·tol, and is NaN exactly where the float is.  So every grid value
-    within (1e3 + 1)·tol of zero is evaluated again as a float, and no other
+    ``slack`` (default 1e3·tol), and is NaN exactly where the float is.  The
+    caller sizes ``slack`` to its f: a sum of terms whose array and float
+    forms differ only in the last bits may pass a band proportional to the
+    terms' size, far below 1e3·tol where they are small.  Every grid value
+    within slack + tol of zero is evaluated again as a float, and no other
     value can differ from its float value in sign, in being zero or in
     |f| <= tol: the scan finds what one float call per grid point would.
     The largest cell whose values change sign (or that ends on an exact
@@ -142,13 +146,17 @@ def largest_root(
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
+    if slack is None:
+        slack = _ARRAY_SLACK * tol
+    elif not slack >= 0.0:
+        raise ValueError("largest_root needs slack >= 0")
     xs = np.linspace(float(lo), float(hi), _GRID_POINTS)
     vals = np.array(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("f must map the scan grid elementwise")
     if np.any(np.isnan(vals)):
         raise ValueError("f evaluated to NaN on the scan grid")
-    recheck = np.flatnonzero(np.abs(vals) <= (_ARRAY_SLACK + 1.0) * tol)
+    recheck = np.flatnonzero(np.abs(vals) <= slack + tol)
     vals[recheck] = [f(x) for x in xs[recheck].tolist()]
 
     neg = vals < 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -259,6 +260,34 @@ def test_duality_at_the_top_of_the_power_range(capsys):
     assert main(["duality", "-M", "2", "-P", "1e9"]) == 0
     row = capsys.readouterr().out.strip().split("\n")[1]
     assert row.startswith("2,1000000000,") and row.endswith(",yes")
+
+
+# sha256 of the solve path's stdout over M = 2 ... 1024 and P = 1e-9 ... 1e9:
+# the bytes of the sum-rate and rho scans, as GOLDEN_CSV pins the Monte Carlo's
+SOLVE_PATH_P = ("1e-9", "1e-6", "1e-3", "1", "10", "1e3", "1e6", "1e9")
+DUALITY_SHA256 = "280adab60229d9483e79505c3badef14c3f70deb29dc8e9bc3bbe068e04f9ed0"
+OZAROW2_SHA256 = "4f69a3fd939eef289e75076ffef8a1330dad336007e710f3de69b6f112afafe1"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_solve_path_output_bytes_are_pinned(capsys):
+    ms = ",".join(str(2**k) for k in range(1, 11))
+    assert main(["duality", "-M", ms, "-P", ",".join(SOLVE_PATH_P)]) == 0
+    assert _sha256(capsys.readouterr().out) == DUALITY_SHA256
+    for p in SOLVE_PATH_P:
+        assert main(["solve", "--scheme", "ozarow2", "-M", "2", "-P", p, "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == OZAROW2_SHA256
+
+
+@pytest.mark.parametrize("m, p", [("2", "5e-324"), ("4", "1e-323")])
+def test_duality_names_the_twin_power_that_underflows(m, p, capsys):
+    # P is positive and finite, but the multiple-access twin's P/M rounds to 0
+    assert main(["duality", "-M", m, "-P", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: P/M = ") and "underflows to 0" in err
 
 
 def test_duality_gap_above_tolerance_exits_1(monkeypatch, capsys):

@@ -185,10 +185,10 @@ def test_largest_root_on_integer_lattice_cubics(roots):
     assert res.root == pytest.approx(r3, abs=1e-9)
 
 
-def _outcome(fn, f, lo, hi, tol):
+def _outcome(fn, *args):
     """The RootResult, or the exception's type and message."""
     try:
-        return fn(f, lo, hi, tol)
+        return fn(*args)
     except (ValueError, RootFindingError) as exc:
         return type(exc), str(exc)
 
@@ -226,25 +226,40 @@ def test_largest_root_matches_the_point_by_point_scan(case):
     assert _outcome(largest_root, f, lo, hi, tol) == _outcome(scan_largest_root, f, lo, hi, tol)
 
 
-@given(scan_cases(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def _slacks(tol):
+    """None (the default, 1e3·tol), 0, tiny absolute slacks, or 1e-3 to 1e3 times the default."""
+    return st.one_of(
+        st.sampled_from([None, 0.0, 5e-324, 1e-300, 1e-20]),
+        st.floats(min_value=1e-3, max_value=1e3).map(lambda k: k * _ARRAY_SLACK * tol),
+    )
+
+
+@given(scan_cases(), st.data(), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_largest_root_ignores_array_errors_inside_the_slack(case, seed, push):
-    # f on an array may differ from f on a float by less than _ARRAY_SLACK * tol:
-    # an array path off by up to half that, at random or pushing every value
-    # toward and across zero, still gives what one float call per point gives,
-    # diagnostics included
+def test_largest_root_ignores_array_errors_inside_the_slack(case, data, seed, push):
+    # f on an array may differ from f on a float by less than the slack: an
+    # array path off by up to half that, at random or pushing every value
+    # toward and across zero, still gives what one float call per point
+    # gives, diagnostics included
     f, lo, hi, tol = case
-    slack = 0.5 * _ARRAY_SLACK * tol
+    slack = data.draw(_slacks(tol), label="slack")
+    half = 0.5 * (_ARRAY_SLACK * tol if slack is None else slack)
     rng = np.random.default_rng(seed)
 
     def perturbed(x):
         v = f(x)
         if np.ndim(x) == 0:
             return v
-        return v - slack * np.sign(v) if push else v + rng.uniform(-slack, slack, v.shape)
+        return v - half * np.sign(v) if push else v + rng.uniform(-half, half, v.shape)
 
-    got = _outcome(largest_root, perturbed, lo, hi, tol)
+    got = _outcome(largest_root, perturbed, lo, hi, tol, slack)
     assert got == _outcome(scan_largest_root, f, lo, hi, tol)
+
+
+def test_largest_root_rejects_a_negative_or_nan_slack():
+    for slack in (-1e-12, float("nan")):
+        with pytest.raises(ValueError, match="slack"):
+            largest_root(lambda x: x, 0.0, 1.0, 1e-12, slack)
 
 
 def test_largest_root_rejects_f_that_is_not_elementwise():
