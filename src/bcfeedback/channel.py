@@ -10,6 +10,7 @@ output variance.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -54,10 +55,19 @@ class ChannelConfig:
         if c == 0.0 and max(priv) == 0.0:
             raise ValueError("completely noiseless channel is not supported")
         object.__setattr__(self, "private_noise_vars", priv)
+        # the noise scales, worked out once: channel_outputs runs every step
+        private_std = np.sqrt(np.asarray(priv, dtype=float))
+        private_std.setflags(write=False)
+        object.__setattr__(self, "_noise_std", (math.sqrt(c), private_std))
 
 
-# Normals per trial in one block of draw_batch's noise: 32 KiB of float64.
+# Normals per trial over draw_batch's two noise buffers: 32 KiB of float64.
 BLOCK_NORMALS = 4096
+
+
+def _block_steps(M: int) -> int:
+    """Steps in one of draw_batch's two noise buffers at M receivers."""
+    return max(1, BLOCK_NORMALS // 2 // (1 + M))
 
 
 def draw_batch(seeds: list, M: int, horizon: int, threads: int = 1):
@@ -71,59 +81,79 @@ def draw_batch(seeds: list, M: int, horizon: int, threads: int = 1):
 
     Returns the (trials, M) message points, drawn now, and an iterator over
     steps 1..horizon that yields each step's (trials, 1 + M) noise row.  The
-    normals are drawn lazily in blocks of max(1, BLOCK_NORMALS // (1 + M))
-    steps into one buffer reused block after block, so memory does not grow
-    with the horizon.  A row is valid only until the next one is taken.
-    Successive fills continue each generator's stream, so the rows are the
-    whole stream's normals in order, bit for bit.
+    normals are drawn lazily in blocks of k = ``_block_steps(M)`` steps into
+    two buffers used in turn (one if the horizon fits in it), so memory does
+    not grow with the horizon: both together hold BLOCK_NORMALS normals per
+    trial, or two steps' once M > 2047.  A row is valid only until the next
+    one is taken.  Successive fills continue each generator's stream, so the
+    rows are the whole stream's normals in order, bit for bit.
 
-    Each block fill is split into min(threads, trials) contiguous slices of
-    trials, filled side by side before the block's rows are yielded, so each
-    generator is advanced by one thread only, in stream order, and the
-    normals do not depend on ``threads``.
+    With threads > 1, min(threads, trials) - 1 helper threads fill the next
+    block while the caller steps through this one's rows; after the last row
+    the caller fills what they have not claimed, waits for them, and only
+    then is the next block yielded.  The filling threads claim trials one at
+    a time from one shared iterator per block, so a helper slowed by other
+    load holds up one trial's fill, not a share of the block.  A block's fill
+    starts only after the previous one is complete and each trial is claimed
+    once per block, so each generator is advanced by one thread at a time, in
+    stream order, and the normals do not depend on ``threads``.  No fill
+    starts past the horizon.  Closing the iterator early waits for the
+    helpers and ends their threads.
     """
-    block = max(1, BLOCK_NORMALS // (1 + M))
+    k = _block_steps(M)
     # allocated before the generators, whose small allocations would otherwise
     # pin a worker thread's heap above it and hold it resident after the chunk
-    buf = np.empty((len(seeds), min(block, horizon), 1 + M))
+    bufs = np.empty((1 + (horizon > k), len(seeds), min(k, horizon), 1 + M))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     theta = np.empty((len(rngs), M))
     for row, rng in zip(theta, rngs):
         row[:] = rng.random(M)
-    return theta, _noise_rows(rngs, buf, horizon, max(1, min(threads, len(rngs))))
+    return theta, _noise_rows(rngs, bufs, horizon, max(1, min(threads, len(rngs))))
 
 
-def _fill(rngs, block: np.ndarray) -> None:
-    for out, rng in zip(block, rngs):
+def _fill(claims, lock) -> None:
+    """Fill each (rng, row block) this thread claims from ``claims`` until none is left."""
+    while True:
+        with lock:
+            claim = next(claims, None)
+        if claim is None:
+            return
+        rng, out = claim
         rng.standard_normal(out=out)  # releases the GIL while it fills
 
 
-def _noise_rows(rngs, buf: np.ndarray, horizon: int, parts: int):
-    cuts = [len(rngs) * i // parts for i in range(parts + 1)]
+def _noise_rows(rngs, bufs: np.ndarray, horizon: int, parts: int):
+    k = bufs.shape[2]
+    lock = threading.Lock()
     with ThreadPoolExecutor(parts - 1) if parts > 1 else nullcontext() as helpers:
-        done = 0
+
+        def start(buf, steps):
+            claims = zip(rngs, buf[:, :steps])
+            return claims, [helpers.submit(_fill, claims, lock) for _ in range(parts - 1)]
+
+        done, b, fill = 0, 0, None
         while done < horizon:
-            k = min(buf.shape[1], horizon - done)
-            slices = [(rngs[lo:hi], buf[lo:hi, :k]) for lo, hi in zip(cuts, cuts[1:])]
-            helped = [helpers.submit(_fill, *part) for part in slices[1:]]
-            _fill(*slices[0])
+            steps = min(k, horizon - done)
+            claims, helped = fill or start(bufs[b], steps)  # only block 0 starts here
+            _fill(claims, lock)  # this thread takes the trials no helper has claimed
             for fut in helped:
                 fut.result()
-            for j in range(k):
-                yield buf[:, j]
-            done += k
+            if done + steps < horizon:  # the next block, filled while this one is stepped
+                fill = start(bufs[1 - b], min(k, horizon - done - steps))
+            for j in range(steps):
+                yield bufs[b, :, j]
+            done, b = done + steps, 1 - b
 
 
-def channel_outputs(config: ChannelConfig, x, z: np.ndarray) -> np.ndarray:
+def channel_outputs(config: ChannelConfig, x, z: np.ndarray, out=None) -> np.ndarray:
     """Per-receiver outputs x + sigma z_0 + sigma_m z_m for standard normals z.
 
     x has any shape and z that shape plus a trailing 1 + M axis; the result
-    ends in an M axis.
+    ends in an M axis.  It is written into ``out`` when one is given.
     """
-    common_std = math.sqrt(config.common_noise_var)
-    private_std = np.sqrt(np.asarray(config.private_noise_vars, dtype=float))
+    common_std, private_std = config._noise_std
     # (x + common) + private, added in place: addition commutes bit for bit
-    y = private_std * z[..., 1:]
+    y = np.multiply(private_std, z[..., 1:], out=out)
     y += np.asarray(x)[..., None] + common_std * z[..., :1]
     return y
 

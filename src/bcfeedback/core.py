@@ -103,13 +103,22 @@ def encode(s: np.ndarray, alpha: np.ndarray, beta: float):
     return (s @ alpha) * beta
 
 
-def update_sources(s: np.ndarray, a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-receiver refinement s <- (s - b y) / a after observing outputs y."""
+def update_sources(s: np.ndarray, a: np.ndarray, b: np.ndarray, y: np.ndarray,
+                   out=None) -> np.ndarray:
+    """Per-receiver refinement s <- (s - b y) / a after observing outputs y.
+
+    The result is written into ``out`` when one is given; it must not overlap s.
+    """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     if s.shape[-1:] != a.shape or y.shape != s.shape:
         raise ValueError("source and output arrays must match each other and the schedule width")
-    return (s - b * y) / a
+    if out is not None and np.may_share_memory(out, s):
+        raise ValueError("out must not overlap the sources")
+    # b y, then s - (b y), then / a: (s - b * y) / a op for op
+    out = np.multiply(b, y, out=out)
+    np.subtract(s, out, out=out)
+    return np.divide(out, a, out=out)
 
 
 def decoder_absorb(dec: DecoderState, a: np.ndarray, b: np.ndarray,

@@ -5,16 +5,18 @@ master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
 the message points, then 1 + M standard normals per step), the only code that
 draws.  ``run_trial`` runs one trial and replays its decoders; ``run_batch``
 is its vectorised twin used for estimation, processing trials in fixed chunks
-of ``CHUNK_SIZE`` reduced in chunk order.  Threads run chunks side by side and
-split a chunk's noise fills by trial, each generator advanced by one thread,
-so results are byte-identical for any thread count.  A trial draws as a batch
-of one and a chunk as a batch of its trials, with the normals drawn in blocks
-of steps into one reused (trials, k, 1 + M) buffer, k = max(1, BLOCK_NORMALS
-// (1 + M)) and ``channel.BLOCK_NORMALS`` = 4096.  So the noise takes at most
-32 KiB per trial (32 MiB for a full chunk; one step's 1 + M normals once
-M > 4095), whatever the horizon.  Both step through ``_steps``, the one loop
-that encodes, forms outputs with ``channel_outputs`` and updates the sources;
-the batch folds the decoder replay maps only to check the round trip.
+of ``CHUNK_SIZE`` reduced in chunk order.  Threads run chunks side by side,
+and spare threads fill a chunk's next noise block by trial while the chunk's
+thread steps through this one, each generator advanced by one thread at a
+time, so results are byte-identical for any thread count.  A trial draws as a
+batch of one and a chunk as a batch of its trials, with the normals drawn in
+blocks of steps into two (trials, k, 1 + M) buffers used in turn, k = max(1,
+BLOCK_NORMALS // 2 // (1 + M)) and ``channel.BLOCK_NORMALS`` = 4096.  So the
+noise takes at most 32 KiB per trial (32 MiB for a full chunk; two steps'
+1 + M normals once M > 2047), whatever the horizon.  Both step through
+``_steps``, the one loop that encodes, forms outputs with ``channel_outputs``
+and updates the sources into buffers it makes once; the batch folds the
+decoder replay maps only to check the round trip.
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -177,6 +180,8 @@ def _run_args(prepared: PreparedScheme, horizon: int, policy,
     marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
     if any(c < 0 or c > horizon for c in marks):
         raise ValueError("checkpoints must lie in [0, horizon]")
+    if len(set(marks)) != len(marks):
+        raise ValueError("checkpoints must be distinct")
     return policies, marks
 
 
@@ -184,12 +189,17 @@ def _steps(prepared: PreparedScheme, s: np.ndarray, noise):
     """The trial step: yields (n, x, y, s_{n+1}) for n = 1, 2, ... while noise lasts.
 
     s is one trial's sources (M,) with noise rows (1 + M,), or a batch
-    (trials, M) with rows (trials, 1 + M); row n - 1 is step n's noise.
+    (trials, M) with rows (trials, 1 + M); row n - 1 is step n's noise.  The
+    outputs and sources are written into buffers made once, and the given s
+    is never written, so x, y and s are valid only until the next step is
+    taken, like the rows.
     """
+    y = np.empty(s.shape)
+    sources = np.empty((2, *s.shape))
     for n, z in enumerate(noise, start=1):
         x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
-        y = channel_outputs(prepared.channel, x, z)
-        s = update_sources(s, prepared.a[n - 1], prepared.b[n - 1], y)
+        channel_outputs(prepared.channel, x, z, out=y)
+        s = update_sources(s, prepared.a[n - 1], prepared.b[n - 1], y, out=sources[n % 2])
         yield n, x, y, s
 
 
@@ -281,19 +291,21 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     mark_index = {n: i for i, n in enumerate(marks)}
     roundtrip = 0.0
 
-    for n, x, y, s in _steps(prepared, s1, noise):
-        cum_power += x * x
-        if check_roundtrip:
-            dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
-            recon = dec.slope * s + dec.intercept
-            rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
-            roundtrip = max(roundtrip, float(rel.max()))
-        if n in mark_index:
-            i = mark_index[n]
-            err_counts[i] += (np.abs(s) >= _halfwidths(policies, n)).sum(axis=0)
-            mp = cum_power / n
-            cum_sum[i] = mp.sum()
-            cum_sumsq[i] = (mp * mp).sum()
+    # closed however the loop ends, so no helper thread outlives the chunk
+    with closing(noise):
+        for n, x, y, s in _steps(prepared, s1, noise):
+            cum_power += x * x
+            if check_roundtrip:
+                dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
+                recon = dec.slope * s + dec.intercept
+                rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
+                roundtrip = max(roundtrip, float(rel.max()))
+            if n in mark_index:
+                i = mark_index[n]
+                err_counts[i] += (np.abs(s) >= _halfwidths(policies, n)).sum(axis=0)
+                mp = cum_power / n
+                cum_sum[i] = mp.sum()
+                cum_sumsq[i] = (mp * mp).sum()
 
     return err_counts, cum_sum, cum_sumsq, roundtrip
 
@@ -313,10 +325,12 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
 
     At most cpus = min(threads, usable CPUs) threads run at once: one worker
     per chunk, up to cpus of them, and when fewer chunks than that run, each
-    chunk's noise blocks are filled by cpus // workers threads.  Threads only
-    decide where a chunk runs and which thread advances a trial's generator,
-    never the arithmetic or its order, so every (seed, trials, horizon) triple
-    gives identical statistics.
+    chunk's noise blocks are filled by cpus // workers threads: its worker,
+    which steps through one block while cpus // workers - 1 helpers fill the
+    next one, and then fills what they have left.  Threads only decide where
+    a chunk runs and which thread advances a trial's generator, never the
+    arithmetic or its order, so every (seed, trials, horizon) triple gives
+    identical statistics.
     """
     m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)

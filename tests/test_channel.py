@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bcfeedback.channel import (
     BLOCK_NORMALS,
     ChannelConfig,
+    _block_steps,
     channel_outputs,
     draw_batch,
     spawn_trial_seeds,
@@ -148,24 +149,28 @@ def test_draw_trial_stream_layout(m, horizon):
 
 
 @pytest.mark.parametrize("m, horizon", [
-    (1, 0), (2, 5), (64, 63), (64, 64), (64, 150), (4095, 3), (5000, 3),
+    (1, 0), (2, 5), (64, 31), (64, 62), (64, 63), (64, 64), (64, 150),
+    (2047, 3), (4095, 3), (5000, 3),
 ])
 def test_draw_batch_is_draw_trial_in_blocks(m, horizon):
-    # with blocks of max(1, BLOCK_NORMALS // (1 + M)) steps (63 at M = 64):
-    # no block, part of one, exactly one, one and a step, three ending
-    # mid-block, and one step per block with and without the floor
-    assert BLOCK_NORMALS // 65 == 63
-    # generators pass through default_rng as they are, so their end state shows
-    rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
-    theta, rows = draw_batch(rngs, m, horizon)
-    got = np.array([row.copy() for row in rows]).reshape(horizon, 3, 1 + m)
-    for i, seed in enumerate((4, 5, 6)):
-        ref = np.random.default_rng(seed)
-        want_theta, want_z = draw_trial(ref, m, horizon)
-        assert theta[i].tobytes() == want_theta.tobytes()
-        assert got[:, i].tobytes() == want_z.tobytes()
-        # the generator stops where draw_trial's does: no draw is wasted
-        assert rngs[i].bit_generator.state == ref.bit_generator.state
+    # with blocks of _block_steps(M) steps (31 at M = 64): no block, part of
+    # one, exactly one, exactly two, two and a step or two, five ending
+    # mid-block, and one step per block without and with the floor
+    assert _block_steps(64) == 31 and 2 * 31 * 65 <= BLOCK_NORMALS
+    assert _block_steps(2047) == _block_steps(4095) == 1 and BLOCK_NORMALS // 2 // 4096 == 0
+    for threads in (1, 2, 4):
+        # generators pass through default_rng as they are, so their end state shows
+        rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
+        theta, rows = draw_batch(rngs, m, horizon, threads)
+        got = np.array([row.copy() for row in rows]).reshape(horizon, 3, 1 + m)
+        for i, seed in enumerate((4, 5, 6)):
+            ref = np.random.default_rng(seed)
+            want_theta, want_z = draw_trial(ref, m, horizon)
+            assert theta[i].tobytes() == want_theta.tobytes()
+            assert got[:, i].tobytes() == want_z.tobytes()
+            # the generator stops where draw_trial's does: no draw is wasted,
+            # and no fill of a next block starts past the horizon
+            assert rngs[i].bit_generator.state == ref.bit_generator.state, threads
 
 
 def test_sample_noise_moments():

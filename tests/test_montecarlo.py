@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Future
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from bcfeedback import channel as channel_module
 from bcfeedback import montecarlo
-from bcfeedback.channel import BLOCK_NORMALS, ChannelConfig, spawn_trial_seeds
+from bcfeedback.channel import ChannelConfig, _block_steps, channel_outputs, spawn_trial_seeds
 from bcfeedback.core import IntervalPolicy
 from bcfeedback.montecarlo import (
     CHUNK_SIZE,
@@ -259,6 +260,18 @@ def test_trial_validates_horizon_and_checkpoints():
         run_trial(prep, 5, [pol[0]] * 3, np.random.default_rng(0))
 
 
+def test_both_runners_reject_duplicate_checkpoints():
+    # a repeated checkpoint used to leave all but its last row empty: zero errors
+    # and zero power in run_batch, every receiver failed in run_trial
+    prep = prepare_scheme("symmetric", SYM_CHANNEL, 40)
+    pol = default_policies(prep, 0.5)
+    for marks in ((40, 40), (0, 10, 0), (5, 10, 5, 40)):
+        with pytest.raises(ValueError, match="checkpoints must be distinct"):
+            run_batch(prep, 40, pol, 1, 200, checkpoints=marks)
+        with pytest.raises(ValueError, match="checkpoints must be distinct"):
+            run_trial(prep, 40, pol, np.random.default_rng(1), checkpoints=marks)
+
+
 def test_trial_trajectory_rows():
     prep = prepare_scheme("ozarow2", OZ_CHANNEL, 8)
     pol = default_policies(prep, 0.5)
@@ -305,27 +318,98 @@ def test_batch_thread_count_does_not_change_a_byte(monkeypatch):
         assert np.array_equal(one.cum_power_sumsq, four.cum_power_sumsq)
 
 
-def test_batch_draws_split_over_spare_cpus_do_not_change_a_byte(monkeypatch):
-    # claim four CPUs, so a lone chunk's noise fills split four ways on any host
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+def _sleeping_helpers(fill):
+    """_fill that sleeps before filling in every thread but this one."""
+    me = threading.get_ident()
+
+    def slow(claims, lock):
+        if threading.get_ident() != me:
+            time.sleep(2e-3)
+        fill(claims, lock)
+
+    return slow
+
+
+def _sleeping_outputs(config, x, z, out=None):
+    time.sleep(2e-5)
+    return channel_outputs(config, x, z, out=out)
+
+
+def _assert_draw_split_keeps_the_bytes():
+    # a lone chunk's noise fills split four ways against one thread; the
+    # second block ends mid-block, or exactly on the block edge
     m8 = ChannelConfig(8, 10.0, 0.0, (1.0,) * 8)
-    block = max(1, BLOCK_NORMALS // 9)
-    horizon = block + 7  # the second block ends mid-block
-    prep = prepare_scheme("symmetric", m8, horizon)
+    block = _block_steps(8)
+    prep = prepare_scheme("symmetric", m8, 2 * block)
     pol = default_policies(prep, 0.5)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
     try:
         # 3 and 101 trials do not divide into four parts, 1 and 2 are fewer than four
-        for trials, check in itertools.product((1, 2, 3, 101, CHUNK_SIZE), (False, True)):
+        for trials, horizon, check in itertools.product(
+                (1, 2, 3, 101, CHUNK_SIZE), (block + 7, 2 * block), (False, True)):
+            case = (trials, horizon, check)
             one = run_batch(prep, horizon, pol, 21, trials, threads=1, check_roundtrip=check)
             four = run_batch(prep, horizon, pol, 21, trials, threads=4, check_roundtrip=check)
-            assert one.err_counts.tobytes() == four.err_counts.tobytes(), (trials, check)
-            assert one.cum_power_sum.tobytes() == four.cum_power_sum.tobytes(), (trials, check)
-            assert one.cum_power_sumsq.tobytes() == four.cum_power_sumsq.tobytes(), (trials, check)
-            assert one.roundtrip_max_relerr == four.roundtrip_max_relerr, (trials, check)
+            assert one.err_counts.tobytes() == four.err_counts.tobytes(), case
+            assert one.cum_power_sum.tobytes() == four.cum_power_sum.tobytes(), case
+            assert one.cum_power_sumsq.tobytes() == four.cum_power_sumsq.tobytes(), case
+            assert one.roundtrip_max_relerr == four.roundtrip_max_relerr, case
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_batch_draws_split_over_spare_cpus_do_not_change_a_byte(monkeypatch):
+    # claim four CPUs, so a lone chunk's noise fills split four ways on any host
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    _assert_draw_split_keeps_the_bytes()
+
+
+@pytest.mark.parametrize("slow", ["helpers", "chunk"])
+def test_batch_draw_split_keeps_the_bytes_under_skewed_timing(monkeypatch, slow):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    if slow == "helpers":  # the chunk thread claims most trials and waits on the rest
+        monkeypatch.setattr(channel_module, "_fill", _sleeping_helpers(channel_module._fill))
+    else:  # the helpers fill each next block long before it is needed
+        monkeypatch.setattr(montecarlo, "channel_outputs", _sleeping_outputs)
+    _assert_draw_split_keeps_the_bytes()
+
+
+def test_batch_step_error_ends_the_fill_threads(monkeypatch):
+    # a step that raises mid-horizon while a helper fills the next block must
+    # leave no thread behind: the chunk closes its noise, which joins the fill
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    m8 = ChannelConfig(8, 10.0, 0.0, (1.0,) * 8)
+    horizon = 3 * _block_steps(8)
+    prep = prepare_scheme("symmetric", m8, horizon)
+    pol = default_policies(prep, 0.5)
+    me = threading.get_ident()
+    filling = threading.Event()
+    fill = channel_module._fill
+
+    def slow_helper(claims, lock):
+        if threading.get_ident() != me:
+            filling.set()
+            time.sleep(0.05)  # still filling when the step raises
+        fill(claims, lock)
+
+    def failing(config, x, z, out=None):
+        if filling.wait(timeout=10) and failing.steps == horizon // 2:
+            raise RuntimeError("step failed")
+        failing.steps += 1
+        return channel_outputs(config, x, z, out=out)
+
+    failing.steps = 0
+    monkeypatch.setattr(channel_module, "_fill", slow_helper)
+    monkeypatch.setattr(montecarlo, "channel_outputs", failing)
+    live = threading.active_count()
+    with pytest.raises(RuntimeError, match="step failed") as caught:
+        run_batch(prep, horizon, pol, 5, 40, threads=2)
+    assert failing.steps == horizon // 2
+    # counted while the traceback still holds every frame of the run, so no
+    # garbage collection of the noise iterator can have ended the helper
+    assert caught.tb is not None
+    assert threading.active_count() == live
 
 
 class _RecordingPool:
@@ -359,14 +443,15 @@ def test_batch_workers_are_capped_by_chunks_and_cpus(monkeypatch):
     live = threading.active_count()
 
     # real threads: at most min(threads, usable CPUs) of them work at once,
-    # counting this thread when it runs a lone chunk and not when it waits
+    # counting this thread as busy throughout when it runs a lone chunk (it
+    # steps while its helpers fill) and not when it waits for worker threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     alive = []
     fill = channel_module._fill
 
-    def counting(rngs, block):
+    def counting(claims, lock):
         alive.append(threading.active_count() - live)
-        fill(rngs, block)
+        fill(claims, lock)
 
     monkeypatch.setattr(channel_module, "_fill", counting)
     for trials, threads in ((five_chunks, 64), (CHUNK_SIZE + 1, 64), (CHUNK_SIZE, 64),
@@ -410,20 +495,20 @@ def test_batch_workers_are_capped_by_chunks_and_cpus(monkeypatch):
 
 
 def test_batch_consumes_the_trial_streams_across_noise_blocks(monkeypatch):
-    # M = 64 streams noise in blocks of 63 steps: horizon 150 crosses two block
+    # M = 64 streams noise in blocks of 31 steps: horizon 150 crosses four block
     # boundaries and ends mid-block, 10 stays inside one block, 0 draws none
     m = 64
-    block = max(1, BLOCK_NORMALS // (1 + m))
-    assert 2 * block < 150 < 3 * block
+    block = _block_steps(m)
+    assert 4 * block < 150 < 5 * block
     prep = prepare_scheme("symmetric", ChannelConfig(m, 10.0, 0.0, (1.0,) * m), 150)
     pol = default_policies(prep, 0.5)
     seeds = spawn_trial_seeds(8, 5)
     consumed = []
     original = montecarlo.channel_outputs
 
-    def recording(config, x, z):
-        consumed.append(z.copy())  # the noise buffer is reused block after block
-        return original(config, x, z)
+    def recording(config, x, z, out=None):
+        consumed.append(z.copy())  # the noise buffers are reused block after block
+        return original(config, x, z, out=out)
 
     monkeypatch.setattr(montecarlo, "channel_outputs", recording)
     for horizon in (150, 10, 0):
