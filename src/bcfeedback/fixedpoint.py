@@ -140,19 +140,23 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
 # slack that _solve_lambda sizes to the gap's two log terms.
 
 
-def _log1p(x):
-    return np.log1p(x) if isinstance(x, np.ndarray) else math.log1p(x)
+def _log_gap(M: int, c: float, d: float):
+    """x -> M log1p(c x (M - x)) - (M - 1) log1p(d x), of a float or an array."""
+    m, m1 = float(M), float(M - 1)
+
+    def gap(x):
+        if not isinstance(x, np.ndarray):
+            return m * math.log1p(c * x * (m - x)) - m1 * math.log1p(d * x)
+        u = c * x  # the same operations, three of them in place
+        u *= m - x
+        u = m * np.log1p(u, out=u)
+        u -= m1 * np.log1p(d * x)
+        return u
+
+    return gap
 
 
-def _bc_log_gap(x, M: int, P: float):
-    return M * _log1p((P / M) * x * (M - x)) - (M - 1) * _log1p(P * x)
-
-
-def _mac_log_gap(x, M: int, P: float):
-    return M * _log1p(P * x * (M - x)) - (M - 1) * _log1p(M * P * x)
-
-
-def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:
+def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
     """Largest root in [1, M] of ``gap``, a difference of two log terms.
 
     Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops
@@ -160,18 +164,19 @@ def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:
     1e-12·max(1, T).  The scan's slack is 1e3·1e-12·T, the same without the
     clamp.  The array and float gaps form the log1p arguments with the same
     IEEE operations and differ only by numpy's and libm's log1p: by at most
-    2 ulp of the terms' sum over M <= 1024 and P from 5e-324 to 1e300, under
-    1e-6 of the slack.  So the slack is 1e3·tol wherever T >= 1, and below
-    that it shrinks with T, as the gap does: at M = 2, P = 1e-9 the scan
-    re-evaluates 10 grid points on floats instead of 6181.  Where T is so
-    small that the slack underflows to 0, every grid value lies within tol
-    and is re-evaluated anyway.
+    2 ulp of the terms' sum over M <= 1024 and P from 5e-324 to 1.7e308, at
+    most 4.3e-7 of the slack.  So the slack is 1e3·tol wherever T >= 1, and
+    below that it shrinks with T, as the gap does: at M = 2, P = 1e-9 the
+    scan re-evaluates 10 grid points on floats instead of 6181.  Where T is
+    so small that the slack underflows to 0, every grid value lies within tol
+    and is re-evaluated anyway.  The scan's grid is shared and read-only: the
+    gap writes only into the arrays it makes.
     """
     if M == 1:
-        lam, residual = 1.0, abs(gap(1.0, 1, P))
+        lam, residual = 1.0, abs(gap(1.0))
     else:
         terms = (M - 1) * math.log1p(gain * M)
-        res = largest_root(lambda x: gap(x, M, P), 1.0, float(M),
+        res = largest_root(gap, 1.0, float(M),
                            _ROOT_TOL * max(1.0, terms), slack=1e3 * _ROOT_TOL * terms)
         lam, residual = res.root, res.residual
     if not (1.0 <= lam <= M):
@@ -183,13 +188,13 @@ def _solve_lambda(gap, M: int, P: float, gain: float) -> SumRateSolution:
 def solve_lambda_bc(M: int, P: float) -> SumRateSolution:
     """Largest root in [1, M] of the broadcast equation; sum rate (1/2) log2(1 + P lam)."""
     M, P = _validate_mp(M, P)
-    return _solve_lambda(_bc_log_gap, M, P, P)
+    return _solve_lambda(_log_gap(M, P / M, P), M, P)
 
 
 def solve_lambda_mac(M: int, P: float) -> SumRateSolution:
     """Largest root in [1, M] of the multiple-access twin; sum rate (1/2) log2(1 + M P lam)."""
     M, P = _validate_mp(M, P)
-    return _solve_lambda(_mac_log_gap, M, P, M * P)
+    return _solve_lambda(_log_gap(M, P, M * P), M, M * P)
 
 
 # ----------------------------------------------------------------------------
@@ -213,7 +218,7 @@ def solve_b_gamma(lam: float, M: int, P: float) -> BGamma:
     lam = float(lam)
     if not (0.0 < lam <= M):
         raise ValueError("lam must lie in (0, M]")
-    gap = _bc_log_gap(lam, M, P)
+    gap = _log_gap(M, P / M, P)(lam)  # the broadcast gap
     if abs(gap) > _LAMBDA_GAP_TOL:
         raise FixedPointError(
             f"lam {lam!r} does not satisfy the sum-rate equation "
@@ -284,30 +289,35 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
     rho = float(rho)
     if not (-1.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [-1, 1]")
-    return float(_rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g))
+    out = _rho_step(P, sigma2, sigma1_2, sigma2_2, g)(abs(rho))
+    return out if rho >= 0.0 else -out  # -0.0 counts as positive
 
 
-def _rho_step(rho, P, sigma2, sigma1_2, sigma2_2, g):
-    """rho_map on validated arguments; ``rho`` is a float or an array (elementwise).
+def _rho_step(P, sigma2, sigma1_2, sigma2_2, g):
+    """r -> rho_map(r) on validated arguments, r >= 0: a float, or an array elementwise.
 
     The textbook numerator (P + a)(P + b) rho - P (P + a + b - sigma2) h sign
     cancels two terms of size P**2; since h - r = g (1 - r)(1 + r)/dd, the form
     below is equal and carries 1 - r exactly (a, b, h as defined in the body).
     """
-    sign = 2.0 * (rho >= 0.0) - 1.0  # +1 where rho >= 0 (-0.0 included), else -1
-    r = abs(rho)
-    dd = 1.0 + g * g + 2.0 * g * r
     a = sigma2 + sigma1_2
     b = sigma2 + sigma2_2
-    one_m = (1.0 - r) * (1.0 + r)
-    h = (g + r) * (1.0 + g * r) / dd
-    num = sign * (a * b * r + P * sigma2 * h - P * (P + a + b) * g * one_m / dd)
-    den = math.sqrt((P + a) * (P + b)) * np.sqrt(
-        (a + P * g * g * one_m / dd) * (b + P * one_m / dd)
-    )
-    if np.count_nonzero(den <= 0.0):
-        raise ValueError("degenerate update: residual variance vanished")
-    return num / den
+    # formed once, as the inline expressions form them: the floats do not move
+    ab, ps, pgg, pabg = a * b, P * sigma2, P * g * g, P * (P + a + b) * g
+    root, c, g2 = math.sqrt((P + a) * (P + b)), 1.0 + g * g, 2.0 * g
+
+    def step(r):
+        sqrt, some = (np.sqrt, np.any) if isinstance(r, np.ndarray) else (math.sqrt, bool)
+        dd = c + g2 * r
+        one_m = (1.0 - r) * (1.0 + r)
+        h = (g + r) * (1.0 + g * r) / dd
+        num = ab * r + ps * h - pabg * one_m / dd
+        den = root * sqrt((a + pgg * one_m / dd) * (b + P * one_m / dd))
+        if some(den <= 0.0):
+            raise ValueError("degenerate update: residual variance vanished")
+        return num / den
+
+    return step
 
 
 def _ozarow_contractions(r: float, P, sigma2, sigma1_2, sigma2_2, g) -> tuple[float, float]:
@@ -325,9 +335,8 @@ def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
     P, sigma2, sigma1_2, sigma2_2, g = _validate_ozarow_noise(
         P, sigma2, sigma1_2, sigma2_2, g
     )
-    res = largest_root(
-        lambda x: x + _rho_step(x, P, sigma2, sigma1_2, sigma2_2, g), 0.0, 1.0, _ROOT_TOL
-    )
+    step = _rho_step(P, sigma2, sigma1_2, sigma2_2, g)
+    res = largest_root(lambda x: x + step(x), 0.0, 1.0, _ROOT_TOL)
     rho = res.root
     a1, a2 = _ozarow_contractions(rho, P, sigma2, sigma1_2, sigma2_2, g)
     for name, val in (("a1_star", a1), ("a2_star", a2)):

@@ -11,6 +11,7 @@ scan for the last sign change).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,38 +130,41 @@ def largest_root(
 
     ``f`` must act elementwise on a 1-D float array and also accept a float.
     It is called once on the whole uniform grid of 10 001 samples, and then
-    on floats only.  f on an array may differ from f on a float by less than
-    ``slack`` (default 1e3·tol), and is NaN exactly where the float is.  The
-    caller sizes ``slack`` to its f: a sum of terms whose array and float
-    forms differ only in the last bits may pass a band proportional to the
-    terms' size, far below 1e3·tol where they are small.  Every grid value
-    within slack + tol of zero is evaluated again as a float, and no other
-    value can differ from its float value in sign, in being zero or in
-    |f| <= tol: the scan finds what one float call per grid point would.
-    The largest cell whose values change sign (or that ends on an exact
-    zero) is bisected on floats to floating-point resolution; a grid point
-    where f vanishes exactly short-circuits.  If no sign change exists, the
-    largest grid point with |f| <= tol is accepted (tangent roots), otherwise
+    on floats only.  The grid is read-only and shared by every scan of the
+    bracket: f must not write to its argument.  f on an array may differ
+    from f on a float by less than ``slack`` (default 1e3·tol), and is NaN
+    exactly where the float is.  The caller sizes ``slack`` to its f: a sum
+    of terms whose array and float forms differ only in the last bits may
+    pass a band proportional to the terms' size, far below 1e3·tol where
+    they are small.  Every grid value within slack + tol of zero is
+    evaluated again as a float, and no other value can differ from its
+    float value in sign, in being zero or in |f| <= tol: the scan finds
+    what one float call per grid point would.  The largest cell whose
+    values change sign (or that ends on an exact zero) is bisected on
+    floats to floating-point resolution; a grid point where f vanishes
+    exactly short-circuits.  If no sign change exists, the largest grid
+    point with |f| <= tol is accepted (tangent roots), otherwise
     NoSignChangeError carries the scan diagnostics, read off the whole grid
-    on floats.
+    on floats.  A NaN on the grid raises ValueError (numpy's warnings off).
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
     if slack is None:
         slack = _ARRAY_SLACK * tol
     elif not slack >= 0.0:
         raise ValueError("largest_root needs slack >= 0")
-    xs = np.linspace(float(lo), float(hi), _GRID_POINTS)
-    vals = np.array(f(xs), dtype=float)
+    xs = _scan_grid(float(lo), float(hi), math.copysign(1.0, lo), math.copysign(1.0, hi))
+    with np.errstate(all="ignore"):
+        vals = np.array(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("f must map the scan grid elementwise")
-    if np.any(np.isnan(vals)):
+    if np.isnan(vals).any():
         raise ValueError("f evaluated to NaN on the scan grid")
-    recheck = np.flatnonzero(np.abs(vals) <= slack + tol)
+    recheck = (np.abs(vals) <= slack + tol).nonzero()[0]
     vals[recheck] = [f(x) for x in xs[recheck].tolist()]
 
     neg = vals < 0.0
-    hits = np.flatnonzero((vals[1:] == 0.0) | (neg[1:] != neg[:-1]))
+    hits = ((vals[1:] == 0.0) | (neg[1:] != neg[:-1])).nonzero()[0]
     if hits.size:
         i = int(hits[-1]) + 1
         if vals[i] == 0.0:
@@ -179,6 +183,14 @@ def largest_root(
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+@functools.lru_cache(maxsize=16)  # 80 KB per bracket
+def _scan_grid(lo: float, hi: float, lo_sign: float, hi_sign: float) -> np.ndarray:
+    # the signs keep apart the brackets of 0.0 and -0.0, which compare equal
+    xs = np.linspace(lo, hi, _GRID_POINTS)
+    xs.setflags(write=False)
+    return xs
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResult:

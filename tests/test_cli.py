@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -321,6 +322,16 @@ def test_duality_bad_grid(capsys):
 def test_values_the_library_checks_exit_2(argv, code, capsys):
     assert main(argv) == code
     assert ("config error" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("p", ["1e160", "1e200", "1.7e308"])
+def test_ozarow2_scan_of_nan_prints_only_the_config_error(p, capsys):
+    # the rho map overflows to NaN on the scan grid at these powers: exit 2,
+    # and stderr holds the one config error line, no numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--scheme", "ozarow2", "-P", p]) == 2
+    assert capsys.readouterr().err == "config error: f evaluated to NaN on the scan grid\n"
 
 
 def test_runtime_failure_exits_1(monkeypatch, capsys):

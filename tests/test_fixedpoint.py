@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 
 import numpy as np
@@ -241,11 +242,11 @@ def test_scan_survives_array_errors_of_half_the_recheck_band(m, monkeypatch):
 
 
 @pytest.mark.parametrize("noise", OZAROW_NOISES)
-def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise):
-    xs = np.linspace(0.0, 1.0, _GRID_POINTS)
+def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise, monkeypatch):
+    # the residual that solve_rho hands to largest_root, array and float paths
     for p in SCAN_P:
-        f = lambda x: x + fixedpoint._rho_step(x, p, *noise, 1.0)
-        assert _same_bits_as_float_calls(f, xs), p
+        f, lo, hi, *_ = _scan_of(lambda: solve_rho(p, *noise, 1.0), monkeypatch)
+        assert _same_bits_as_float_calls(f, np.linspace(lo, hi, _GRID_POINTS)), p
 
 
 @pytest.mark.parametrize("solve", [
@@ -286,6 +287,28 @@ def test_solvers_scan_with_one_array_call(solve, monkeypatch):
     assert floats[:len(near)] == near
     assert len(calls) <= 3 + iterations + len(near)
     assert len(near) <= 20
+
+
+# sha256 of repr of every solver result over the whole accepted range, errors
+# as repr(exc): the bytes the scans keep, whatever their array path computes
+PIN_P = ((5e-324, 1e-300, 1e-200, 1e-100, 1e-40, 1e-20, 1e-13) + SCAN_P
+         + (1e12, 1e20, 1e40, 1e100, 1e160, 1e200, 1e300, 1.7e308))
+PIN_M = (1, 2, 3, 4, 7, 64, 100, 1000, 1024)
+WIDE_RANGE_SHA256 = "7f8032b1a634591567e6f9f9fa2b8863fab52683cd280792bee48da960bd8998"
+
+
+def test_solver_results_over_the_whole_input_range_are_pinned():
+    def outcome(solve, *args):
+        try:
+            return repr(solve(*args))
+        except Exception as exc:  # the error is part of the pinned bytes
+            return repr(exc)
+
+    lines = [outcome(solve, m, p) for p in PIN_P for m in PIN_M
+             for solve in (solve_lambda_bc, solve_lambda_mac)]
+    lines += [outcome(solve_rho, p, *noise, g)
+              for p in PIN_P for noise in OZAROW_NOISES for g in (0.5, 1.0, 1.3)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WIDE_RANGE_SHA256
 
 
 # ----------------------------------------------------------------------------

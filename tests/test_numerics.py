@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcfeedback import numerics
 from bcfeedback.numerics import (
     _ARRAY_SLACK,
+    _GRID_POINTS,
     MAX_HADAMARD_LOG2,
     NoSignChangeError,
     RootFindingError,
@@ -265,3 +267,48 @@ def test_largest_root_rejects_a_negative_or_nan_slack():
 def test_largest_root_rejects_f_that_is_not_elementwise():
     with pytest.raises(ValueError, match="elementwise"):
         largest_root(lambda x: 1.0, 0.0, 1.0)
+
+
+def _grid_of(lo, hi):
+    """The grid that largest_root hands to f for the bracket [lo, hi]."""
+    grids = []
+
+    def f(x):
+        if isinstance(x, np.ndarray):
+            grids.append(x)
+        return x - hi  # an exact zero at hi, the last grid point
+
+    largest_root(f, lo, hi)
+    return grids[0]
+
+
+def test_largest_root_grid_is_bitwise_linspace():
+    # built once per bracket and then shared: every bracket the solvers scan,
+    # [1, M] for M <= 1024 and [0, 1], and signed zeros that compare equal
+    brackets = [(0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0)]
+    brackets += [(1.0, float(m)) for m in range(2, 1025)]
+    for lo, hi in brackets:
+        want = np.linspace(lo, hi, _GRID_POINTS).view(np.int64)
+        first, again = _grid_of(lo, hi), _grid_of(lo, hi)
+        assert again is first and not first.flags.writeable
+        assert np.array_equal(first.view(np.int64), want), (lo, hi)
+
+
+def test_largest_root_grid_is_read_only():
+    def writes_its_argument(x):
+        if isinstance(x, np.ndarray):
+            x[0] = 0.5
+        return x - 1.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        largest_root(writes_its_argument, 0.0, 2.0)
+    f = lambda x: x - 1.0
+    assert largest_root(f, 0.0, 2.0) == scan_largest_root(f, 0.0, 2.0)
+
+
+def test_largest_root_keeps_a_bounded_number_of_grids():
+    for k in range(200):
+        largest_root(lambda x: x - 1.0, 0.0, 2.0 + k)
+    info = numerics._scan_grid.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert info.maxsize * _GRID_POINTS * 8 <= 2**21  # at most 2 MiB of grids
