@@ -1,4 +1,4 @@
-"""Encoder/decoder recursion shared by every schedule and both Monte Carlo runners.
+"""Encoder/decoder recursion shared by every schedule and the Monte Carlo runner.
 
 Message m is a point theta in (0, 1), embedded as a Gaussian source value
 s = sqrt(p0) * quantile(theta).  Each channel use n transmits

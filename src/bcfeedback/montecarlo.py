@@ -3,20 +3,19 @@
 Reproducibility contract: trial i draws from a child stream spawned from the
 master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
 the message points, then 1 + M standard normals per step), the only code that
-draws.  ``run_trial`` runs one trial and replays its decoders; ``run_batch``
-is its vectorised twin used for estimation, processing trials in fixed chunks
-of ``CHUNK_SIZE`` reduced in chunk order.  Threads run chunks side by side,
-and spare threads fill a chunk's next noise block by trial while the chunk's
-thread steps through this one, each generator advanced by one thread at a
-time, so results are byte-identical for any thread count.  A trial draws as a
-batch of one and a chunk as a batch of its trials, with the normals drawn in
+draws.  ``_run_chunk`` is the one runner: it draws a batch of trials and
+steps them, encoding, forming outputs with ``channel_outputs`` and updating
+the sources into buffers it makes once.  ``run_batch`` runs trials in fixed
+chunks of ``CHUNK_SIZE`` reduced in chunk order, and folds the decoder replay
+maps only to check the round trip; ``run_trial`` is a chunk of one that folds
+them and records each step.  Threads run chunks side by side, and spare
+threads fill a chunk's next noise block by trial while the chunk's thread
+steps through this one, each generator advanced by one thread at a time, so
+results are byte-identical for any thread count.  The normals are drawn in
 blocks of steps into two (trials, k, 1 + M) buffers used in turn, k = max(1,
 BLOCK_NORMALS // 2 // (1 + M)) and ``channel.BLOCK_NORMALS`` = 4096.  So the
 noise takes at most 32 KiB per trial (32 MiB for a full chunk; two steps'
-1 + M normals once M > 2047), whatever the horizon.  Both step through
-``_steps``, the one loop that encodes, forms outputs with ``channel_outputs``
-and updates the sources into buffers it makes once; the batch folds the
-decoder replay maps only to check the round trip.
+1 + M normals once M > 2047), whatever the horizon.
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
@@ -162,21 +161,15 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(marks)
 
 
-def _policy_list(policy, m: int) -> list[IntervalPolicy]:
-    if isinstance(policy, IntervalPolicy):
-        return [policy] * m
-    policies = list(policy)
-    if len(policies) != m:
-        raise ValueError(f"need one policy or {m} of them, got {len(policies)}")
-    return policies
-
-
 def _run_args(prepared: PreparedScheme, horizon: int, policy,
               checkpoints: Sequence[int] | None):
     """Validated (policies, checkpoints) for a run of ``horizon`` steps."""
     if horizon > prepared.horizon:
         raise ValueError("horizon exceeds the prepared schedule")
-    policies = _policy_list(policy, prepared.channel.num_receivers)
+    m = prepared.channel.num_receivers
+    policies = [policy] * m if isinstance(policy, IntervalPolicy) else list(policy)
+    if len(policies) != m:
+        raise ValueError(f"need one policy or {m} of them, got {len(policies)}")
     marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
     if any(c < 0 or c > horizon for c in marks):
         raise ValueError("checkpoints must lie in [0, horizon]")
@@ -185,26 +178,60 @@ def _run_args(prepared: PreparedScheme, horizon: int, policy,
     return policies, marks
 
 
-def _steps(prepared: PreparedScheme, s: np.ndarray, noise):
-    """The trial step: yields (n, x, y, s_{n+1}) for n = 1, 2, ... while noise lasts.
-
-    s is one trial's sources (M,) with noise rows (1 + M,), or a batch
-    (trials, M) with rows (trials, 1 + M); row n - 1 is step n's noise.  The
-    outputs and sources are written into buffers made once, and the given s
-    is never written, so x, y and s are valid only until the next step is
-    taken, like the rows.
-    """
-    y = np.empty(s.shape)
-    sources = np.empty((2, *s.shape))
-    for n, z in enumerate(noise, start=1):
-        x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
-        channel_outputs(prepared.channel, x, z, out=y)
-        s = update_sources(s, prepared.a[n - 1], prepared.b[n - 1], y, out=sources[n % 2])
-        yield n, x, y, s
-
-
 def _halfwidths(policies: list[IntervalPolicy], n: int) -> np.ndarray:
     return np.array([pol.halfwidth(n) for pol in policies])
+
+
+def _run_chunk(prepared: PreparedScheme, horizon: int,
+               policies: list[IntervalPolicy], marks: tuple[int, ...],
+               seeds, check_roundtrip: bool, draw_threads: int, record=None):
+    """Step a batch of trials: (err_counts, cum_sum, cum_sumsq, roundtrip, decoder).
+
+    The outputs and sources are written into buffers made once, so x, y and
+    s are valid only until the next step.  The decoder replay maps are folded
+    under ``check_roundtrip`` or when ``record(n, x, y, s, dec)`` is given,
+    which is called after every step; otherwise the returned decoder is the
+    initial one.
+    """
+    m = prepared.channel.num_receivers
+    theta, noise = draw_batch(seeds, m, horizon, draw_threads)
+
+    s1 = embed_message(theta, prepared.p0)
+    dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
+    fold = check_roundtrip or record is not None
+    cum_power = np.zeros(len(seeds))
+    err_counts = np.zeros((len(marks), m), dtype=np.int64)
+    cum_sum = np.zeros(len(marks))
+    cum_sumsq = np.zeros(len(marks))
+    mark_index = {n: i for i, n in enumerate(marks)}
+    roundtrip = 0.0
+    s, y, sources = s1, np.empty(s1.shape), np.empty((2, *s1.shape))
+
+    # closed however the loop ends, so no helper thread outlives the chunk
+    with closing(noise):
+        for n, z in enumerate(noise, start=1):
+            a, b = prepared.a[n - 1], prepared.b[n - 1]
+            x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
+            channel_outputs(prepared.channel, x, z, out=y)
+            s = update_sources(s, a, b, y, out=sources[n % 2])  # never writes s1
+            cum_power += x * x
+            if fold:
+                dec = decoder_absorb(dec, a, b, y)
+            if check_roundtrip:
+                recon = dec.slope * s + dec.intercept
+                rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
+                roundtrip = max(roundtrip, float(rel.max()))
+            if record is not None:
+                record(n, x, y, s, dec)
+            if n in mark_index:
+                i = mark_index[n]
+                # not "|s| >= t": a NaN residual is an error too
+                err_counts[i] += (~(np.abs(s) < _halfwidths(policies, n))).sum(axis=0)
+                mp = cum_power / n
+                cum_sum[i] = mp.sum()
+                cum_sumsq[i] = (mp * mp).sum()
+
+    return err_counts, cum_sum, cum_sumsq, roundtrip, dec
 
 
 # ----------------------------------------------------------------------------
@@ -226,36 +253,27 @@ class TrialOutcome:
 def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
               checkpoints: Sequence[int] | None = None,
               record_trajectory: bool = False) -> TrialOutcome:
-    """One trial, with every receiver's decoder replay map folded step by step.
+    """One trial, run as a chunk of one with every receiver's replay map folded.
 
-    The trial draws its stream exactly as run_batch draws each of its trials
-    and takes the same steps, so both see the same messages and noise; a
-    regression test pins down that their error counts agree.
+    So it draws and steps exactly as run_batch does each of its trials.  A
+    receiver succeeds at a checkpoint where the chunk counts no error; the
+    trajectory rows are kept only when asked for.
     """
-    m = prepared.channel.num_receivers
     policies, marks = _run_args(prepared, horizon, policy, checkpoints)
-
-    theta, noise = draw_batch([rng], m, horizon)
-    s = embed_message(theta[0], prepared.p0)
-    dec = DecoderState(np.zeros(m), np.zeros(s.shape), 0)
     power = np.zeros(horizon)
-    success = np.zeros((len(marks), m), dtype=bool)
-    mark_index = {n: i for i, n in enumerate(marks)}
     rows = [] if record_trajectory else None
 
-    if 0 in mark_index:
-        success[mark_index[0], :] = True  # nothing observed: the full interval
-
-    for n, x, y, s in _steps(prepared, s, (row[0] for row in noise)):
-        dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
-        power[n - 1] = x * x
-        if n in mark_index:
-            success[mark_index[n]] = np.abs(s) < _halfwidths(policies, n)
+    def record(n, x, y, s, dec):
+        power[n - 1] = x[0] * x[0]
         if rows is not None:
-            rows.append((n, x, tuple(y), tuple(s), tuple(dec.slope), tuple(dec.intercept)))
+            rows.append((n, x[0], tuple(y[0]), tuple(s[0]), tuple(dec.slope),
+                         tuple(dec.intercept[0])))
 
-    return TrialOutcome(checkpoints=marks, success=success, power=power,
-                        final_intervals=decode_interval(dec, policies, prepared.p0),
+    err, _, _, _, dec = _run_chunk(prepared, horizon, policies, marks, [rng], False, 1,
+                                   record)
+    final = DecoderState(dec.log_slope, dec.intercept[0], dec.step)
+    return TrialOutcome(checkpoints=marks, success=err == 0, power=power,
+                        final_intervals=decode_interval(final, policies, prepared.p0),
                         trajectory=tuple(rows) if rows is not None else None)
 
 
@@ -274,40 +292,6 @@ class BatchStats:
     cum_power_sum: np.ndarray  # per checkpoint: sum over trials of (1/n) sum x_k^2
     cum_power_sumsq: np.ndarray
     roundtrip_max_relerr: float  # max over steps/trials of |T_n(s_{n+1}) - s_1| / max(1, |s_1|)
-
-
-def _run_chunk(prepared: PreparedScheme, horizon: int,
-               policies: list[IntervalPolicy], marks: tuple[int, ...],
-               seeds, check_roundtrip: bool, draw_threads: int):
-    m = prepared.channel.num_receivers
-    theta, noise = draw_batch(seeds, m, horizon, draw_threads)
-
-    s1 = embed_message(theta, prepared.p0)
-    dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
-    cum_power = np.zeros(len(seeds))
-    err_counts = np.zeros((len(marks), m), dtype=np.int64)
-    cum_sum = np.zeros(len(marks))
-    cum_sumsq = np.zeros(len(marks))
-    mark_index = {n: i for i, n in enumerate(marks)}
-    roundtrip = 0.0
-
-    # closed however the loop ends, so no helper thread outlives the chunk
-    with closing(noise):
-        for n, x, y, s in _steps(prepared, s1, noise):
-            cum_power += x * x
-            if check_roundtrip:
-                dec = decoder_absorb(dec, prepared.a[n - 1], prepared.b[n - 1], y)
-                recon = dec.slope * s + dec.intercept
-                rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
-                roundtrip = max(roundtrip, float(rel.max()))
-            if n in mark_index:
-                i = mark_index[n]
-                err_counts[i] += (np.abs(s) >= _halfwidths(policies, n)).sum(axis=0)
-                mp = cum_power / n
-                cum_sum[i] = mp.sum()
-                cum_sumsq[i] = (mp * mp).sum()
-
-    return err_counts, cum_sum, cum_sumsq, roundtrip
 
 
 def _usable_cpus() -> int:
@@ -341,9 +325,9 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     cpus = max(1, min(threads, _usable_cpus()))
     workers = min(cpus, len(chunks))
 
-    def work(chunk):
+    def work(chunk):  # drops the final decoder, whose intercept is (trials, M)
         return _run_chunk(prepared, horizon, policies, marks, chunk, check_roundtrip,
-                          cpus // workers)
+                          cpus // workers)[:4]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -408,8 +392,6 @@ def estimate(prepared: PreparedScheme, *, trials: int, horizon: int,
         raise ValueError("need at least 100 trials for a meaningful estimate")
     if policies is None:
         policies = default_policies(prepared, rate_fraction)
-    else:
-        policies = _policy_list(policies, prepared.channel.num_receivers)
     stats = run_batch(prepared, horizon, policies, seed, trials, threads=threads)
     target = rate_fraction * prepared.rate_limits
     out = []
@@ -461,11 +443,11 @@ def csv_rows(prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> It
             yield ",".join(row) + "\n"
 
 
-def write_trajectory_csv(fh, outcome: TrialOutcome, num_receivers: int) -> None:
+def write_trajectory_csv(fh, outcome: TrialOutcome) -> None:
     """Trajectory dump: n, x, y_1..y_M, s_1..s_M, slope_1..slope_M, intercept_1..intercept_M."""
     if outcome.trajectory is None:
         raise ValueError("trial was run without record_trajectory=True")
-    m = num_receivers
+    m = outcome.success.shape[1]
     header = (
         ["n", "x"]
         + [f"y_{j + 1}" for j in range(m)]

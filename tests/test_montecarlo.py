@@ -193,15 +193,21 @@ def test_one_policy_stands_for_every_receiver():
 # ----------------------------------------------------------------------------
 
 
-def test_trial_matches_batch_error_counts():
-    prep = prepare_scheme("symmetric", SYM_CHANNEL, 30)
-    pol = default_policies(prep, 0.5)
-    marks = (10, 20, 30)
+@pytest.mark.parametrize("scheme, channel, kw", [
+    ("symmetric", ChannelConfig(8, 10.0, 0.0, (1.0,) * 8), {}),
+    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), {"g": 1.3, "rho_mode": "pinned"}),
+    ("degraded", ChannelConfig(4, 10.0, 1.0, (0.0,) * 4), {}),
+], ids=["symmetric", "ozarow2", "degraded"])
+def test_trial_matches_batch_error_counts(scheme, channel, kw):
+    prep = prepare_scheme(scheme, channel, 30, **kw)
+    # tighter than the default policy, which leaves most of these cases error-free
+    pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.05)
+    marks = (0, 10, 20, 30)
     trials = 64
     stats = run_batch(prep, 30, pol, 2024, trials, checkpoints=marks)
-    seeds = spawn_trial_seeds(2024, trials)
-    err = np.zeros((3, 2), dtype=int)
-    for seed in seeds:
+    assert 0 < stats.err_counts.sum() and stats.err_counts.max() < trials
+    err = np.zeros_like(stats.err_counts)
+    for seed in spawn_trial_seeds(2024, trials):
         out = run_trial(prep, 30, pol, np.random.default_rng(seed), checkpoints=marks)
         err += ~out.success
     assert np.array_equal(err, stats.err_counts)
@@ -212,14 +218,18 @@ def _trajectory_bytes(trajectory):
                      for n, x, y, s, slope, icpt in trajectory], dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("scheme, channel, horizon", [
-    ("symmetric", SYM_CHANNEL, 24),
-    ("symmetric", ChannelConfig(8, 5.0, 0.0, (2.0,) * 8), 20),
-    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24),
-    ("degraded", ChannelConfig(4, 10.0, 0.5, (0.0,) * 4), 20),
-])
-def test_trial_is_bitwise_the_scalar_oracle(scheme, channel, horizon):
-    prep = prepare_scheme(scheme, channel, horizon)
+@pytest.mark.parametrize("scheme, channel, horizon, kw", [
+    ("symmetric", SYM_CHANNEL, 24, {}),
+    ("symmetric", ChannelConfig(8, 5.0, 0.0, (2.0,) * 8), 20, {}),
+    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24, {}),
+    ("degraded", ChannelConfig(4, 10.0, 0.5, (0.0,) * 4), 20, {}),
+    # weights (1, +-1.3): a (1, M) @ alpha product must still round like (M,) @ alpha
+    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24, {"g": 1.3}),
+    ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24, {"g": 1.3, "rho_mode": "pinned"}),
+], ids=["symmetric-channel0-24", "symmetric-channel1-20", "ozarow2-channel2-24",
+        "degraded-channel3-20", "ozarow2-g1.3-tracked-24", "ozarow2-g1.3-pinned-24"])
+def test_trial_is_bitwise_the_scalar_oracle(scheme, channel, horizon, kw):
+    prep = prepare_scheme(scheme, channel, horizon, **kw)
     pol = default_policies(prep, 0.5)
     for h, marks in ((horizon, (0, 1, horizon // 2, horizon)), (0, (0,))):
         for seed in range(3):
@@ -231,6 +241,23 @@ def test_trial_is_bitwise_the_scalar_oracle(scheme, channel, horizon):
             assert got.final_intervals == want.final_intervals
             assert len(got.trajectory) == h
             assert _trajectory_bytes(got.trajectory) == _trajectory_bytes(want.trajectory)
+
+
+def test_both_runners_count_a_nan_residual_as_an_error(monkeypatch):
+    def nan_outputs(config, x, z, out=None):
+        y = channel_outputs(config, x, z, out=out)
+        y[..., 0] = np.nan  # receiver 1's residual, and from step 2 on every one, is NaN
+        return y
+
+    monkeypatch.setattr(montecarlo, "channel_outputs", nan_outputs)
+    prep = prepare_scheme("symmetric", SYM_CHANNEL, 8)
+    pol = default_policies(prep, 0.5)
+    marks = (0, 1, 8)
+    stats = run_batch(prep, 8, pol, 3, 100, checkpoints=marks)
+    assert stats.err_counts[:, 0].tolist() == [0, 100, 100]
+    assert stats.err_counts[1, 1] < 100 and stats.err_counts[2, 1] == 100
+    out = run_trial(prep, 8, pol, np.random.default_rng(3), checkpoints=marks)
+    assert out.success.tolist() == [[True, True], [False, True], [False, False]]
 
 
 def test_trial_checkpoint_zero_always_succeeds():
@@ -653,11 +680,24 @@ def test_trajectory_csv_layout():
     pol = default_policies(prep, 0.5)
     out = run_trial(prep, 6, pol, np.random.default_rng(8), record_trajectory=True)
     buf = io.StringIO()
-    write_trajectory_csv(buf, out, 2)
+    write_trajectory_csv(buf, out)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "n,x,y_1,y_2,s_1,s_2,slope_1,slope_2,intercept_1,intercept_2"
     assert len(lines) == 7  # header + one row per step
     assert lines[1].split(",")[0] == "1"
+
+
+def test_trajectory_csv_rows_are_as_wide_as_its_header():
+    m = 8
+    prep = prepare_scheme("symmetric", ChannelConfig(m, 10.0, 0.0, (1.0,) * m), 5)
+    pol = default_policies(prep, 0.5)
+    out = run_trial(prep, 5, pol, np.random.default_rng(8), record_trajectory=True)
+    buf = io.StringIO()
+    write_trajectory_csv(buf, out)
+    lines = buf.getvalue().strip().split("\n")
+    assert len(lines) == 6
+    assert [len(line.split(",")) for line in lines] == [2 + 4 * m] * 6
+    assert lines[0].split(",")[-1] == f"intercept_{m}"
 
 
 def test_trajectory_csv_requires_recording():
@@ -665,7 +705,7 @@ def test_trajectory_csv_requires_recording():
     pol = default_policies(prep, 0.5)
     out = run_trial(prep, 3, pol, np.random.default_rng(8))
     with pytest.raises(ValueError):
-        write_trajectory_csv(io.StringIO(), out, 2)
+        write_trajectory_csv(io.StringIO(), out)
 
 
 def test_estimate_error_rates_decay_with_time():
