@@ -134,26 +134,10 @@ def _validate_mp(M: int, P: float) -> tuple[int, float]:
     return int(M), P
 
 
-# The gaps take a float or an array.  A scan takes the array and numpy's log1p,
-# which may differ from libm's in the last bit; largest_root re-evaluates as a
-# float, through libm's log1p as bisection does, every grid point within the
-# slack that _solve_lambda sizes to the gap's two log terms.
-
-
 def _log_gap(M: int, c: float, d: float):
-    """x -> M log1p(c x (M - x)) - (M - 1) log1p(d x), of a float or an array."""
+    """x -> M log1p(c x (M - x)) - (M - 1) log1p(d x), of a float."""
     m, m1 = float(M), float(M - 1)
-
-    def gap(x):
-        if not isinstance(x, np.ndarray):
-            return m * math.log1p(c * x * (m - x)) - m1 * math.log1p(d * x)
-        u = c * x  # the same operations, three of them in place
-        u *= m - x
-        u = m * np.log1p(u, out=u)
-        u -= m1 * np.log1p(d * x)
-        return u
-
-    return gap
+    return lambda x: m * math.log1p(c * x * (m - x)) - m1 * math.log1p(d * x)
 
 
 def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
@@ -161,23 +145,35 @@ def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
 
     Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops
     at float resolution, so an absolute tol alone fails at large P: tol is
-    1e-12·max(1, T).  The scan's slack is 1e3·1e-12·T, the same without the
-    clamp.  The array and float gaps form the log1p arguments with the same
-    IEEE operations and differ only by numpy's and libm's log1p: by at most
-    2 ulp of the terms' sum over M <= 1024 and P from 5e-324 to 1.7e308, at
-    most 4.3e-7 of the slack.  So the slack is 1e3·tol wherever T >= 1, and
-    below that it shrinks with T, as the gap does: at M = 2, P = 1e-9 the
-    scan re-evaluates 10 grid points on floats instead of 6181.  Where T is
-    so small that the slack underflows to 0, every grid value lies within tol
-    and is re-evaluated anyway.  The scan's grid is shared and read-only: the
-    gap writes only into the arrays it makes.
+    1e-12·max(1, T).
+
+    The gap changes sign exactly once on [1, M], so the grid cell that
+    index bisection finds holds the largest root.  Both equations read
+    D(x) = 1 + c·x(M - x) - (1 + dx)^k = 0 with c = d/M and k = (M - 1)/M
+    (d = P for the broadcast form, d = M·P for its twin); the gap is
+    M·(log(1 + c·x(M - x)) - log((1 + dx)^k)) and has D's sign on [0, M].
+    For d > 0 and M >= 2:
+
+    * D(0) = 0.
+    * D(1) = 1 + kd - (1 + d)^k > 0, by strict AM-GM on 1 + d and 1 with
+      weights k and 1 - k.
+    * D(M) = 1 - (1 + dM)^k < 0.
+    * D'' = -2c + k(1 - k)·d²·(1 + dx)^(k - 2) is strictly decreasing, its
+      own derivative being negative, so D'' has at most one zero, a simple
+      one, and by Rolle D has at most three on [0, M], counted with
+      multiplicity.
+    * D(1) > 0 > D(M) puts an odd number of them in (1, M).  With the one
+      at 0 that leaves exactly one, a simple zero: D changes sign once.
+
+    Near the root, rounding can blur the float gap's sign; the tests check
+    the solvers' outcomes against a float call at every grid point for P
+    from 5e-324 to 1e300.
     """
     if M == 1:
         lam, residual = 1.0, abs(gap(1.0))
     else:
         terms = (M - 1) * math.log1p(gain * M)
-        res = largest_root(gap, 1.0, float(M),
-                           _ROOT_TOL * max(1.0, terms), slack=1e3 * _ROOT_TOL * terms)
+        res = largest_root(gap, 1.0, float(M), _ROOT_TOL * max(1.0, terms))
         lam, residual = res.root, res.residual
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
@@ -294,7 +290,7 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
 
 
 def _rho_step(P, sigma2, sigma1_2, sigma2_2, g):
-    """r -> rho_map(r) on validated arguments, r >= 0: a float, or an array elementwise.
+    """r -> rho_map(r) on validated arguments, r >= 0.
 
     The textbook numerator (P + a)(P + b) rho - P (P + a + b - sigma2) h sign
     cancels two terms of size P**2; since h - r = g (1 - r)(1 + r)/dd, the form
@@ -307,13 +303,12 @@ def _rho_step(P, sigma2, sigma1_2, sigma2_2, g):
     root, c, g2 = math.sqrt((P + a) * (P + b)), 1.0 + g * g, 2.0 * g
 
     def step(r):
-        sqrt, some = (np.sqrt, np.any) if isinstance(r, np.ndarray) else (math.sqrt, bool)
         dd = c + g2 * r
         one_m = (1.0 - r) * (1.0 + r)
         h = (g + r) * (1.0 + g * r) / dd
         num = ab * r + ps * h - pabg * one_m / dd
-        den = root * sqrt((a + pgg * one_m / dd) * (b + P * one_m / dd))
-        if some(den <= 0.0):
+        den = root * math.sqrt((a + pgg * one_m / dd) * (b + P * one_m / dd))
+        if den <= 0.0:
             raise ValueError("degenerate update: residual variance vanished")
         return num / den
 

@@ -4,8 +4,10 @@ Everything downstream builds on these four operations.  The cdf and quantile
 carry message points between the uniform and Gaussian pictures, Sylvester
 Hadamard matrices supply the per-step mixing weights of the multi-receiver
 schedules, and ``largest_root`` solves the scalar fixed-point equations behind
-the rate formulas (which always want the *largest* admissible root, hence the
-scan for the last sign change).
+the rate formulas, which want the *largest* admissible root.  It calls f on
+floats only: where f's end values have opposite signs it bisects the index of
+a grid over the bracket, which finds the largest root when f changes sign
+once, and otherwise it walks the whole grid for the last sign change.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
 
 MAX_HADAMARD_LOG2 = 10
 _GRID_POINTS = 10_001  # samples in the scan grid of largest_root
-_ARRAY_SLACK = 1e3  # default slack of largest_root, in units of tol
 
 
 class RootFindingError(RuntimeError):
@@ -119,70 +120,62 @@ def _sylvester_table(k: int) -> np.ndarray:
     return h
 
 
-def largest_root(
-    f: Callable,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    slack: float | None = None,
-) -> RootResult:
-    """Largest x in [lo, hi] with f(x) = 0.
+def largest_root(f: Callable, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
+    """Largest x in [lo, hi] with f(x) = 0, from float calls of f on a grid.
 
-    ``f`` must act elementwise on a 1-D float array and also accept a float.
-    It is called once on the whole uniform grid of 10 001 samples, and then
-    on floats only.  The grid is read-only and shared by every scan of the
-    bracket: f must not write to its argument.  f on an array may differ
-    from f on a float by less than ``slack`` (default 1e3·tol), and is NaN
-    exactly where the float is.  The caller sizes ``slack`` to its f: a sum
-    of terms whose array and float forms differ only in the last bits may
-    pass a band proportional to the terms' size, far below 1e3·tol where
-    they are small.  Every grid value within slack + tol of zero is
-    evaluated again as a float, and no other value can differ from its
-    float value in sign, in being zero or in |f| <= tol: the scan finds
-    what one float call per grid point would.  The largest cell whose
-    values change sign (or that ends on an exact zero) is bisected on
-    floats to floating-point resolution; a grid point where f vanishes
-    exactly short-circuits.  If no sign change exists, the largest grid
-    point with |f| <= tol is accepted (tangent roots), otherwise
-    NoSignChangeError carries the scan diagnostics, read off the whole grid
-    on floats.  A NaN on the grid raises ValueError (numpy's warnings off).
+    The grid has 10 001 uniform points over the bracket, and its values are
+    classed as negative or not.  When f(lo) and f(hi) are nonzero and of
+    opposite sign, bisecting the grid index (about 14 calls) finds a cell
+    where the class changes: the largest one whenever the class changes
+    once.  Otherwise, and on a NaN probe, f is called at every grid point
+    and the largest cell where the class changes or that ends on an exact
+    zero is taken; there a NaN raises ValueError, and with no such cell the
+    largest grid point with |f| <= tol is accepted (tangent roots), failing
+    which NoSignChangeError carries the grid's diagnostics.  A cell that
+    ends on an exact zero returns that point; any other is bisected on
+    floats to floating-point resolution.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
-    if slack is None:
-        slack = _ARRAY_SLACK * tol
-    elif not slack >= 0.0:
-        raise ValueError("largest_root needs slack >= 0")
     xs = _scan_grid(float(lo), float(hi), math.copysign(1.0, lo), math.copysign(1.0, hi))
-    with np.errstate(all="ignore"):
-        vals = np.array(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError("f must map the scan grid elementwise")
-    if np.isnan(vals).any():
-        raise ValueError("f evaluated to NaN on the scan grid")
-    recheck = (np.abs(vals) <= slack + tol).nonzero()[0]
-    vals[recheck] = [f(x) for x in xs[recheck].tolist()]
+    i, j = 0, _GRID_POINTS - 1
+    fi, fj = float(f(float(xs[i]))), float(f(float(xs[j])))
+    if fi < 0.0 < fj or fj < 0.0 < fi:  # signs compared, not multiplied: no underflow
+        while j - i > 1:
+            k = (i + j) // 2
+            fk = float(f(float(xs[k])))
+            if math.isnan(fk):
+                break
+            if (fk < 0.0) == (fj < 0.0):
+                j, fj = k, fk
+            else:
+                i, fi = k, fk
+        else:
+            return _cell(f, xs, i, fi, fj, tol)
 
-    neg = vals < 0.0
-    hits = ((vals[1:] == 0.0) | (neg[1:] != neg[:-1])).nonzero()[0]
-    if hits.size:
-        i = int(hits[-1]) + 1
-        if vals[i] == 0.0:
-            return RootResult(float(xs[i]), 0.0, 0)
-        a, b = float(xs[i - 1]), float(xs[i])
-        return _bisect(f, a, b, float(f(a)), float(f(b)), tol)
+    vals = [float(f(x)) for x in xs.tolist()]
+    if any(map(math.isnan, vals)):
+        raise ValueError("f evaluated to NaN on the scan grid")
+    for j in range(_GRID_POINTS - 1, 0, -1):
+        if vals[j] == 0.0 or (vals[j] < 0.0) != (vals[j - 1] < 0.0):
+            return _cell(f, xs, j - 1, vals[j - 1], vals[j], tol)
     if vals[0] == 0.0:
         return RootResult(float(xs[0]), 0.0, 0)
-
-    near = np.flatnonzero(np.abs(vals) <= tol)
-    if near.size:
-        i = int(near[-1])
-        return RootResult(float(xs[i]), float(abs(vals[i])), 0)
-    vals = np.array([f(x) for x in xs.tolist()], dtype=float)
+    near = [i for i, v in enumerate(vals) if abs(v) <= tol]
+    if near:
+        return RootResult(float(xs[near[-1]]), abs(vals[near[-1]]), 0)
     raise NoSignChangeError(
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
-        f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
+        f"min |f| on grid {min(map(abs, vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+def _cell(f, xs, i: int, fa: float, fb: float, tol: float) -> RootResult:
+    """The root in the grid cell [xs[i], xs[i + 1]] whose end values are fa and fb."""
+    b = float(xs[i + 1])
+    if fb == 0.0:
+        return RootResult(b, 0.0, 0)
+    return _bisect(f, float(xs[i]), b, fa, fb, tol)
 
 
 @functools.lru_cache(maxsize=16)  # 80 KB per bracket

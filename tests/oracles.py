@@ -12,8 +12,9 @@ Three references share package code or layout on purpose, because each
 must reproduce a package routine bit for bit rather than to rounding:
 
 * :func:`scan_largest_root`, the package's former point-by-point scan, is
-  the reference that the array scan of ``largest_root`` must reproduce
-  exactly; it shares the package's bisection.  Fed :func:`libm_bc_log_gap`
+  the reference that ``largest_root`` must reproduce exactly where f changes
+  sign once on the grid or its end values do not bracket a root; it shares
+  the package's bisection.  Fed :func:`libm_bc_log_gap`
   or :func:`libm_mac_log_gap`, the sum-rate gaps with libm's ``log1p`` on
   one float at a time, it is the pure-float scan of a lambda solve.
 * :func:`draw_trial`, the package's former one-call draw, takes a whole

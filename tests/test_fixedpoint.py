@@ -20,7 +20,7 @@ from bcfeedback.fixedpoint import (
     solve_lambda_mac,
     solve_rho,
 )
-from bcfeedback.numerics import _ARRAY_SLACK, _GRID_POINTS, RootFindingError, largest_root
+from bcfeedback.numerics import RootFindingError, largest_root
 from bcfeedback.schedules import rate_report
 from oracles import (
     A1_STAR_SQ_10,
@@ -141,21 +141,18 @@ def test_lambda_solvers_cover_the_whole_input_range(m, logp):
 
 
 # ----------------------------------------------------------------------------
-# root scans: one array call, certified on the float path
+# root scans: float calls only, the grid cell found by bisecting its index
 # ----------------------------------------------------------------------------
 
 SCAN_M = (2, 3, 7, 64, 100, 1000, 1024)
 SCAN_P = (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9)
-# the lambda scan's slack shrinks with the log terms, so its bytes are pinned
-# far below and above SCAN_P too, errors included
+# the scans' bytes are pinned far below and above SCAN_P too, errors included
 WIDE_P = (5e-324, 1e-300, 1e-100, 1e-20, 1e-12) + SCAN_P + (1e12, 1e100, 1e300)
 OZAROW_NOISES = ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1.0, 2.0), (0.0, 0.3, 3.0))
+# rho's single crossing is measured, not proved: a wide spread of gains and powers
+OZAROW_G = (1e-3, 0.5, 1.0, 1.3, 10.0, 1e3)
+OZAROW_P = SCAN_P + (1e12, 1e20, 1e50, 1e100, 1e200)
 LAMBDA_SOLVERS = ((solve_lambda_bc, libm_bc_log_gap), (solve_lambda_mac, libm_mac_log_gap))
-
-
-def _same_bits_as_float_calls(f, xs):
-    one_by_one = np.array([f(float(x)) for x in xs])
-    return np.array_equal(f(xs).view(np.int64), one_by_one.view(np.int64))
 
 
 def _outcome(fn, *args):
@@ -167,20 +164,20 @@ def _outcome(fn, *args):
 
 
 def _scan_of(solve, monkeypatch, errors=()):
-    """(f, lo, hi, tol, slack, outcome) of the one root scan that ``solve()`` runs.
+    """(f, lo, hi, tol, outcome) of the one root scan that ``solve()`` runs.
 
     The outcome is the scan's result, or its error's type and message; the
     ``errors`` that ``solve()`` raises, in the scan or after it, are let pass.
     """
     seen = []
 
-    def recording_largest_root(f, lo, hi, tol, slack=None):
+    def recording_largest_root(f, lo, hi, tol):
         try:
-            res = largest_root(f, lo, hi, tol, slack)
+            res = largest_root(f, lo, hi, tol)
         except (ValueError, RootFindingError) as exc:
-            seen.append((f, lo, hi, tol, slack, (type(exc), str(exc))))
+            seen.append((f, lo, hi, tol, (type(exc), str(exc))))
             raise
-        seen.append((f, lo, hi, tol, slack, res))
+        seen.append((f, lo, hi, tol, res))
         return res
 
     monkeypatch.setattr(fixedpoint, "largest_root", recording_largest_root)
@@ -190,63 +187,51 @@ def _scan_of(solve, monkeypatch, errors=()):
     return scan
 
 
-def _scans(m, monkeypatch, powers=SCAN_P, errors=()):
-    """Every lambda scan at m over ``powers``, with its libm oracle of one float."""
-    for p in powers:
-        for solve, oracle in LAMBDA_SOLVERS:
-            scan = _scan_of(lambda: solve(m, p), monkeypatch, errors)
-            yield scan, (lambda x, p=p, oracle=oracle: oracle(x, m, p))
-
-
 @pytest.mark.parametrize("m", SCAN_M)
 def test_lambda_scans_return_the_pure_float_scan_result(m, monkeypatch):
-    scans = _scans(m, monkeypatch, WIDE_P, (ValueError, RuntimeError))
-    for (_, lo, hi, tol, _, res), oracle in scans:
-        assert repr(res) == repr(_outcome(scan_largest_root, oracle, lo, hi, tol))
+    for p in WIDE_P:
+        for solve, oracle in LAMBDA_SOLVERS:
+            _, lo, hi, tol, res = _scan_of(lambda: solve(m, p), monkeypatch,
+                                           (ValueError, RuntimeError))
+            want = _outcome(scan_largest_root, lambda x: oracle(x, m, p), lo, hi, tol)
+            assert repr(res) == repr(want), (solve.__name__, p)
 
 
 @pytest.mark.parametrize("noise", OZAROW_NOISES)
 def test_rho_scans_return_the_pure_float_scan_result(noise, monkeypatch):
-    for p in SCAN_P:
-        f, lo, hi, tol, _, res = _scan_of(lambda: solve_rho(p, *noise, 1.0), monkeypatch)
-        assert repr(res) == repr(scan_largest_root(f, lo, hi, tol))
+    for p in OZAROW_P:
+        for g in OZAROW_G:
+            f, lo, hi, tol, res = _scan_of(lambda: solve_rho(p, *noise, g), monkeypatch,
+                                           (ValueError, RuntimeError))
+            assert repr(res) == repr(_outcome(scan_largest_root, f, lo, hi, tol)), (p, g)
 
 
-@pytest.mark.parametrize("m", SCAN_M)
-def test_log_gaps_on_the_grid_are_far_inside_the_recheck_band(m, monkeypatch):
-    # numpy's log1p is off by an ulp or so; largest_root re-evaluates on floats
-    # every grid value within the slack that the solver passes (plus tol)
-    for (f, lo, hi, _, slack, _), oracle in _scans(m, monkeypatch):
-        xs = np.linspace(lo, hi, _GRID_POINTS)
-        floats = np.array([oracle(x) for x in xs.tolist()])
-        assert np.max(np.abs(f(xs) - floats)) < 1e-6 * slack
+def _scan_calls(solve, monkeypatch):
+    """The arguments of every f call in the one root scan that ``solve()`` runs,
+    and the scan's bisection iterations."""
+    seen = []
+
+    def counting_largest_root(f, lo, hi, tol):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = largest_root(counted, lo, hi, tol)
+        seen.append((calls, res.iterations))
+        return res
+
+    monkeypatch.setattr(fixedpoint, "largest_root", counting_largest_root)
+    solve()
+    (scan,) = seen
+    return scan
 
 
-@pytest.mark.parametrize("m", SCAN_M)
-def test_scan_survives_array_errors_of_half_the_recheck_band(m, monkeypatch):
-    # an array path off by up to half the band, at random or pushing every
-    # value across zero, still gives the pure-float answer
-    rng = np.random.default_rng(m)
-    for (f, lo, hi, tol, slack, _), oracle in _scans(m, monkeypatch):
-        half = 0.5 * slack
-        want = repr(scan_largest_root(oracle, lo, hi, tol))
-        for push in (lambda v: rng.uniform(-half, half, v.shape),
-                     lambda v: -half * np.sign(v)):
-            def perturbed(x, f=f, push=push):
-                if np.ndim(x) == 0:
-                    return f(x)
-                v = f(x)
-                return v + push(v)
-
-            assert repr(largest_root(perturbed, lo, hi, tol, slack)) == want
-
-
-@pytest.mark.parametrize("noise", OZAROW_NOISES)
-def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise, monkeypatch):
-    # the residual that solve_rho hands to largest_root, array and float paths
-    for p in SCAN_P:
-        f, lo, hi, *_ = _scan_of(lambda: solve_rho(p, *noise, 1.0), monkeypatch)
-        assert _same_bits_as_float_calls(f, np.linspace(lo, hi, _GRID_POINTS)), p
+# two calls at the bracket ends, at most 14 to bisect the index of the grid's
+# 10 000 cells, then one per bisection step: the grid is not walked
+def _bisected_the_index(calls, iterations):
+    return len(calls) <= 2 + 14 + iterations
 
 
 @pytest.mark.parametrize("solve", [
@@ -258,39 +243,23 @@ def test_rho_scan_on_the_grid_is_bitwise_the_float_values(noise, monkeypatch):
     lambda: solve_lambda_bc(2, 1e-9),
     lambda: solve_lambda_mac(1024, 1e-6),
 ])
-def test_solvers_scan_with_one_array_call(solve, monkeypatch):
-    # f once on the whole grid; then on floats only: once per grid value
-    # within slack + tol of zero, in grid order, then twice at the bracket
-    # ends and once per bisection step.  Few values lie in the band:
-    # solve_lambda_bc(2, 1e-9) had 6181 when its slack was 1e3·tol
-    seen = []
+def test_solver_scans_bisect_the_grid_index_on_floats(solve, monkeypatch):
+    calls, iterations = _scan_calls(solve, monkeypatch)
+    assert all(type(x) is float for x in calls)
+    assert _bisected_the_index(calls, iterations)
 
-    def counting_largest_root(f, lo, hi, tol, slack=None):
-        calls = []
 
-        def counted(x):
-            calls.append((x, f(x)))
-            return calls[-1][1]
-
-        res = largest_root(counted, lo, hi, tol, slack)
-        seen.append((calls, tol, slack, res.iterations))
-        return res
-
-    monkeypatch.setattr(fixedpoint, "largest_root", counting_largest_root)
-    solve()
-    ((calls, tol, slack, iterations),) = seen
-    if slack is None:
-        slack = _ARRAY_SLACK * tol
-    (grid, vals), floats = calls[0], [x for x, _ in calls[1:]]
-    assert np.ndim(grid) == 1 and all(np.ndim(x) == 0 for x in floats)
-    near = grid[np.abs(vals) <= slack + tol].tolist()
-    assert floats[:len(near)] == near
-    assert len(calls) <= 3 + iterations + len(near)
-    assert len(near) <= 20
+def test_solver_scans_in_the_gated_range_never_walk_the_grid(monkeypatch):
+    solves = [lambda m=m, p=p, solve=solve: solve(m, p)
+              for m in SCAN_M for p in SCAN_P for solve, _ in LAMBDA_SOLVERS]
+    solves += [lambda p=p, noise=noise, g=g: solve_rho(p, *noise, g)
+               for p in SCAN_P for noise in OZAROW_NOISES for g in OZAROW_G]
+    for solve in solves:
+        assert _bisected_the_index(*_scan_calls(solve, monkeypatch))
 
 
 # sha256 of repr of every solver result over the whole accepted range, errors
-# as repr(exc): the bytes the scans keep, whatever their array path computes
+# as repr(exc): the bytes that every change to the root scans must keep
 PIN_P = ((5e-324, 1e-300, 1e-200, 1e-100, 1e-40, 1e-20, 1e-13) + SCAN_P
          + (1e12, 1e20, 1e40, 1e100, 1e160, 1e200, 1e300, 1.7e308))
 PIN_M = (1, 2, 3, 4, 7, 64, 100, 1000, 1024)
