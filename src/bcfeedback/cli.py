@@ -302,8 +302,14 @@ def cmd_duality(args) -> int:
             if p_mac == 0.0:
                 raise ConfigError(f"P/M = {p!r}/{m} underflows to 0: the multiple-access "
                                   "twin needs a positive power")
-            with _input_errors():
-                mac = solve_lambda_mac(m, p_mac)
+            # the twin solves _log_gap(m, p_mac, m·p_mac) with gain m·p_mac; where
+            # m·p_mac == p that is the broadcast equation float for float (same
+            # closure, tol and sum_rate), so its solution is bc's
+            if m * p_mac == p:
+                mac = bc
+            else:
+                with _input_errors():
+                    mac = solve_lambda_mac(m, p_mac)
             diff = abs(bc.sum_rate - mac.sum_rate)
             worst = max(worst, diff)
             ok = "yes" if diff <= DUALITY_TOL else "no"

@@ -398,10 +398,11 @@ def estimate(prepared: PreparedScheme, *, trials: int, horizon: int,
     for i, n in enumerate(stats.checkpoints):
         errs = stats.err_counts[i]
         rates = errs / trials
-        lo = np.empty_like(rates)
-        hi = np.empty_like(rates)
-        for j, k in enumerate(errs):
-            lo[j], hi[j] = wilson_interval(int(k), trials)
+        counts = errs.tolist()
+        # a wide M has few distinct error counts: one interval for each
+        wilson = {k: wilson_interval(k, trials) for k in set(counts)}
+        lo = np.array([wilson[k][0] for k in counts], dtype=float)
+        hi = np.array([wilson[k][1] for k in counts], dtype=float)
         mean_power = 0.0 if n == 0 else float(stats.cum_power_sum[i] / trials)
         out.append(ErrorEstimate(
             checkpoint=int(n), errors=errs.copy(), trials=trials,
@@ -422,25 +423,26 @@ def write_csv(fh, prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) 
 
 
 def csv_rows(prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> Iterator[str]:
-    """CSV lines, one per (checkpoint, receiver); floats at 12 significant digits."""
+    """CSV lines, one per (checkpoint, receiver); floats at 12 significant digits.
+
+    Repeated cells are formatted once: P per call, mean_power per checkpoint
+    and target_rate .. wilson_hi per distinct set of values, of which a
+    checkpoint of a wide M has few.
+    """
     ch = prepared.channel
+    head = f"{prepared.scheme},{ch.num_receivers},{_fmt(ch.power_budget)},"
     for est in estimates:
-        for j in range(ch.num_receivers):
-            row = (
-                prepared.scheme,
-                str(ch.num_receivers),
-                _fmt(ch.power_budget),
-                str(est.checkpoint),
-                str(j + 1),
-                _fmt(est.target_rate[j]),
-                str(int(est.errors[j])),
-                str(est.trials),
-                _fmt(est.err_rate[j]),
-                _fmt(est.wilson_lo[j]),
-                _fmt(est.wilson_hi[j]),
-                _fmt(est.mean_power),
-            )
-            yield ",".join(row) + "\n"
+        tail = f",{_fmt(est.mean_power)}\n"
+        cells = {}  # keyed by value: -0.0 would hit 0.0's cell, but estimate makes no -0.0
+        for j, key in enumerate(zip(est.target_rate.tolist(), est.errors.tolist(),
+                                    est.err_rate.tolist(), est.wilson_lo.tolist(),
+                                    est.wilson_hi.tolist())):
+            cell = cells.get(key)
+            if cell is None:
+                target, errors, rate, lo, hi = key
+                cell = cells[key] = (f"{_fmt(target)},{int(errors)},{est.trials},"
+                                     f"{_fmt(rate)},{_fmt(lo)},{_fmt(hi)}")
+            yield f"{head}{est.checkpoint},{j + 1},{cell}{tail}"
 
 
 def write_trajectory_csv(fh, outcome: TrialOutcome) -> None:

@@ -17,8 +17,9 @@ import bcfeedback
 from bcfeedback import cli
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
-from bcfeedback.fixedpoint import FixedPointError
+from bcfeedback.fixedpoint import FixedPointError, solve_lambda_bc, solve_lambda_mac
 from bcfeedback.montecarlo import default_policies, estimate, prepare_scheme, write_csv
+from bcfeedback.numerics import RootFindingError
 from bcfeedback.schedules import SCHEME_IDS, make_schedule, rate_report
 
 
@@ -292,18 +293,70 @@ def test_duality_names_the_twin_power_that_underflows(m, p, capsys):
 
 
 def test_duality_gap_above_tolerance_exits_1(monkeypatch, capsys):
+    # the twin is solved only where M·(P/M) != P: 11·(100/11) = 100.00000000000001
     real = cli.solve_lambda_mac
 
     def widened(m, p):
         sol = real(m, p)
-        gap = 2.0 * cli.DUALITY_TOL if m == 4 else 0.0
+        gap = 2.0 * cli.DUALITY_TOL if m == 11 else 0.0
         return replace(sol, sum_rate=sol.sum_rate + gap)
 
     monkeypatch.setattr(cli, "solve_lambda_mac", widened)
-    assert main(["duality", "-M", "2,4", "-P", "10"]) == 1
+    assert main(["duality", "-M", "2,11", "-P", "100"]) == 1
     rows = capsys.readouterr().out.strip().split("\n")[1:]
-    assert [row.startswith("4,") for row in rows] == [False, True]
+    assert [row.startswith("11,") for row in rows] == [False, True]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["yes", "no"]
+
+
+# M = 1 .. 39 and wide M, over P from the smallest subnormal to 1e200: the
+# twin's gain M·(P/M) rounds to P at most points and away from it at some
+# (11 at P = 100, 15 at 1e3, 3 at 1e-320, ...); P/M underflows at the
+# smallest P and the broadcast scan fails at the largest for small M
+TWIN_M = tuple(range(1, 40)) + (64, 100, 128, 255, 256, 1000, 1024)
+TWIN_P = (5e-324, 1e-320, 1e-300, 1e-200, 1e-100, 1e-30, 1e-9, 1e-3, 0.5, 1.0, 10.0,
+          100.0, 1e3, 1e9, 1e100, 1e200)
+
+
+def _duality_row(m: int, p: float) -> tuple[int, str | None]:
+    """The exit code and row that direct solves give for one duality point."""
+    try:
+        bc = solve_lambda_bc(m, p)
+    except ValueError:
+        return 2, None
+    except RootFindingError:
+        return 1, None
+    if p / m == 0.0:
+        return 2, None
+    mac = solve_lambda_mac(m, p / m)
+    diff = abs(bc.sum_rate - mac.sum_rate)
+    ok = diff <= cli.DUALITY_TOL
+    return (0 if ok else 1), (f"{m},{format(p, '.12g')},{bc.sum_rate:.12g},"
+                              f"{mac.sum_rate:.12g},{diff:.3g},{'yes' if ok else 'no'}")
+
+
+def test_duality_scan_solves_the_twin_only_where_its_gain_differs(monkeypatch, capsys):
+    calls = []
+
+    def counted(m, p):
+        calls.append((m, p))
+        return solve_lambda_mac(m, p)
+
+    monkeypatch.setattr(cli, "solve_lambda_mac", counted)
+    expected_calls, solved = [], 0
+    for m in TWIN_M:
+        for p in TWIN_P:
+            rc = main(["duality", "-M", str(m), "-P", repr(p)])
+            out = capsys.readouterr().out
+            want_rc, want_row = _duality_row(m, p)
+            assert rc == want_rc, (m, p)
+            assert out == ("" if want_row is None
+                           else f"M,P,rate_bc_bits,rate_mac_bits,abs_diff,ok\n{want_row}\n")
+            if want_row is not None and m * (p / m) != p:
+                expected_calls.append((m, p / m))
+            solved += want_row is not None
+    assert calls == expected_calls
+    assert (11, 100.0 / 11) in calls
+    assert solved == 653 and len(calls) == 59  # the rest reuse the broadcast solve
 
 
 def test_duality_bad_grid(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.fixedpoint import build_warmup_plan, rho_map, solve_lambda_bc, solve_rho
+from bcfeedback.montecarlo import prepare_scheme
 from bcfeedback.numerics import sylvester_hadamard
 from bcfeedback.schedules import (
     _CHECK_TOL,
@@ -385,6 +386,21 @@ def test_symmetric_warmup_powers_increase():
     powers = [sched.step().expected_power for _ in range(8)]
     assert powers[:7] == sorted(powers[:7])
     assert powers[7] == pytest.approx(10.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64])
+@pytest.mark.parametrize("p", [1.0, 10.0, 100.0])
+def test_symmetric_table_spends_p_while_contracting_at_the_rate_limit(m, p):
+    # The LQG claim without the sum-rate equation: over the last cycle of M
+    # steps the unrolled table spends P on average and each receiver's source
+    # contracts at its reported rate.  The invariant checks are off, so this
+    # stands on its own: lambda·(1 + 1e-9) moves the mean power by 1.6e-9 to
+    # 2.5e-8 of P
+    ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
+    table = prepare_scheme("symmetric", ch, 8 * m, check_invariants=False)
+    assert math.fsum(table.expected_power[-m:]) / m == pytest.approx(p, rel=1e-12)
+    rates = -np.log2(table.a[-m:]).mean(axis=0)
+    assert rates == pytest.approx(table.rate_limits, rel=1e-12)
 
 
 def _dense_R(sched, steps, R=None):
