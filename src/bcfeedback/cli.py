@@ -346,8 +346,9 @@ def _apply_overrides(raw, args):
 
 
 def _run_simulation(cfg: RunConfig, threads: int):
-    prepared = prepare_scheme(cfg.scheme, cfg.channel, cfg.horizon,
-                              g=cfg.g, rho_mode=cfg.rho_mode)
+    with _input_errors():  # the fixed points, as solve and rates report them
+        prepared = prepare_scheme(cfg.scheme, cfg.channel, cfg.horizon,
+                                  g=cfg.g, rho_mode=cfg.rho_mode)
     policies = default_policies(
         prepared, cfg.rate_fraction,
         base_halfwidth=cfg.interval_base_halfwidth,

@@ -50,6 +50,10 @@ _CHECK_TOL = 1e-10
 # clearly wrong lam moves the log gap by O(1), so 1e-8 separates the two
 # regimes by many orders of magnitude either way
 _LAMBDA_GAP_TOL = 1e-8
+# at gain <= 1e-10 lambda is 1 + (M - 1)·gain/(2M) to within gain²/12 < 1e-21,
+# far below the 2.2e-16 spacing of floats at 1; there the float gap is too flat
+# to bracket (f(1) rounds to 0 or below, and at subnormal P/M it is noise)
+_SMALL_GAIN = 1e-10
 
 
 class FixedPointError(RuntimeError):
@@ -143,16 +147,10 @@ def _log_gap(M: int, c: float, d: float):
 def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
     """Largest root in [1, M] of ``gap``, a difference of two log terms.
 
-    Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops
-    at float resolution, so an absolute tol alone fails at large P: tol is
-    1e-12·max(1, T).
-
-    The gap changes sign exactly once on [1, M], so the grid cell that
-    index bisection finds holds the largest root.  Both equations read
-    D(x) = 1 + c·x(M - x) - (1 + dx)^k = 0 with c = d/M and k = (M - 1)/M
-    (d = P for the broadcast form, d = M·P for its twin); the gap is
-    M·(log(1 + c·x(M - x)) - log((1 + dx)^k)) and has D's sign on [0, M].
-    For d > 0 and M >= 2:
+    Both equations read D(x) = 1 + c·x(M - x) - (1 + dx)^k = 0 with c = d/M
+    and k = (M - 1)/M (d = gain: P for the broadcast form, M·P for its
+    twin); the gap is M·(log(1 + c·x(M - x)) - log((1 + dx)^k)) and has D's
+    sign on [0, M].  For d > 0 and M >= 2 the root in [1, M] is unique:
 
     * D(0) = 0.
     * D(1) = 1 + kd - (1 + d)^k > 0, by strict AM-GM on 1 + d and 1 with
@@ -165,16 +163,21 @@ def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
     * D(1) > 0 > D(M) puts an odd number of them in (1, M).  With the one
       at 0 that leaves exactly one, a simple zero: D changes sign once.
 
-    Near the root, rounding can blur the float gap's sign; the tests check
-    the solvers' outcomes against a float call at every grid point for P
-    from 5e-324 to 1e300.
+    At gain <= _SMALL_GAIN the root is λ = 1 + (M - 1)·gain/(2M) in closed
+    form.  Above it the float gap's end values bracket the root too
+    (measured, not proved: the tests compare each scan there with a
+    point-by-point one), and the index bisection of ``largest_root`` finds
+    it.  Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection
+    stops at float resolution, so an absolute tol alone fails at large P:
+    tol is 1e-12·max(1, T).
     """
-    if M == 1:
-        lam, residual = 1.0, abs(gap(1.0))
-    else:
+    if M > 1 and gain > _SMALL_GAIN:
         terms = (M - 1) * math.log1p(gain * M)
         res = largest_root(gap, 1.0, float(M), _ROOT_TOL * max(1.0, terms))
         lam, residual = res.root, res.residual
+    else:  # exactly 1.0 at M = 1
+        lam = 1.0 + (M - 1) * gain / (2 * M)
+        residual = abs(gap(lam))
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
     return SumRateSolution(lam=lam, residual=residual,

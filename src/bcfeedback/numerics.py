@@ -4,10 +4,11 @@ Everything downstream builds on these four operations.  The cdf and quantile
 carry message points between the uniform and Gaussian pictures, Sylvester
 Hadamard matrices supply the per-step mixing weights of the multi-receiver
 schedules, and ``largest_root`` solves the scalar fixed-point equations behind
-the rate formulas, which want the *largest* admissible root.  It calls f on
-floats only: where f's end values have opposite signs it bisects the index of
-a grid over the bracket, which finds the largest root when f changes sign
-once, and otherwise it walks the whole grid for the last sign change.
+the rate formulas, which want the *largest* admissible root.  It needs a
+bracket: it calls f on floats only, and where f's end values have opposite
+signs it bisects the index of a grid over the bracket, which finds the
+largest root when f changes sign once.  End values of one sign are an error,
+not a search.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 MAX_HADAMARD_LOG2 = 10
-_GRID_POINTS = 10_001  # samples in the scan grid of largest_root
+_CELLS = 10_000  # cells of the grid whose index largest_root bisects
 
 
 class RootFindingError(RuntimeError):
@@ -38,7 +39,7 @@ class RootFindingError(RuntimeError):
 
 
 class NoSignChangeError(RootFindingError):
-    """f kept one sign on the whole scan grid and never came within tol of zero."""
+    """f is nonzero with one sign at both ends of the bracket."""
 
 
 @dataclass(frozen=True)
@@ -121,69 +122,51 @@ def _sylvester_table(k: int) -> np.ndarray:
 
 
 def largest_root(f: Callable, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
-    """Largest x in [lo, hi] with f(x) = 0, from float calls of f on a grid.
+    """Largest x in [lo, hi] with f(x) = 0, for f that changes sign once there.
 
-    The grid has 10 001 uniform points over the bracket, and its values are
-    classed as negative or not.  When f(lo) and f(hi) are nonzero and of
-    opposite sign, bisecting the grid index (about 14 calls) finds a cell
-    where the class changes: the largest one whenever the class changes
-    once.  Otherwise, and on a NaN probe, f is called at every grid point
-    and the largest cell where the class changes or that ends on an exact
-    zero is taken; there a NaN raises ValueError, and with no such cell the
-    largest grid point with |f| <= tol is accepted (tangent roots), failing
-    which NoSignChangeError carries the grid's diagnostics.  A cell that
-    ends on an exact zero returns that point; any other is bisected on
-    floats to floating-point resolution.
+    f is called on floats only, at points of a 10 001-point grid over the
+    bracket, ``k·step + lo`` with ``step = (hi - lo)/10 000`` and ``hi`` at
+    the last index: bitwise ``np.linspace``, so ``lo = -0.0`` is probed as
+    0.0.  An exact zero at hi, else at lo, is returned as is.  Where f(lo)
+    and f(hi) are nonzero with opposite signs, bisecting the grid index
+    (about 14 calls) finds a cell where f turns negative or stops being
+    negative, the largest one when f changes sign once; a cell that ends on
+    an exact zero returns that point, any other is bisected on floats to
+    floating-point resolution.  Other end values raise NoSignChangeError, and
+    a NaN at any probe raises ValueError.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
-    xs = _scan_grid(float(lo), float(hi), math.copysign(1.0, lo), math.copysign(1.0, hi))
-    i, j = 0, _GRID_POINTS - 1
-    fi, fj = float(f(float(xs[i]))), float(f(float(xs[j])))
-    if fi < 0.0 < fj or fj < 0.0 < fi:  # signs compared, not multiplied: no underflow
-        while j - i > 1:
-            k = (i + j) // 2
-            fk = float(f(float(xs[k])))
-            if math.isnan(fk):
-                break
-            if (fk < 0.0) == (fj < 0.0):
-                j, fj = k, fk
-            else:
-                i, fi = k, fk
-        else:
-            return _cell(f, xs, i, fi, fj, tol)
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / _CELLS
 
-    vals = [float(f(x)) for x in xs.tolist()]
-    if any(map(math.isnan, vals)):
-        raise ValueError("f evaluated to NaN on the scan grid")
-    for j in range(_GRID_POINTS - 1, 0, -1):
-        if vals[j] == 0.0 or (vals[j] < 0.0) != (vals[j - 1] < 0.0):
-            return _cell(f, xs, j - 1, vals[j - 1], vals[j], tol)
-    if vals[0] == 0.0:
-        return RootResult(float(xs[0]), 0.0, 0)
-    near = [i for i, v in enumerate(vals) if abs(v) <= tol]
-    if near:
-        return RootResult(float(xs[near[-1]]), abs(vals[near[-1]]), 0)
-    raise NoSignChangeError(
-        f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
-        f"min |f| on grid {min(map(abs, vals)):.6g} exceeds tol {tol:g}"
-    )
+    def probe(k: int) -> tuple[float, float]:
+        x = hi if k == _CELLS else k * step + lo
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError("f evaluated to NaN on the scan grid")
+        return x, fx
 
-
-def _cell(f, xs, i: int, fa: float, fb: float, tol: float) -> RootResult:
-    """The root in the grid cell [xs[i], xs[i + 1]] whose end values are fa and fb."""
-    b = float(xs[i + 1])
+    (a, fa), (b, fb) = probe(0), probe(_CELLS)
     if fb == 0.0:
         return RootResult(b, 0.0, 0)
-    return _bisect(f, float(xs[i]), b, fa, fb, tol)
-
-
-@functools.lru_cache(maxsize=16)  # 80 KB per bracket
-def _scan_grid(lo: float, hi: float, lo_sign: float, hi_sign: float) -> np.ndarray:
-    # the signs keep apart the brackets of 0.0 and -0.0, which compare equal
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    xs.setflags(write=False)
-    return xs
+    if fa == 0.0:
+        return RootResult(a, 0.0, 0)
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):  # signs compared, not multiplied: no underflow
+        raise NoSignChangeError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
+        )
+    i, j = 0, _CELLS
+    while j - i > 1:
+        k = (i + j) // 2
+        x, fx = probe(k)
+        if (fx < 0.0) == (fb < 0.0):
+            j, b, fb = k, x, fx
+        else:
+            i, a, fa = k, x, fx
+    if fb == 0.0:
+        return RootResult(b, 0.0, 0)
+    return _bisect(f, a, b, fa, fb, tol)
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResult:

@@ -12,11 +12,13 @@ Three references share package code or layout on purpose, because each
 must reproduce a package routine bit for bit rather than to rounding:
 
 * :func:`scan_largest_root`, the package's former point-by-point scan, is
-  the reference that ``largest_root`` must reproduce exactly where f changes
-  sign once on the grid or its end values do not bracket a root; it shares
-  the package's bisection.  Fed :func:`libm_bc_log_gap`
-  or :func:`libm_mac_log_gap`, the sum-rate gaps with libm's ``log1p`` on
-  one float at a time, it is the pure-float scan of a lambda solve.
+  the reference that ``largest_root`` must reproduce exactly where f's end
+  values bracket a single sign change; it shares the package's bisection.
+  Where they do not, ``largest_root`` does not walk the grid as this scan
+  does: it returns an exact zero at an end or raises NoSignChangeError.
+  Fed :func:`libm_bc_log_gap` or :func:`libm_mac_log_gap`, the sum-rate gaps
+  with libm's ``log1p`` on one float at a time, it is the pure-float scan of
+  a lambda solve above gain 1e-10.
 * :func:`draw_trial`, the package's former one-call draw, takes a whole
   trial's stream at once and is the reference for ``draw_batch``'s blocks.
 * :func:`scalar_trial`, the package's former single-trial loop, folds each
@@ -26,7 +28,8 @@ must reproduce a package routine bit for bit rather than to rounding:
   normal cdf.
 
 :func:`mp_rho_map` is the two-user correlation map at 50 digits, in the
-textbook form whose float evaluation cancels at high power.
+textbook form whose float evaluation cancels at high power, and
+:func:`mp_lambda` the largest root of either sum-rate equation at 60 digits.
 
 Four references check the Hadamard schedules' second moments without the
 package's eigenvalue shortcuts: :func:`dense_eigen_profile`, the dense
@@ -137,6 +140,27 @@ def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult
         f"no sign change on [{lo}, {hi}]: f(lo)={vals[0]:.6g}, f(hi)={vals[-1]:.6g}, "
         f"min |f| on grid {np.min(np.abs(vals)):.6g} exceeds tol {tol:g}"
     )
+
+
+def mp_lambda(M: int, P: float, twin: bool = False) -> float:
+    """Largest root in [1, M] of the broadcast sum-rate equation at 60 digits.
+
+    The equation is M log1p(c x (M - x)) = (M - 1) log1p(d x), with c = P/M
+    and d = P, or for the multiple-access twin c = P and d = M P, both formed
+    exactly.  Bisection keeps the side where the gap is positive, so it does
+    not need the gap's sign at x = 1, which lies below 60 digits at tiny P.
+    """
+    with mpmath.workdps(60):
+        P = mpmath.mpf(P)
+        c, d = (P, M * P) if twin else (P / M, P)
+        lo, hi = mpmath.mpf(1), mpmath.mpf(M)
+        for _ in range(220):  # 1024 / 2**220 < 1e-63
+            x = (lo + hi) / 2
+            if M * mpmath.log1p(c * x * (M - x)) > (M - 1) * mpmath.log1p(d * x):
+                lo = x
+            else:
+                hi = x
+        return float(lo)
 
 
 def libm_bc_log_gap(x: float, M: int, P: float) -> float:

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from bcfeedback.fixedpoint import FixedPointError, solve_lambda_bc, solve_lambda
 from bcfeedback.montecarlo import default_policies, estimate, prepare_scheme, write_csv
 from bcfeedback.numerics import RootFindingError
 from bcfeedback.schedules import SCHEME_IDS, make_schedule, rate_report
+from oracles import mp_lambda
 
 
 def base_config(**kw):
@@ -385,6 +387,41 @@ def test_ozarow2_scan_of_nan_prints_only_the_config_error(p, capsys):
         warnings.simplefilter("error")
         assert main(["solve", "--scheme", "ozarow2", "-P", p]) == 2
     assert capsys.readouterr().err == "config error: f evaluated to NaN on the scan grid\n"
+
+
+def test_ozarow2_scan_of_nan_exits_2_on_solve_and_on_simulate(tmp_path, capsys):
+    # one config, one verdict: simulate reports the fixed point's input error
+    # as solve does
+    assert main(["solve", "--scheme", "ozarow2", "-P", "1e160", "--noise", "0.5,1,2"]) == 2
+    solve_err = capsys.readouterr().err
+    path = write_config(tmp_path, base_config(
+        scheme="ozarow2", power_budget=1e160, common_noise_var=0.5,
+        private_noise_vars=[1.0, 2.0], trials=100, horizon=5))
+    assert main(["simulate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == solve_err == "config error: f evaluated to NaN on the scan grid\n"
+
+
+def test_solve_below_gain_1e_10_gives_the_60_digit_lambda(capsys):
+    # the effective power P/sigma² = 1e-307 lies far below gain 1e-10
+    assert main(["solve", "--scheme", "degraded", "-M", "8", "-P", "1e-307", "--json"]) == 0
+    lam = json.loads(capsys.readouterr().out)["lambda"]
+    assert lam == 1.0 == pytest.approx(mp_lambda(8, 1e-307), rel=1e-15)
+
+
+def test_duality_below_gain_1e_10_gives_the_60_digit_rates(capsys):
+    # 192·2**-52: 1 + P·lambda rounds to 1 + P, so the printed rate loses no digit
+    p = 4.263256414560601e-14
+    assert main(["duality", "-M", "1000", "-P", repr(p)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2] == row[3] == "3.07528944366e-14"
+    with mpmath.workdps(60):  # broadcast at P, its twin at P/M
+        for rate, lam, gain in ((row[2], mp_lambda(1000, p), mpmath.mpf(p)),
+                                (row[3], mp_lambda(1000, p / 1000, twin=True),
+                                 1000 * mpmath.mpf(p / 1000))):
+            want = mpmath.log(1 + gain * lam, 2) / 2
+            assert float(rate) == pytest.approx(float(want), rel=1e-11)
 
 
 def test_runtime_failure_exits_1(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bcfeedback.fixedpoint as fixedpoint
@@ -38,6 +38,7 @@ from oracles import (
     bisect,
     libm_bc_log_gap,
     libm_mac_log_gap,
+    mp_lambda,
     mp_rho_map,
     mp_solve_b_gamma,
     scan_largest_root,
@@ -128,12 +129,14 @@ def test_duality_property(m, logp):
 
 @given(
     st.integers(min_value=1, max_value=1024),
-    st.floats(min_value=math.log(1e-9), max_value=math.log(1e9)),
+    st.floats(min_value=math.log(5e-324), max_value=math.log(1e9)),
 )
 @example(2, math.log(1e9))
+@example(1, math.log(5e-324))
 @settings(max_examples=100, deadline=None)
 def test_lambda_solvers_cover_the_whole_input_range(m, logp):
     p = math.exp(logp)
+    assume(p / m > 0.0)  # the twin's power P/M must not underflow
     bc = solve_lambda_bc(m, p)
     mac = solve_lambda_mac(m, p / m)
     assert 1.0 <= bc.lam <= m and 1.0 <= mac.lam <= m
@@ -191,10 +194,30 @@ def _scan_of(solve, monkeypatch, errors=()):
 def test_lambda_scans_return_the_pure_float_scan_result(m, monkeypatch):
     for p in WIDE_P:
         for solve, oracle in LAMBDA_SOLVERS:
-            _, lo, hi, tol, res = _scan_of(lambda: solve(m, p), monkeypatch,
-                                           (ValueError, RuntimeError))
-            want = _outcome(scan_largest_root, lambda x: oracle(x, m, p), lo, hi, tol)
-            assert repr(res) == repr(want), (solve.__name__, p)
+            gain = p if solve is solve_lambda_bc else m * p
+            if gain > fixedpoint._SMALL_GAIN:
+                _, lo, hi, tol, res = _scan_of(lambda: solve(m, p), monkeypatch,
+                                               (ValueError, RuntimeError))
+                want = _outcome(scan_largest_root, lambda x: oracle(x, m, p), lo, hi, tol)
+                assert repr(res) == repr(want), (solve.__name__, p)
+            else:  # the closed form, with no scan
+                monkeypatch.setattr(fixedpoint, "largest_root", None)
+                lam = solve(m, p).lam
+                assert lam == 1.0 + (m - 1) * gain / (2 * m), (solve.__name__, p)
+
+
+# P from the smallest float up: the closed form below gain 1e-10, the scans
+# just above it, and the gated range
+ORACLE_P = (5e-324, 1e-320, 1e-300, 1e-100, 1e-20, 1e-16, 1.33e-15, 4.26e-14, 1e-13,
+            1e-12, 1e-10) + SCAN_P
+
+
+@pytest.mark.parametrize("m", SCAN_M)
+def test_lambda_scans_match_a_60_digit_root(m):
+    for p in ORACLE_P:
+        assert solve_lambda_bc(m, p).lam == pytest.approx(mp_lambda(m, p), rel=1e-12), p
+        assert solve_lambda_mac(m, p).lam == pytest.approx(mp_lambda(m, p, twin=True),
+                                                           rel=1e-12), p
 
 
 @pytest.mark.parametrize("noise", OZAROW_NOISES)
@@ -263,7 +286,7 @@ def test_solver_scans_in_the_gated_range_never_walk_the_grid(monkeypatch):
 PIN_P = ((5e-324, 1e-300, 1e-200, 1e-100, 1e-40, 1e-20, 1e-13) + SCAN_P
          + (1e12, 1e20, 1e40, 1e100, 1e160, 1e200, 1e300, 1.7e308))
 PIN_M = (1, 2, 3, 4, 7, 64, 100, 1000, 1024)
-WIDE_RANGE_SHA256 = "7f8032b1a634591567e6f9f9fa2b8863fab52683cd280792bee48da960bd8998"
+WIDE_RANGE_SHA256 = "515e37ad16830cf3566c7b052ce08a7e3bdd4afc98ca347928ede4d941cb120d"
 
 
 def test_solver_results_over_the_whole_input_range_are_pinned():

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bcfeedback import numerics
 from bcfeedback.numerics import (
-    _GRID_POINTS,
+    _CELLS,
     MAX_HADAMARD_LOG2,
     NoSignChangeError,
     RootFindingError,
+    RootResult,
     largest_root,
     std_normal_cdf,
     std_normal_quantile,
     sylvester_hadamard,
 )
-from oracles import PHI_1, PHI_M2_5, bisect, normal_cdf_quad, scan_largest_root
+from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root
+
+GRID_POINTS = _CELLS + 1  # the grid over the bracket whose index largest_root bisects
 
 
 # ----------------------------------------------------------------------------
@@ -133,16 +135,6 @@ def test_hadamard_rejects_bad_order(bad):
 # ----------------------------------------------------------------------------
 
 
-def test_largest_root_picks_largest():
-    # f(1.5) and f(3.5) are both positive, so every grid point is called
-    f = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)
-    res = largest_root(f, 1.5, 3.5)
-    assert res.root == pytest.approx(3.0, abs=1e-12)
-    assert res.residual <= 1e-12
-    # independent bisection oracle on the top bracket
-    assert res.root == pytest.approx(bisect(f, 2.5, 3.5), abs=1e-12)
-
-
 def test_largest_root_exact_grid_hit():
     # root at 1.0 lies exactly on the default grid over [0, 2]
     res = largest_root(lambda x: x - 1.0, 0.0, 2.0)
@@ -150,17 +142,17 @@ def test_largest_root_exact_grid_hit():
     assert res.residual == 0.0
 
 
-def test_largest_root_tangent_fallback():
-    # (x - 1)^2 never changes sign; the tolerance window must still find 1.0
-    res = largest_root(lambda x: (x - 1.0) ** 2, 0.0, 2.0, tol=1e-9)
-    assert res.root == pytest.approx(1.0, abs=1e-4)
-
-
 def test_largest_root_no_sign_change_diagnostics():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x + 1.0
+
     with pytest.raises(NoSignChangeError) as err:
-        largest_root(lambda x: x * x + 1.0, -1.0, 1.0)
-    msg = str(err.value)
-    assert "f(lo)" in msg and "f(hi)" in msg and "min |f|" in msg
+        largest_root(f, -1.0, 2.0)
+    assert "f(lo)=2," in str(err.value) and "f(hi)=5" in str(err.value)
+    assert calls == [-1.0, 2.0]  # the end values decide; nothing else is probed
 
 
 def test_largest_root_rejects_bad_bracket():
@@ -170,24 +162,15 @@ def test_largest_root_rejects_bad_bracket():
         largest_root(lambda x: x, 0.0, float("inf"))
     with pytest.raises(ValueError):
         largest_root(lambda x: float("nan"), 0.0, 1.0)
+    # a NaN at an index probe, here the midpoint, between bracketing end values
+    with pytest.raises(ValueError, match="NaN"):
+        largest_root(lambda x: x - 0.3 if x != 0.5 else float("nan"), 0.0, 1.0)
 
 
 def test_largest_root_residual_tolerance_enforced():
     # a steep function whose residual at float resolution stays large
     with pytest.raises(RootFindingError):
         largest_root(lambda x: 1e9 * (x - 0.333333) ** 3 + 1e-3, 0.0, 1.0, tol=1e-18)
-
-
-@given(
-    st.lists(st.integers(min_value=-5, max_value=5), min_size=3, max_size=3, unique=True)
-)
-@settings(max_examples=100, deadline=None)
-def test_largest_root_on_integer_lattice_cubics(roots):
-    # r2 and r3 lie in the bracket, and f is positive at both of its ends
-    r1, r2, r3 = sorted(roots)
-    f = lambda x: (x - r1) * (x - r2) * (x - r3)
-    res = largest_root(f, r1 + 0.5, r3 + 0.5)
-    assert res.root == pytest.approx(r3, abs=1e-9)
 
 
 def _outcome(fn, *args):
@@ -198,10 +181,15 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _ends(f, lo, hi):
+    """f at the first and last grid points (linspace turns lo = -0.0 into 0.0)."""
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    return float(xs[0]), f(float(xs[0])), f(float(xs[-1]))
+
+
 def _brackets(f, lo, hi):
     """Whether f is nonzero at both ends of the bracket, with opposite signs."""
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    flo, fhi = f(float(xs[0])), f(float(xs[-1]))
+    _, flo, fhi = _ends(f, lo, hi)
     return flo < 0.0 < fhi or fhi < 0.0 < flo
 
 
@@ -212,8 +200,8 @@ def scan_cases(draw):
     tangent roots and functions with no root)."""
     lo = draw(st.floats(min_value=-10.0, max_value=10.0))
     hi = lo + draw(st.floats(min_value=1e-3, max_value=20.0))
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    on_grid = st.integers(min_value=0, max_value=_GRID_POINTS - 1).map(lambda i: float(xs[i]))
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    on_grid = st.integers(min_value=0, max_value=GRID_POINTS - 1).map(lambda i: float(xs[i]))
     anywhere = st.floats(min_value=lo - 1.0, max_value=hi + 1.0)
     point = st.one_of(on_grid, anywhere)
     sign = draw(st.sampled_from([1.0, -1.0]))
@@ -241,7 +229,16 @@ def scan_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_largest_root_matches_the_point_by_point_scan(case):
     f, lo, hi, tol = case
-    assert _outcome(largest_root, f, lo, hi, tol) == _outcome(scan_largest_root, f, lo, hi, tol)
+    got = _outcome(largest_root, f, lo, hi, tol)
+    first, flo, fhi = _ends(f, lo, hi)
+    if _brackets(f, lo, hi):
+        assert got == _outcome(scan_largest_root, f, lo, hi, tol)
+    elif fhi == 0.0:
+        assert repr(got) == repr(RootResult(hi, 0.0, 0))
+    elif flo == 0.0:
+        assert repr(got) == repr(RootResult(first, 0.0, 0))
+    else:
+        assert got[0] is NoSignChangeError
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -259,41 +256,36 @@ def test_largest_root_bisects_the_index_between_end_values_of_5e_324(sign):
     assert res.residual == 5e-324 and abs(res.root - 0.3) <= 1e-16
 
 
-def _calls_of_a_walk(lo, hi):
-    """The points, in order, at which largest_root calls an f without a root."""
+def _search_for(lo, hi, r):
+    """largest_root's result and probes for an f that is -1 below r, 0 at r and 1 above."""
     calls = []
 
     def f(x):
         calls.append(x)
-        return 1.0
+        return float((x > r) - (x < r))
 
-    with pytest.raises(NoSignChangeError):
-        largest_root(f, lo, hi)
-    return calls
+    res = largest_root(f, lo, hi)
+    assert all(type(x) is float for x in calls)
+    return res.root, np.array(calls).view(np.int64)
 
 
 def test_largest_root_grid_is_bitwise_linspace():
-    # built once per bracket and then shared: every bracket the solvers scan,
-    # [1, M] for M <= 1024 and [0, 1], and signed zeros that compare equal
-    brackets = [(0.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0)]
-    brackets += [(1.0, float(m)) for m in range(2, 1025)]
-    for lo, hi in brackets:
-        want = np.linspace(lo, hi, _GRID_POINTS).view(np.int64)
-        signs = math.copysign(1.0, lo), math.copysign(1.0, hi)
-        first, again = numerics._scan_grid(lo, hi, *signs), numerics._scan_grid(lo, hi, *signs)
-        assert again is first and not first.flags.writeable
-        assert np.array_equal(first.view(np.int64), want), (lo, hi)
-    # and f is called at those points, as floats: the walk calls it at each
-    for lo, hi in brackets[:6] + brackets[-1:]:
-        calls = _calls_of_a_walk(lo, hi)
-        assert all(type(x) is float for x in calls)
-        assert np.array_equal(np.array(calls[2:]).view(np.int64),
-                              np.linspace(lo, hi, _GRID_POINTS).view(np.int64)), (lo, hi)
-
-
-def test_largest_root_keeps_a_bounded_number_of_grids():
-    for k in range(200):
-        largest_root(lambda x: x - 1.0, 0.0, 2.0 + k)
-    info = numerics._scan_grid.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert info.maxsize * _GRID_POINTS * 8 <= 2**21  # at most 2 MiB of grids
+    # with the root at each grid point in turn, the index search probes every
+    # grid point and returns the one it was sent to, all bitwise linspace:
+    # brackets of signed zeros, which linspace keeps or turns (-0.0 at lo
+    # becomes 0.0), and [1, M], the lambda brackets
+    for lo, hi in [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (1.0, 1024.0)]:
+        xs = np.linspace(lo, hi, GRID_POINTS)
+        probed = set()
+        for r in xs.tolist():
+            root, calls = _search_for(lo, hi, r)
+            assert math.copysign(1.0, root) == math.copysign(1.0, r) and root == r
+            probed.update(calls.tolist())
+        assert probed == set(xs.view(np.int64).tolist()), (lo, hi)
+    # and a few searches on each lambda bracket [1, M], M <= 1024
+    for m in range(2, 1025):
+        xs = np.linspace(1.0, float(m), GRID_POINTS)
+        grid = set(xs.view(np.int64).tolist())
+        for t in (1, m, 5000, 9999 - m, 9999):
+            root, calls = _search_for(1.0, float(m), float(xs[t]))
+            assert root == xs[t] and grid.issuperset(calls.tolist()), (m, t)
