@@ -386,8 +386,8 @@ def cmd_simulate(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser; ``parse_args`` keeps its state in the namespace it returns."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="bcfeedback",
         description="Feedback coding over the Gaussian broadcast channel",
@@ -434,16 +434,60 @@ def build_parser() -> argparse.ArgumentParser:
         p_sim.add_argument("--horizon", type=int, default=None)
         p_sim.set_defaults(func=cmd_simulate)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser; ``parse_args`` keeps its state in the namespace it returns."""
+    return _parsers()[0]
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is then, like ``print``."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
+_PACKAGE_LOG = logging.getLogger("bcfeedback")
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing once where it can (see ``main``)."""
+    parser, subparsers = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(
+            argv[1:], argparse.Namespace(verbose=False, command=argv[0]))
+    if sub is None or rest:
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code.
+
+    An argv that starts with a subcommand name is parsed once, by that
+    subcommand's parser, into a namespace seeded with the top-level defaults.
+    The full parser would hand that parser the same arguments after sorting
+    each of them into option or value, then copy its namespace over.
+    Everything else -- no arguments, ``-v`` or ``-h`` before the command, an
+    unknown command, or an argument the subcommand's parser leaves over --
+    goes to the full parser, which alone writes the top-level usage, help and
+    errors.  Both ways give the same namespace and the same output, except for
+    an argument that starts with ``--=``: the full parser rejects it as
+    ambiguous between its own options, the subcommand parser between the
+    subcommand's.  Either way the exit code is 2.
+    """
+    args = _parse_args(argv)
+    # the package logs at this call's level to its stderr, and only there
+    saved = _PACKAGE_LOG.level, _PACKAGE_LOG.propagate
+    _PACKAGE_LOG.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    _PACKAGE_LOG.propagate = False
+    _PACKAGE_LOG.addHandler(_LOG_HANDLER)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -452,6 +496,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures: solver, IO, invariants
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _PACKAGE_LOG.removeHandler(_LOG_HANDLER)
+        _PACKAGE_LOG.setLevel(saved[0])
+        _PACKAGE_LOG.propagate = saved[1]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -660,9 +662,99 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3
     assert main(["duality"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 9  # -M 2,4,8 by -P 1,10,100
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(SystemExit):  # its output: test_main_parses_as_the_full_parser
         main(["solve", "--scheme", "ozarow2", "--bogus"])
-    assert exc.value.code == 2
     capsys.readouterr()
     assert main(["solve", "--scheme", "ozarow2"]) == 0
     assert capsys.readouterr().out == text
+
+
+# main parses an argv that starts with a subcommand by that subcommand's
+# parser alone; every argv must come out as the full parser's parse_args has it
+PARSED = [
+    ["solve", "--scheme", "ozarow2", "-M", "2", "-P", "10", "--json"],
+    ["solve", "--scheme", "symmetric", "-M", "4", "-P", "1e-3",
+     "--noise", "0,1,1,1,1", "--out", "o.txt"],
+    ["rates", "--scheme", "degraded", "-P", "1", "--noise", "1,0,0",
+     "--rate-fraction", "0.3", "--g", "2"],
+    ["duality", "-M", "2,4", "-P", "1,10"],
+    ["duality"],
+    ["duality", "-M2", "--out=-"],
+    ["simulate", "--config", "c.json", "--threads", "2", "--seed", "3",
+     "--trials", "200", "--horizon", "8"],
+    ["sweep", "--config", "c.json", "--out", "o.csv"],
+    ["-v", "duality", "-M", "64", "-P", "10"],
+    ["--verbose", "solve", "--scheme", "ozarow2"],
+    ["simulate", "--conf", "c.json", "--thr", "1"],
+    ["solve", "--scheme", "ozarow2", "--js"],
+    ["solve", "--scheme", "ozarow2", "-P", "-1"],
+    ["duality", "-P", "-1"],
+]
+EXITED = [
+    ([], 2),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["duality", "-h"], 0),
+    (["sweep", "--config", "c.json", "--help"], 0),
+    (["bogus"], 2),
+    (["-v"], 2),
+    (["duality", "-M", "2", "--bogus"], 2),
+    (["solve", "--scheme", "ozarow2", "--bogus"], 2),
+    (["solve", "-v", "--scheme", "ozarow2", "-P", "10"], 2),
+    (["duality", "--verb"], 2),
+    (["duality", "-M"], 2),
+    (["solve", "--scheme", "ozarow2", "-M", "x"], 2),
+    (["solve", "--scheme", "nope"], 2),
+    (["solve", "-P", "10"], 2),
+    (["simulate", "--threads", "2"], 2),
+    (["duality", "--", "-M", "2"], 2),
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        args = vars(parse(argv))
+        code = None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return args, code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(argv, None) for argv in PARSED] + EXITED,
+    ids=lambda v: " ".join(v) or "<none>" if isinstance(v, list) else str(v),
+)
+def test_main_parses_as_the_full_parser(argv, code, capsys):
+    got = _parse_outcome(cli._parse_args, argv, capsys)
+    assert got == _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert got[1] == code
+    assert (got[0] is None) == (code is not None)
+
+
+def test_main_names_an_argument_starting_with_double_dash_equals_ambiguous(capsys):
+    # the one argv the two ways write differently: the full parser sorts every
+    # argument first, against its own -h and -v, the subcommand parser against
+    # the subcommand's options
+    argv = ["duality", "-M", "2", "--=x"]
+    one = _parse_outcome(cli._parse_args, argv, capsys)
+    full = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert one[:3] == full[:3] == (None, 2, "")
+    assert one[3].endswith(
+        "bcfeedback duality: error: ambiguous option: --=x could match --help, --out\n")
+    assert full[3].endswith(
+        "bcfeedback: error: ambiguous option: --=x could match --help, --verbose\n")
+
+
+def test_verbose_applies_to_its_own_call_only(capsys):
+    solve = ["solve", "--scheme", "ozarow2", "-P", "10"]
+    info = "INFO bcfeedback.cli: solved ozarow2 at M=2 P=10\n"
+    handlers = logging.getLogger("bcfeedback").handlers[:], logging.getLogger().handlers[:]
+    for first, second in ((["-v"], []), ([], ["-v"])):
+        assert main(first + solve) == 0
+        assert capsys.readouterr().err == (info if first else "")
+        err = io.StringIO()  # the log goes to the stderr of the call
+        with contextlib.redirect_stderr(err):
+            assert main(second + solve) == 0
+        assert err.getvalue() == (info if second else "")
+        assert capsys.readouterr().err == ""
+    assert (logging.getLogger("bcfeedback").handlers, logging.getLogger().handlers) == handlers
