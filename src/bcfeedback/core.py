@@ -8,12 +8,19 @@ can replay the inverse maps: with w_k(x) = a_k x + b_k y_k, the composition
 
     T_n = w_1 o w_2 o ... o w_n       (w_1 applied last, i.e. outermost)
 
-satisfies T_n(s_{n+1}) = s_1 identically, so mapping a pivot interval
-(-t, t) through T_n and then through the source cdf yields the decoded
-subinterval of (0, 1).  Absorbing step n therefore composes on the *inside*:
-slope <- slope * a_n, intercept <- intercept + slope_before * b_n * y_n.
-The slope is held in log space; products like slope * t are formed as
-exp(log_slope + log t) so thousand-step horizons cannot underflow pairwise.
+satisfies T_n(s_{n+1}) = s_1 identically.  Absorbing step n therefore
+composes on the *inside*: slope <- slope * a_n, intercept <- intercept +
+slope_before * b_n * y_n.  The slope is held in log space, so thousand-step
+horizons cannot underflow pairwise.
+
+Mapping a pivot interval (-t, t) through T_n and then through the source cdf
+yields the decoded subinterval of (0, 1), with Phi the standard normal cdf:
+
+    (Phi((intercept - slope * t) / sqrt(p0)), Phi((intercept + slope * t) / sqrt(p0)))
+
+where slope * t is formed as exp(log_slope + log t).  Theta lies in it
+exactly when |s_{n+1}| < t, up to the cdf's rounding at the endpoints, so
+``montecarlo`` counts that pivot test and forms no interval.
 
 Like the encoder step, the replay takes one trial's receivers (M,) or a batch
 (trials, M); exp and log go through libm per element, so a batch row and a
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _libm, std_normal_cdf, std_normal_quantile
+from .numerics import _libm, std_normal_quantile
 
 __all__ = [
     "DecoderState",
@@ -40,10 +47,7 @@ __all__ = [
     "encode",
     "update_sources",
     "decoder_absorb",
-    "decode_interval",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,6 @@ class DecoderState:
 
     log_slope: np.ndarray
     intercept: np.ndarray
-    step: int
 
     @property
     def slope(self) -> np.ndarray:
@@ -82,10 +85,6 @@ class IntervalPolicy:
             return self.base_halfwidth * 2.0 ** (n * self.growth_rate_bits)
         except OverflowError:
             return math.inf
-
-    def log_halfwidth(self, n: int) -> float:
-        """Natural log of halfwidth(n); stays finite when the power of two overflows."""
-        return math.log(self.base_halfwidth) + n * self.growth_rate_bits * _LN2
 
 
 def embed_message(theta: float, p0: float):
@@ -135,29 +134,4 @@ def decoder_absorb(dec: DecoderState, a: np.ndarray, b: np.ndarray,
     return DecoderState(
         log_slope=dec.log_slope + _libm(math.log, a),
         intercept=dec.intercept + (dec.slope * b) * y,
-        step=dec.step + 1,
     )
-
-
-def decode_interval(dec: DecoderState, policies, p0: float) -> tuple[tuple[float, float], ...]:
-    """Decoded subintervals of (0, 1) of one trial's receivers after dec.step steps.
-
-    Maps each receiver's pivot interval (-t_n, t_n), from its policy in
-    ``policies``, through its replay map and the source cdf.  At n = 0
-    nothing has been observed and every receiver gets the whole interval.
-    """
-    n = dec.step
-    if not (p0 > 0.0 and math.isfinite(p0)):
-        raise ValueError("p0 must be positive and finite")
-    if not (dec.intercept.shape == dec.log_slope.shape == (len(policies),)):
-        raise ValueError("decode_interval takes one trial's maps and one policy per receiver")
-    if n == 0:
-        return ((0.0, 1.0),) * len(policies)
-    scale = math.sqrt(p0)
-    out = []
-    for log_slope, intercept, policy in zip(dec.log_slope.tolist(),
-                                            dec.intercept.tolist(), policies):
-        mag = math.exp(log_slope + policy.log_halfwidth(n))
-        out.append((std_normal_cdf((intercept - mag) / scale),
-                    std_normal_cdf((intercept + mag) / scale)))
-    return tuple(out)

@@ -3,12 +3,12 @@
 Reproducibility contract: trial i draws from a child stream spawned from the
 master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
 the message points, then 1 + M standard normals per step), the only code that
-draws.  ``_run_chunk`` is the one runner: it draws a batch of trials and
-steps them, encoding, forming outputs with ``channel_outputs`` and updating
-the sources into buffers it makes once.  ``run_batch`` runs trials in fixed
-chunks of ``CHUNK_SIZE`` reduced in chunk order, and folds the decoder replay
-maps only to check the round trip; ``run_trial`` is a chunk of one that folds
-them and records each step.  Threads run chunks side by side, and spare
+draws.  ``_run_chunk`` is the one stepping loop: it draws a batch of trials
+and steps them, encoding, forming outputs with ``channel_outputs`` and
+updating the sources into buffers it makes once.  ``run_batch``, the one
+runner, runs trials in fixed chunks of ``CHUNK_SIZE`` reduced in chunk order,
+and folds the decoder replay maps only to check the round trip; one trial is
+a batch of one.  Threads run chunks side by side, and spare
 threads fill a chunk's next noise block by trial while the chunk's thread
 steps through this one, each generator advanced by one thread at a time, so
 results are byte-identical for any thread count.  The normals are drawn in
@@ -19,8 +19,9 @@ noise takes at most 32 KiB per trial (32 MiB for a full chunk; two steps'
 
 Success at checkpoint n for receiver m means the residual source value lies
 inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
-message point lies in the decoded subinterval", exact up to cdf rounding, but
-stays evaluable long after the decoded interval's float endpoints saturate.
+message point lies in the decoded subinterval" (see ``core``), exact up to
+cdf rounding, but stays evaluable long after the decoded interval's float
+endpoints saturate.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .channel import ChannelConfig, channel_outputs, draw_batch, spawn_trial_see
 from .core import (
     DecoderState,
     IntervalPolicy,
-    decode_interval,
     decoder_absorb,
     embed_message,
     encode,
@@ -51,12 +51,10 @@ __all__ = [
     "prepare_scheme",
     "default_policies",
     "default_checkpoints",
-    "run_trial",
     "run_batch",
     "estimate",
     "csv_rows",
     "write_csv",
-    "write_trajectory_csv",
     "CSV_HEADER",
 ]
 
@@ -161,44 +159,24 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(marks)
 
 
-def _run_args(prepared: PreparedScheme, horizon: int, policy,
-              checkpoints: Sequence[int] | None):
-    """Validated (policies, checkpoints) for a run of ``horizon`` steps."""
-    if horizon > prepared.horizon:
-        raise ValueError("horizon exceeds the prepared schedule")
-    m = prepared.channel.num_receivers
-    policies = [policy] * m if isinstance(policy, IntervalPolicy) else list(policy)
-    if len(policies) != m:
-        raise ValueError(f"need one policy or {m} of them, got {len(policies)}")
-    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
-    if any(c < 0 or c > horizon for c in marks):
-        raise ValueError("checkpoints must lie in [0, horizon]")
-    if len(set(marks)) != len(marks):
-        raise ValueError("checkpoints must be distinct")
-    return policies, marks
-
-
 def _halfwidths(policies: list[IntervalPolicy], n: int) -> np.ndarray:
     return np.array([pol.halfwidth(n) for pol in policies])
 
 
 def _run_chunk(prepared: PreparedScheme, horizon: int,
                policies: list[IntervalPolicy], marks: tuple[int, ...],
-               seeds, check_roundtrip: bool, draw_threads: int, record=None):
-    """Step a batch of trials: (err_counts, cum_sum, cum_sumsq, roundtrip, decoder).
+               seeds, check_roundtrip: bool, draw_threads: int):
+    """Step a batch of trials: (err_counts, cum_sum, cum_sumsq, roundtrip).
 
     The outputs and sources are written into buffers made once, so x, y and
     s are valid only until the next step.  The decoder replay maps are folded
-    under ``check_roundtrip`` or when ``record(n, x, y, s, dec)`` is given,
-    which is called after every step; otherwise the returned decoder is the
-    initial one.
+    only under ``check_roundtrip``, to measure the round trip.
     """
     m = prepared.channel.num_receivers
     theta, noise = draw_batch(seeds, m, horizon, draw_threads)
 
     s1 = embed_message(theta, prepared.p0)
-    dec = DecoderState(np.zeros(m), np.zeros(s1.shape), 0)
-    fold = check_roundtrip or record is not None
+    dec = DecoderState(np.zeros(m), np.zeros(s1.shape))
     cum_power = np.zeros(len(seeds))
     err_counts = np.zeros((len(marks), m), dtype=np.int64)
     cum_sum = np.zeros(len(marks))
@@ -215,14 +193,11 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
             channel_outputs(prepared.channel, x, z, out=y)
             s = update_sources(s, a, b, y, out=sources[n % 2])  # never writes s1
             cum_power += x * x
-            if fold:
-                dec = decoder_absorb(dec, a, b, y)
             if check_roundtrip:
+                dec = decoder_absorb(dec, a, b, y)
                 recon = dec.slope * s + dec.intercept
                 rel = np.abs(recon - s1) / np.maximum(1.0, np.abs(s1))
                 roundtrip = max(roundtrip, float(rel.max()))
-            if record is not None:
-                record(n, x, y, s, dec)
             if n in mark_index:
                 i = mark_index[n]
                 # not "|s| >= t": a NaN residual is an error too
@@ -231,50 +206,7 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
                 cum_sum[i] = mp.sum()
                 cum_sumsq[i] = (mp * mp).sum()
 
-    return err_counts, cum_sum, cum_sumsq, roundtrip, dec
-
-
-# ----------------------------------------------------------------------------
-# single trial (full decoder replay)
-# ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Per-checkpoint success flags, per-step power, and final decoded intervals."""
-
-    checkpoints: tuple[int, ...]
-    success: np.ndarray  # (len(checkpoints), M) booleans
-    power: np.ndarray  # (horizon,) transmitted x_n**2
-    final_intervals: tuple[tuple[float, float], ...]
-    trajectory: tuple | None = None
-
-
-def run_trial(prepared: PreparedScheme, horizon: int, policy, rng, *,
-              checkpoints: Sequence[int] | None = None,
-              record_trajectory: bool = False) -> TrialOutcome:
-    """One trial, run as a chunk of one with every receiver's replay map folded.
-
-    So it draws and steps exactly as run_batch does each of its trials.  A
-    receiver succeeds at a checkpoint where the chunk counts no error; the
-    trajectory rows are kept only when asked for.
-    """
-    policies, marks = _run_args(prepared, horizon, policy, checkpoints)
-    power = np.zeros(horizon)
-    rows = [] if record_trajectory else None
-
-    def record(n, x, y, s, dec):
-        power[n - 1] = x[0] * x[0]
-        if rows is not None:
-            rows.append((n, x[0], tuple(y[0]), tuple(s[0]), tuple(dec.slope),
-                         tuple(dec.intercept[0])))
-
-    err, _, _, _, dec = _run_chunk(prepared, horizon, policies, marks, [rng], False, 1,
-                                   record)
-    final = DecoderState(dec.log_slope, dec.intercept[0], dec.step)
-    return TrialOutcome(checkpoints=marks, success=err == 0, power=power,
-                        final_intervals=decode_interval(final, policies, prepared.p0),
-                        trajectory=tuple(rows) if rows is not None else None)
+    return err_counts, cum_sum, cum_sumsq, roundtrip
 
 
 # ----------------------------------------------------------------------------
@@ -316,8 +248,17 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     arithmetic or its order, so every (seed, trials, horizon) triple gives
     identical statistics.
     """
+    if horizon > prepared.horizon:
+        raise ValueError("horizon exceeds the prepared schedule")
     m = prepared.channel.num_receivers
-    policies, marks = _run_args(prepared, horizon, policy, checkpoints)
+    policies = [policy] * m if isinstance(policy, IntervalPolicy) else list(policy)
+    if len(policies) != m:
+        raise ValueError(f"need one policy or {m} of them, got {len(policies)}")
+    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
+    if any(c < 0 or c > horizon for c in marks):
+        raise ValueError("checkpoints must lie in [0, horizon]")
+    if len(set(marks)) != len(marks):
+        raise ValueError("checkpoints must be distinct")
 
     seeds = spawn_trial_seeds(seed, trials)
     chunks = [seeds[i:i + CHUNK_SIZE] for i in range(0, trials, CHUNK_SIZE)]
@@ -325,9 +266,9 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     cpus = max(1, min(threads, _usable_cpus()))
     workers = min(cpus, len(chunks))
 
-    def work(chunk):  # drops the final decoder, whose intercept is (trials, M)
+    def work(chunk):
         return _run_chunk(prepared, horizon, policies, marks, chunk, check_roundtrip,
-                          cpus // workers)[:4]
+                          cpus // workers)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -443,25 +384,3 @@ def csv_rows(prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> It
                 cell = cells[key] = (f"{_fmt(target)},{int(errors)},{est.trials},"
                                      f"{_fmt(rate)},{_fmt(lo)},{_fmt(hi)}")
             yield f"{head}{est.checkpoint},{j + 1},{cell}{tail}"
-
-
-def write_trajectory_csv(fh, outcome: TrialOutcome) -> None:
-    """Trajectory dump: n, x, y_1..y_M, s_1..s_M, slope_1..slope_M, intercept_1..intercept_M."""
-    if outcome.trajectory is None:
-        raise ValueError("trial was run without record_trajectory=True")
-    m = outcome.success.shape[1]
-    header = (
-        ["n", "x"]
-        + [f"y_{j + 1}" for j in range(m)]
-        + [f"s_{j + 1}" for j in range(m)]
-        + [f"slope_{j + 1}" for j in range(m)]
-        + [f"intercept_{j + 1}" for j in range(m)]
-    )
-    fh.write(",".join(header) + "\n")
-    for n, x, y, s, slope, intercept in outcome.trajectory:
-        vals = [str(n), _fmt(x)]
-        vals += [_fmt(v) for v in y]
-        vals += [_fmt(v) for v in s]
-        vals += [_fmt(v) for v in slope]
-        vals += [_fmt(v) for v in intercept]
-        fh.write(",".join(vals) + "\n")

@@ -1,7 +1,7 @@
-"""Numeric primitives: normal cdf/quantile, Hadamard matrices, largest-root search.
+"""Numeric primitives: normal quantile, Hadamard matrices, largest-root search.
 
-Everything downstream builds on these four operations.  The cdf and quantile
-carry message points between the uniform and Gaussian pictures, Sylvester
+Everything downstream builds on these three operations.  The quantile
+carries message points from the uniform to the Gaussian picture, Sylvester
 Hadamard matrices supply the per-step mixing weights of the multi-receiver
 schedules, and ``largest_root`` solves the scalar fixed-point equations behind
 the rate formulas, which want the *largest* admissible root.  It needs a
@@ -24,7 +24,6 @@ __all__ = [
     "MAX_HADAMARD_LOG2",
     "RootFindingError",
     "NoSignChangeError",
-    "std_normal_cdf",
     "std_normal_quantile",
     "sylvester_hadamard",
     "largest_root",
@@ -63,16 +62,7 @@ def _libm(fn, x):
 
 
 # scipy.special is imported where it is called, so the solve path never loads
-# it: the cdf and quantile run once per chunk or decoded trial, never per step.
-
-
-def std_normal_cdf(x):
-    """Standard normal cdf.  Scalars in, float out; ndarrays map elementwise."""
-    from scipy.special import ndtr
-
-    if np.ndim(x) == 0:
-        return float(ndtr(float(x)))
-    return ndtr(np.asarray(x, dtype=float))
+# it: the quantile runs once per chunk, never per step.
 
 
 def std_normal_quantile(p):

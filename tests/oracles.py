@@ -1,8 +1,8 @@
 """Independent numerical oracles used to freeze and cross-check constants.
 
 Everything here deliberately avoids the package's own numerics: plain
-bisection instead of the grid-scan root finder, quadrature instead of the
-closed-form normal cdf, finite-difference Newton instead of closed-form
+bisection instead of the grid-scan root finder, quadrature to check the
+normal cdf and quantile, finite-difference Newton instead of closed-form
 algebra, and explicit nested evaluation instead of the decoder's folded
 affine state.  Constants frozen into the tests were produced by these
 routines (or by 50-digit decimal arithmetic on exact polynomial forms) and
@@ -21,11 +21,13 @@ must reproduce a package routine bit for bit rather than to rounding:
   a lambda solve above gain 1e-10.
 * :func:`draw_trial`, the package's former one-call draw, takes a whole
   trial's stream at once and is the reference for ``draw_batch``'s blocks.
-* :func:`scalar_trial`, the package's former single-trial loop, folds each
-  receiver's decoder one float at a time and is the reference for
-  ``run_trial``; it draws through :func:`draw_trial` and shares the
-  package's embedding, encode and source-update steps, channel outputs and
-  normal cdf.
+* :func:`scalar_trial`, the package's former single-trial loop, updates
+  each receiver's source and folds its decoder one float at a time and is
+  the reference for every step of a one-trial ``run_batch``; it draws
+  through :func:`draw_trial` and shares the package's embedding, encode step
+  and channel outputs.  It also maps each receiver's pivot interval to the
+  decoded subinterval of (0, 1) through :func:`std_normal_cdf`, which the
+  package does not form.
 
 :func:`mp_rho_map` is the two-user correlation map at 50 digits, in the
 textbook form whose float evaluation cancels at high power, and
@@ -44,15 +46,16 @@ covariance driven by given steps.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr
 
 from bcfeedback.channel import channel_outputs
-from bcfeedback.core import embed_message, encode, update_sources
-from bcfeedback.montecarlo import TrialOutcome
-from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect, std_normal_cdf
+from bcfeedback.core import embed_message, encode
+from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
 # after clearing logarithms from the two-receiver sum-rate equation at P = 10:
@@ -182,11 +185,27 @@ def draw_trial(rng: np.random.Generator, M: int, horizon: int):
     return theta, rng.standard_normal((horizon, 1 + M))
 
 
-def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOutcome:
-    """Reference for ``run_trial``: one scalar (log_slope, intercept) replay per receiver.
+def std_normal_cdf(x):
+    """Standard normal cdf.  Scalars in, float out; ndarrays map elementwise."""
+    if np.ndim(x) == 0:
+        return float(ndtr(float(x)))
+    return ndtr(np.asarray(x, dtype=float))
 
-    Takes one policy per receiver and explicit checkpoints, and always
-    records the trajectory.
+
+@dataclass(frozen=True)
+class ScalarTrial:
+    """What :func:`scalar_trial` computed for one trial."""
+
+    success: np.ndarray  # (len(checkpoints), M) booleans: |s_{n+1}| < t_n
+    steps: tuple  # per step n = 1..horizon: (x, y, s, slope, intercept), floats and (M,) tuples
+    final_intervals: tuple  # per receiver: the decoded (lo, hi) after the last step
+
+
+def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> ScalarTrial:
+    """Reference for every step of a one-trial ``run_batch``, its replay folded as floats.
+
+    Keeps one scalar (log_slope, intercept) per receiver, and takes one
+    policy per receiver and explicit checkpoints.
     """
     ch = prepared.channel
     m = ch.num_receivers
@@ -194,10 +213,9 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOut
     s = np.array([embed_message(t, prepared.p0) for t in theta])
     log_slope = [0.0] * m
     intercept = [0.0] * m
-    power = np.zeros(horizon)
     success = np.zeros((len(checkpoints), m), dtype=bool)
     mark_index = {n: i for i, n in enumerate(checkpoints)}
-    rows = []
+    steps = []
     if 0 in mark_index:
         success[mark_index[0], :] = True
 
@@ -208,13 +226,12 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOut
         for j in range(m):
             intercept[j] = intercept[j] + math.exp(log_slope[j]) * float(b[j]) * float(y[j])
             log_slope[j] = log_slope[j] + math.log(float(a[j]))
-        s = update_sources(s, a, b, y)
-        power[n - 1] = x * x
+        s = np.array([(s[j] - float(b[j]) * float(y[j])) / float(a[j]) for j in range(m)])
         if n in mark_index:
             for j in range(m):
                 success[mark_index[n], j] = abs(s[j]) < policies[j].halfwidth(n)
-        rows.append((n, x, tuple(y), tuple(s), tuple(math.exp(v) for v in log_slope),
-                     tuple(intercept)))
+        steps.append((x, tuple(y), tuple(s), tuple(math.exp(v) for v in log_slope),
+                      tuple(intercept)))
 
     if horizon == 0:
         finals = ((0.0, 1.0),) * m
@@ -222,12 +239,14 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> TrialOut
         scale = math.sqrt(prepared.p0)
         finals = []
         for j in range(m):
-            mag = math.exp(log_slope[j] + policies[j].log_halfwidth(horizon))
+            pol = policies[j]
+            # log t_n, finite where the power of two in halfwidth(n) overflows
+            log_t = math.log(pol.base_halfwidth) + horizon * pol.growth_rate_bits * math.log(2.0)
+            mag = math.exp(log_slope[j] + log_t)
             finals.append((std_normal_cdf((intercept[j] - mag) / scale),
                            std_normal_cdf((intercept[j] + mag) / scale)))
         finals = tuple(finals)
-    return TrialOutcome(checkpoints=tuple(checkpoints), success=success, power=power,
-                        final_intervals=finals, trajectory=tuple(rows))
+    return ScalarTrial(success=success, steps=tuple(steps), final_intervals=finals)
 
 
 def dense_eigen_profile(G: np.ndarray, columns: np.ndarray):

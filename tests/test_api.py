@@ -16,7 +16,7 @@ REPO = Path(__file__).resolve().parents[1]
 # the documented library surface; README's "Library API" paragraph names it
 ROOT_API = {
     "ChannelConfig",
-    "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "solve_b_gamma", "rate_report",
+    "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "rate_report",
     "make_schedule", "prepare_scheme", "estimate", "write_csv",
     "__version__",
 }

@@ -24,10 +24,8 @@ from bcfeedback.montecarlo import (
     estimate,
     prepare_scheme,
     run_batch,
-    run_trial,
     wilson_interval,
     write_csv,
-    write_trajectory_csv,
 )
 from bcfeedback.schedules import ScheduleStep
 from oracles import draw_trial, scalar_trial
@@ -179,17 +177,10 @@ def test_one_policy_stands_for_every_receiver():
     for name in ("err_counts", "cum_power_sum", "cum_power_sumsq"):
         assert np.array_equal(getattr(one, name), getattr(each, name))
     assert 0 < one.err_counts.sum() and one.err_counts.max() < 200  # the policy decides
-    for seed in range(3):
-        got = run_trial(prep, 16, pol, np.random.default_rng(seed), record_trajectory=True)
-        want = run_trial(prep, 16, [pol] * 4, np.random.default_rng(seed),
-                         record_trajectory=True)
-        assert np.array_equal(got.success, want.success)
-        assert got.final_intervals == want.final_intervals
-        assert got.trajectory == want.trajectory
 
 
 # ----------------------------------------------------------------------------
-# scalar trials vs vectorised batches
+# the scalar oracle vs vectorised batches; one trial is a batch of one
 # ----------------------------------------------------------------------------
 
 
@@ -207,15 +198,36 @@ def test_trial_matches_batch_error_counts(scheme, channel, kw):
     stats = run_batch(prep, 30, pol, 2024, trials, checkpoints=marks)
     assert 0 < stats.err_counts.sum() and stats.err_counts.max() < trials
     err = np.zeros_like(stats.err_counts)
+    policies = [pol] * channel.num_receivers
     for seed in spawn_trial_seeds(2024, trials):
-        out = run_trial(prep, 30, pol, np.random.default_rng(seed), checkpoints=marks)
-        err += ~out.success
+        err += ~scalar_trial(prep, 30, policies, np.random.default_rng(seed), marks).success
     assert np.array_equal(err, stats.err_counts)
 
 
-def _trajectory_bytes(trajectory):
-    return np.array([(n, x, *y, *s, *slope, *icpt)
-                     for n, x, y, s, slope, icpt in trajectory], dtype=float).tobytes()
+def _capture_kernel_steps(monkeypatch):
+    """Copies of every x, y, s and replay map that run_batch's stepping loop makes.
+
+    The loop writes y and s into buffers it reuses, so each value is copied
+    out as its function returns it.
+    """
+    steps = {"x": [], "y": [], "s": [], "slope": [], "intercept": []}
+
+    def spy(name, keep):
+        original = getattr(montecarlo, name)
+
+        def wrapper(*args, **kw):
+            out = original(*args, **kw)
+            keep(out)
+            return out
+
+        monkeypatch.setattr(montecarlo, name, wrapper)
+
+    spy("encode", lambda x: steps["x"].append(x.copy()))
+    spy("channel_outputs", lambda y: steps["y"].append(y.copy()))
+    spy("update_sources", lambda s: steps["s"].append(s.copy()))
+    spy("decoder_absorb", lambda dec: (steps["slope"].append(dec.slope.copy()),
+                                       steps["intercept"].append(dec.intercept.copy())))
+    return steps
 
 
 @pytest.mark.parametrize("scheme, channel, horizon, kw", [
@@ -228,22 +240,38 @@ def _trajectory_bytes(trajectory):
     ("ozarow2", ChannelConfig(2, 10.0, 0.5, (1.0, 2.0)), 24, {"g": 1.3, "rho_mode": "pinned"}),
 ], ids=["symmetric-channel0-24", "symmetric-channel1-20", "ozarow2-channel2-24",
         "degraded-channel3-20", "ozarow2-g1.3-tracked-24", "ozarow2-g1.3-pinned-24"])
-def test_trial_is_bitwise_the_scalar_oracle(scheme, channel, horizon, kw):
+def test_trial_is_bitwise_the_scalar_oracle(monkeypatch, scheme, channel, horizon, kw):
+    # a one-trial batch checked at every step, with its replay maps folded,
+    # against the scalar loop fed the same spawned stream
     prep = prepare_scheme(scheme, channel, horizon, **kw)
     pol = default_policies(prep, 0.5)
-    for h, marks in ((horizon, (0, 1, horizon // 2, horizon)), (0, (0,))):
+    m = channel.num_receivers
+    steps = _capture_kernel_steps(monkeypatch)
+    for h in (horizon, 0):
+        marks = tuple(range(h + 1))
         for seed in range(3):
-            got = run_trial(prep, h, pol, np.random.default_rng(seed),
-                            checkpoints=marks, record_trajectory=True)
-            want = scalar_trial(prep, h, pol, np.random.default_rng(seed), marks)
-            assert np.array_equal(got.success, want.success)
-            assert got.power.tobytes() == want.power.tobytes()
-            assert got.final_intervals == want.final_intervals
-            assert len(got.trajectory) == h
-            assert _trajectory_bytes(got.trajectory) == _trajectory_bytes(want.trajectory)
+            for seen in steps.values():
+                seen.clear()
+            stats = run_batch(prep, h, pol, seed, 1, checkpoints=marks, check_roundtrip=True)
+            rng = np.random.default_rng(spawn_trial_seeds(seed, 1)[0])
+            want = scalar_trial(prep, h, pol, rng, marks)
+            assert np.array_equal(stats.err_counts == 0, want.success)
+            assert len(want.steps) == h
+            # steps' keys run in the order of scalar_trial's step fields
+            for i, (name, seen) in enumerate(steps.items()):
+                width = 1 if name == "x" else m
+                assert len(seen) == h, name
+                got = np.array(seen, dtype=float).reshape(h, width)
+                col = np.array([row[i] for row in want.steps], dtype=float).reshape(h, width)
+                assert got.tobytes() == col.tobytes(), (name, h, seed)
+            cum = 0.0
+            for n, (x, *_) in enumerate(want.steps, start=1):
+                cum += x * x
+                assert stats.cum_power_sum[n] == cum / n
+                assert stats.cum_power_sumsq[n] == (cum / n) * (cum / n)
 
 
-def test_both_runners_count_a_nan_residual_as_an_error(monkeypatch):
+def test_batch_counts_a_nan_residual_as_an_error(monkeypatch):
     def nan_outputs(config, x, z, out=None):
         y = channel_outputs(config, x, z, out=out)
         y[..., 0] = np.nan  # receiver 1's residual, and from step 2 on every one, is NaN
@@ -256,77 +284,70 @@ def test_both_runners_count_a_nan_residual_as_an_error(monkeypatch):
     stats = run_batch(prep, 8, pol, 3, 100, checkpoints=marks)
     assert stats.err_counts[:, 0].tolist() == [0, 100, 100]
     assert stats.err_counts[1, 1] < 100 and stats.err_counts[2, 1] == 100
-    out = run_trial(prep, 8, pol, np.random.default_rng(3), checkpoints=marks)
-    assert out.success.tolist() == [[True, True], [False, True], [False, False]]
 
 
 def test_trial_checkpoint_zero_always_succeeds():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 5)
-    pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 5, pol, np.random.default_rng(1), checkpoints=(0, 5))
-    assert out.success[0].all()
-    assert out.final_intervals[0][0] < out.final_intervals[0][1]
+    tight = IntervalPolicy(base_halfwidth=1e-9, growth_rate_bits=0.0)  # fails every trial at 5
+    stats = run_batch(prep, 5, tight, 1, 100, checkpoints=(0, 5))
+    assert stats.err_counts.tolist() == [[0, 0], [100, 100]]
 
 
 def test_trial_zero_horizon_decodes_whole_interval():
+    # nothing is observed, so the decoded interval is all of (0, 1) and the
+    # one checkpoint counts no error
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 0)
     pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 0, pol, np.random.default_rng(1))
-    assert out.checkpoints == (0,)
-    assert out.final_intervals == ((0.0, 1.0), (0.0, 1.0))
+    stats = run_batch(prep, 0, pol, 1, 1)
+    assert stats.checkpoints == (0,)
+    assert not stats.err_counts.any()
+    rng = np.random.default_rng(spawn_trial_seeds(1, 1)[0])
+    assert scalar_trial(prep, 0, pol, rng, (0,)).final_intervals == ((0.0, 1.0), (0.0, 1.0))
 
 
 def test_trial_validates_horizon_and_checkpoints():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 5)
     pol = default_policies(prep, 0.5)
-    with pytest.raises(ValueError):
-        run_trial(prep, 6, pol, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        run_trial(prep, 5, pol, np.random.default_rng(0), checkpoints=(7,))
-    with pytest.raises(ValueError):
-        run_trial(prep, 5, [pol[0]] * 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="horizon exceeds"):
+        run_batch(prep, 6, pol, 0, 1)
+    with pytest.raises(ValueError, match="checkpoints must lie"):
+        run_batch(prep, 5, pol, 0, 1, checkpoints=(7,))
+    with pytest.raises(ValueError, match="need one policy or 2"):
+        run_batch(prep, 5, [pol[0]] * 3, 0, 1)
 
 
-def test_both_runners_reject_duplicate_checkpoints():
-    # a repeated checkpoint used to leave all but its last row empty: zero errors
-    # and zero power in run_batch, every receiver failed in run_trial
+def test_batch_rejects_duplicate_checkpoints():
+    # a repeated checkpoint used to leave all but its last row empty: zero
+    # errors and zero power
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 40)
     pol = default_policies(prep, 0.5)
     for marks in ((40, 40), (0, 10, 0), (5, 10, 5, 40)):
-        with pytest.raises(ValueError, match="checkpoints must be distinct"):
-            run_batch(prep, 40, pol, 1, 200, checkpoints=marks)
-        with pytest.raises(ValueError, match="checkpoints must be distinct"):
-            run_trial(prep, 40, pol, np.random.default_rng(1), checkpoints=marks)
-
-
-def test_trial_trajectory_rows():
-    prep = prepare_scheme("ozarow2", OZ_CHANNEL, 8)
-    pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 8, pol, np.random.default_rng(3), record_trajectory=True)
-    assert len(out.trajectory) == 8
-    n, x, y, s, slopes, intercepts = out.trajectory[-1]
-    assert n == 8
-    assert len(y) == len(s) == len(slopes) == len(intercepts) == 2
-    assert out.power[-1] == pytest.approx(x * x, rel=1e-15)
+        for trials in (1, 200):
+            with pytest.raises(ValueError, match="checkpoints must be distinct"):
+                run_batch(prep, 40, pol, 1, trials, checkpoints=marks)
 
 
 def test_trial_success_agrees_with_decoded_interval_membership():
-    # success is evaluated on the pivot scale; cross-check against actual
-    # subinterval membership of theta at the final checkpoint
+    # run_batch counts the pivot test |s_{n+1}| < t_n; the paper's error event
+    # is the message point leaving the decoded interval.  They must agree for
+    # every receiver whose theta is not within rounding of an endpoint
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 12)
-    pol = default_policies(prep, 0.5)
-    seeds = spawn_trial_seeds(77, 100)
-    checked = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        theta = np.random.default_rng(seed).random(2)  # same first draws
-        out = run_trial(prep, 12, pol, rng, checkpoints=(12,))
+    pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.05)  # fails some trials
+    inside = outside = 0
+    for seed in range(100):
+        stats = run_batch(prep, 12, pol, seed, 1, checkpoints=(12,))
+        child = spawn_trial_seeds(seed, 1)[0]
+        theta = np.random.default_rng(child).random(2)  # a trial's first draws
+        want = scalar_trial(prep, 12, [pol] * 2, np.random.default_rng(child), (12,))
         for j in range(2):
-            lo, hi = out.final_intervals[j]
+            lo, hi = want.final_intervals[j]
             if min(abs(theta[j] - lo), abs(theta[j] - hi)) > 1e-12:
-                assert (lo < theta[j] < hi) == bool(out.success[0, j])
-                checked += 1
-    assert checked >= 150  # the endpoint-tie guard should almost never trigger
+                held = bool(lo < theta[j] < hi)
+                assert held == (stats.err_counts[0, j] == 0), (seed, j)
+                inside += held
+                outside += not held
+    assert inside + outside >= 150  # the endpoint-tie guard should almost never trigger
+    assert inside and outside, (inside, outside)
 
 
 def test_batch_thread_count_does_not_change_a_byte(monkeypatch):
@@ -565,24 +586,6 @@ def test_batch_memory_does_not_grow_with_the_horizon():
     assert long - short <= 64 * 1024, (short, long)
 
 
-def test_trial_memory_grows_only_by_its_power_array():
-    prep = prepare_scheme("symmetric", ChannelConfig(8, 10.0, 0.0, (1.0,) * 8), 4096)
-    pol = default_policies(prep, 0.5)
-
-    def peak(horizon):
-        tracemalloc.start()
-        try:
-            run_trial(prep, horizon, pol, np.random.default_rng(1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    short, long = peak(1024), peak(4096)
-    # the (horizon,) power array adds 3072 * 8 B = 24 KiB; a (horizon, 1 + M)
-    # noise array would add 3072 * 9 * 8 B = 216 KiB
-    assert long - short <= 3072 * 8 + 16 * 1024, (short, long)
-
-
 def test_batch_roundtrip_identity_across_schemes():
     for scheme, channel in (("symmetric", SYM_CHANNEL), ("ozarow2", OZ_CHANNEL),
                             ("degraded", DEG_CHANNEL)):
@@ -673,39 +676,6 @@ def test_csv_golden_output():
     buf = io.StringIO()
     write_csv(buf, prep, ests)
     assert buf.getvalue() == GOLDEN_CSV
-
-
-def test_trajectory_csv_layout():
-    prep = prepare_scheme("ozarow2", OZ_CHANNEL, 6)
-    pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 6, pol, np.random.default_rng(8), record_trajectory=True)
-    buf = io.StringIO()
-    write_trajectory_csv(buf, out)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "n,x,y_1,y_2,s_1,s_2,slope_1,slope_2,intercept_1,intercept_2"
-    assert len(lines) == 7  # header + one row per step
-    assert lines[1].split(",")[0] == "1"
-
-
-def test_trajectory_csv_rows_are_as_wide_as_its_header():
-    m = 8
-    prep = prepare_scheme("symmetric", ChannelConfig(m, 10.0, 0.0, (1.0,) * m), 5)
-    pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 5, pol, np.random.default_rng(8), record_trajectory=True)
-    buf = io.StringIO()
-    write_trajectory_csv(buf, out)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 6
-    assert [len(line.split(",")) for line in lines] == [2 + 4 * m] * 6
-    assert lines[0].split(",")[-1] == f"intercept_{m}"
-
-
-def test_trajectory_csv_requires_recording():
-    prep = prepare_scheme("ozarow2", OZ_CHANNEL, 3)
-    pol = default_policies(prep, 0.5)
-    out = run_trial(prep, 3, pol, np.random.default_rng(8))
-    with pytest.raises(ValueError):
-        write_trajectory_csv(io.StringIO(), out)
 
 
 def test_estimate_error_rates_decay_with_time():

@@ -12,11 +12,10 @@ from bcfeedback.numerics import (
     RootFindingError,
     RootResult,
     largest_root,
-    std_normal_cdf,
     std_normal_quantile,
     sylvester_hadamard,
 )
-from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root
+from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root, std_normal_cdf
 
 GRID_POINTS = _CELLS + 1  # the grid over the bracket whose index largest_root bisects
 
@@ -24,6 +23,10 @@ GRID_POINTS = _CELLS + 1  # the grid over the bracket whose index largest_root b
 # ----------------------------------------------------------------------------
 # normal cdf / quantile
 # ----------------------------------------------------------------------------
+
+# The package forms no decoded interval, so its only normal primitive is the
+# quantile; the cdf is the oracles' (scalar_trial maps intervals through it).
+# Both are checked here, each against the other and against quadrature.
 
 
 def test_cdf_matches_quadrature_oracle():
