@@ -27,7 +27,7 @@ must reproduce a package routine bit for bit rather than to rounding:
   through :func:`draw_trial` and shares the package's embedding, encode step
   and channel outputs.  It also maps each receiver's pivot interval to the
   decoded subinterval of (0, 1) through :func:`std_normal_cdf`, which the
-  package does not form.
+  package does not form; :func:`decode_interval` is that map on its own.
 
 :func:`mp_rho_map` is the two-user correlation map at 50 digits, in the
 textbook form whose float evaluation cancels at high power, and
@@ -233,20 +233,29 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> ScalarTr
         steps.append((x, tuple(y), tuple(s), tuple(math.exp(v) for v in log_slope),
                       tuple(intercept)))
 
-    if horizon == 0:
-        finals = ((0.0, 1.0),) * m
-    else:
-        scale = math.sqrt(prepared.p0)
-        finals = []
-        for j in range(m):
-            pol = policies[j]
-            # log t_n, finite where the power of two in halfwidth(n) overflows
-            log_t = math.log(pol.base_halfwidth) + horizon * pol.growth_rate_bits * math.log(2.0)
-            mag = math.exp(log_slope[j] + log_t)
-            finals.append((std_normal_cdf((intercept[j] - mag) / scale),
-                           std_normal_cdf((intercept[j] + mag) / scale)))
-        finals = tuple(finals)
+    finals = decode_interval(log_slope, intercept, policies, prepared.p0, horizon)
     return ScalarTrial(success=success, steps=tuple(steps), final_intervals=finals)
+
+
+def decode_interval(log_slope, intercept, policies, p0: float, n: int):
+    """Decoded subintervals of (0, 1) of one trial's receivers after n steps.
+
+    Maps each receiver's pivot interval (-t_n, t_n), from its policy in
+    ``policies``, through its replay map (log_slope, intercept) and the
+    source cdf.  At n = 0 nothing has been observed and every receiver gets
+    the whole interval.
+    """
+    if n == 0:
+        return ((0.0, 1.0),) * len(policies)
+    scale = math.sqrt(p0)
+    out = []
+    for ls, c, pol in zip(log_slope, intercept, policies):
+        # log t_n, finite where the power of two in halfwidth(n) overflows
+        log_t = math.log(pol.base_halfwidth) + n * pol.growth_rate_bits * math.log(2.0)
+        mag = math.exp(float(ls) + log_t)
+        out.append((std_normal_cdf((float(c) - mag) / scale),
+                    std_normal_cdf((float(c) + mag) / scale)))
+    return tuple(out)
 
 
 def dense_eigen_profile(G: np.ndarray, columns: np.ndarray):

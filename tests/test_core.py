@@ -13,7 +13,7 @@ from bcfeedback.core import (
     encode,
     update_sources,
 )
-from oracles import PHI_1, affine_chain
+from oracles import PHI_1, affine_chain, decode_interval
 
 
 # one two-receiver step
@@ -196,6 +196,36 @@ def test_replay_roundtrip_identity(steps, theta):
     assert recon == pytest.approx(s1, rel=1e-12, abs=1e-12)
     log_prod = sum(math.log(a_k) for a_k, _, _ in steps)
     assert dec.log_slope[0] == pytest.approx(log_prod, rel=1e-12, abs=1e-12)
+
+
+def test_decode_interval_initial_state():
+    pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.0)
+    dec = fresh_decoder((2,))
+    assert decode_interval(dec.log_slope, dec.intercept, [pol, pol], 1.0, 0) == ((0.0, 1.0),) * 2
+
+
+def test_decode_interval_membership_matches_pivot_test():
+    # the interval that the folded replay map decodes contains theta exactly
+    # when |s_{n+1}| < t_n, up to cdf rounding at the endpoints
+    rng = np.random.default_rng(5)
+    p0 = 1.5
+    pol = IntervalPolicy(base_halfwidth=1.0, growth_rate_bits=0.05)
+    for _ in range(200):
+        theta = float(rng.uniform(0.02, 0.98))
+        s = embed_message(theta, p0)
+        dec = fresh_decoder((1,))
+        n = int(rng.integers(1, 6))
+        for _ in range(n):
+            a_k = float(rng.uniform(0.4, 1.2))
+            b_k = float(rng.uniform(-0.5, 0.5))
+            y_k = float(rng.normal())
+            dec = decoder_absorb(dec, *scalar_step(a_k, b_k), np.array([y_k]))
+            s = (s - b_k * y_k) / a_k
+        t_n = pol.halfwidth(n)
+        if abs(abs(s) - t_n) < 1e-9 * t_n:
+            continue  # endpoint tie: either answer is defensible
+        ((lo, hi),) = decode_interval(dec.log_slope, dec.intercept, [pol], p0, n)
+        assert (lo < theta < hi) == (abs(s) < t_n)
 
 
 def test_long_horizon_slope_stays_in_log_space():

@@ -271,6 +271,21 @@ def test_trial_is_bitwise_the_scalar_oracle(monkeypatch, scheme, channel, horizo
                 assert stats.cum_power_sumsq[n] == (cum / n) * (cum / n)
 
 
+def test_trial_trajectory_rows(monkeypatch):
+    # a one-trial batch makes one x, y, s and replay map per step, one entry
+    # per receiver (the maps under check_roundtrip), and its running power is
+    # the mean of those x squared
+    prep = prepare_scheme("ozarow2", OZ_CHANNEL, 8)
+    pol = default_policies(prep, 0.5)
+    steps = _capture_kernel_steps(monkeypatch)
+    stats = run_batch(prep, 8, pol, 3, 1, checkpoints=tuple(range(9)), check_roundtrip=True)
+    assert {name: len(seen) for name, seen in steps.items()} == dict.fromkeys(steps, 8)
+    for name in ("y", "s", "slope", "intercept"):
+        assert np.size(steps[name][-1]) == 2, name
+    x = np.array(steps["x"], dtype=float).reshape(8)
+    assert stats.cum_power_sum[8] == pytest.approx(float(np.mean(x * x)), rel=1e-15)
+
+
 def test_batch_counts_a_nan_residual_as_an_error(monkeypatch):
     def nan_outputs(config, x, z, out=None):
         y = channel_outputs(config, x, z, out=out)
