@@ -16,26 +16,17 @@ import argparse
 import contextlib
 import functools
 import json
-import logging
 import math
 import sys
 from dataclasses import dataclass
 
+from . import montecarlo
 from .channel import ChannelConfig
 from .fixedpoint import solve_lambda_bc, solve_lambda_mac
-from .montecarlo import (
-    CSV_HEADER,
-    _usable_cpus,
-    csv_rows,
-    default_policies,
-    estimate,
-    prepare_scheme,
-)
+from .montecarlo import CSV_HEADER, _usable_cpus, csv_rows, default_policies, prepare_scheme
 from .schedules import DEFAULT_NOISE, SCHEME_IDS, check_channel, rate_report
 
 __all__ = ["main"]
-
-log = logging.getLogger("bcfeedback.cli")
 
 DUALITY_TOL = 1e-10
 
@@ -219,6 +210,12 @@ def _channel_from_args(args) -> ChannelConfig:
 # ----------------------------------------------------------------------------
 
 
+def _info(args, msg: str) -> None:
+    """Under -v, one progress line to the stderr of the moment."""
+    if args.verbose:
+        print(f"INFO bcfeedback.cli: {msg}", file=sys.stderr)
+
+
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -269,7 +266,7 @@ def cmd_report(args) -> int:
         report = rate_report(args.scheme, channel, g=args.g,
                              rate_fraction=args.rate_fraction)
     payload = _report_payload(report)
-    log.info("solved %s at M=%d P=%g", args.scheme, report.M, report.P)
+    _info(args, f"solved {args.scheme} at M={report.M} P={report.P:g}")
     if args.command == "rates":
         payload["rate_fraction"] = report.rate_fraction
         payload["target_rate_bits"] = list(report.target_rates)
@@ -319,7 +316,8 @@ def cmd_duality(args) -> int:
             )
     _emit(args.out, "\n".join(lines) + "\n")
     if worst > DUALITY_TOL:
-        log.error("duality gap %.3g exceeds %.1g", worst, DUALITY_TOL)
+        print(f"ERROR bcfeedback.cli: duality gap {worst:.3g} exceeds {DUALITY_TOL:.1g}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -345,7 +343,8 @@ def _apply_overrides(raw, args):
     return raw
 
 
-def _run_simulation(cfg: RunConfig, threads: int):
+def _run_simulation(cfg: RunConfig, args):
+    """The CSV rows of one power budget."""
     with _input_errors():  # the fixed points, as solve and rates report them
         prepared = prepare_scheme(cfg.scheme, cfg.channel, cfg.horizon,
                                   g=cfg.g, rho_mode=cfg.rho_mode)
@@ -354,17 +353,13 @@ def _run_simulation(cfg: RunConfig, threads: int):
         base_halfwidth=cfg.interval_base_halfwidth,
         growth_fraction=cfg.interval_growth_fraction,
     )
-    log.info(
-        "simulating %s: M=%d P=%g trials=%d horizon=%d rate_fraction=%g",
-        cfg.scheme, cfg.channel.num_receivers, cfg.channel.power_budget,
-        cfg.trials, cfg.horizon, cfg.rate_fraction,
-    )
-    estimates = estimate(
-        prepared, trials=cfg.trials, horizon=cfg.horizon,
-        rate_fraction=cfg.rate_fraction, seed=cfg.seed,
-        policies=policies, threads=threads,
-    )
-    return prepared, estimates
+    _info(args, f"simulating {cfg.scheme}: M={cfg.channel.num_receivers} "
+                f"P={cfg.channel.power_budget:g} trials={cfg.trials} horizon={cfg.horizon} "
+                f"rate_fraction={cfg.rate_fraction:g}")
+    # called through the module, so a wrapper set on montecarlo.run_batch sees it
+    stats = montecarlo.run_batch(prepared, cfg.horizon, policies, cfg.seed, cfg.trials,
+                                 threads=args.threads)
+    return csv_rows(prepared, stats, cfg.rate_fraction)
 
 
 def cmd_simulate(args) -> int:
@@ -375,7 +370,7 @@ def cmd_simulate(args) -> int:
     configs = parse_run_config(raw, allow_power_list=args.command == "sweep")
     lines = [CSV_HEADER + "\n"]
     for cfg in configs:
-        lines.extend(csv_rows(*_run_simulation(cfg, args.threads)))
+        lines.extend(_run_simulation(cfg, args))
     _emit(args.out if args.out is not None else configs[0].out, "".join(lines))
     return 0
 
@@ -442,17 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is then, like ``print``."""
-
-    stream = property(lambda self: sys.stderr, lambda self, value: None)
-
-
-_PACKAGE_LOG = logging.getLogger("bcfeedback")
-_LOG_HANDLER = _StderrHandler()
-_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, parsing once where it can (see ``main``)."""
     parser, subparsers = _parsers()
@@ -483,11 +467,6 @@ def main(argv: list[str] | None = None) -> int:
     subcommand's.  Either way the exit code is 2.
     """
     args = _parse_args(argv)
-    # the package logs at this call's level to its stderr, and only there
-    saved = _PACKAGE_LOG.level, _PACKAGE_LOG.propagate
-    _PACKAGE_LOG.setLevel(logging.INFO if args.verbose else logging.WARNING)
-    _PACKAGE_LOG.propagate = False
-    _PACKAGE_LOG.addHandler(_LOG_HANDLER)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -496,10 +475,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime failures: solver, IO, invariants
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        _PACKAGE_LOG.removeHandler(_LOG_HANDLER)
-        _PACKAGE_LOG.setLevel(saved[0])
-        _PACKAGE_LOG.propagate = saved[1]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: per-trial streams, vectorised batches, error estimates.
+"""Monte Carlo harness: per-trial streams, vectorised batches, CSV rows.
 
 Reproducibility contract: trial i draws from a child stream spawned from the
 master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
@@ -22,6 +22,8 @@ inside the pivot interval: |s_{n+1}| < t_n.  That is the same event as "the
 message point lies in the decoded subinterval" (see ``core``), exact up to
 cdf rounding, but stays evaluable long after the decoded interval's float
 endpoints saturate.
+
+``csv_rows`` formats a ``run_batch`` result straight into the report's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +54,6 @@ __all__ = [
     "default_policies",
     "default_checkpoints",
     "run_batch",
-    "estimate",
     "csv_rows",
     "write_csv",
     "CSV_HEADER",
@@ -291,22 +292,8 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
 
 
 # ----------------------------------------------------------------------------
-# estimation and reporting
+# reporting
 # ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Error statistics for one checkpoint across all receivers."""
-
-    checkpoint: int
-    errors: np.ndarray  # (M,) counts
-    trials: int
-    err_rate: np.ndarray
-    wilson_lo: np.ndarray
-    wilson_hi: np.ndarray
-    mean_power: float  # mean over trials of (1/n) sum_{k<=n} x_k^2
-    target_rate: np.ndarray
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -324,63 +311,40 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def estimate(prepared: PreparedScheme, *, trials: int, horizon: int,
-             rate_fraction: float, seed: int,
-             policies: Sequence[IntervalPolicy] | IntervalPolicy | None = None,
-             threads: int = 1) -> list[ErrorEstimate]:
-    """Error-rate estimates at the quarter-horizon checkpoints."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
-    if policies is None:
-        policies = default_policies(prepared, rate_fraction)
-    stats = run_batch(prepared, horizon, policies, seed, trials, threads=threads)
-    target = rate_fraction * prepared.rate_limits
-    out = []
-    for i, n in enumerate(stats.checkpoints):
-        errs = stats.err_counts[i]
-        rates = errs / trials
-        counts = errs.tolist()
-        # a wide M has few distinct error counts: one interval for each
-        wilson = {k: wilson_interval(k, trials) for k in set(counts)}
-        lo = np.array([wilson[k][0] for k in counts], dtype=float)
-        hi = np.array([wilson[k][1] for k in counts], dtype=float)
-        mean_power = 0.0 if n == 0 else float(stats.cum_power_sum[i] / trials)
-        out.append(ErrorEstimate(
-            checkpoint=int(n), errors=errs.copy(), trials=trials,
-            err_rate=rates, wilson_lo=lo, wilson_hi=hi,
-            mean_power=mean_power, target_rate=target.copy(),
-        ))
-    return out
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def write_csv(fh, prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> None:
-    """CSV_HEADER, then one row per (checkpoint, receiver)."""
+def write_csv(fh, prepared: PreparedScheme, stats: BatchStats, rate_fraction: float) -> None:
+    """CSV_HEADER, then ``csv_rows(prepared, stats, rate_fraction)``."""
     fh.write(CSV_HEADER + "\n")
-    fh.writelines(csv_rows(prepared, estimates))
+    fh.writelines(csv_rows(prepared, stats, rate_fraction))
 
 
-def csv_rows(prepared: PreparedScheme, estimates: Iterable[ErrorEstimate]) -> Iterator[str]:
-    """CSV lines, one per (checkpoint, receiver); floats at 12 significant digits.
+def csv_rows(prepared: PreparedScheme, stats: BatchStats,
+             rate_fraction: float) -> Iterator[str]:
+    """CSV lines, one per (checkpoint, receiver) of a batch; floats at 12 significant digits.
 
+    Receiver m's row gives its target rate rate_fraction * R*_m, its error
+    count, the error rate errors / trials with its 95% Wilson interval, and
+    the checkpoint's mean over trials of (1/n) sum_{k<=n} x_k^2 (0 at n = 0).
     Repeated cells are formatted once: P per call, mean_power per checkpoint
-    and target_rate .. wilson_hi per distinct set of values, of which a
-    checkpoint of a wide M has few.
+    and target_rate .. wilson_hi per distinct (target, errors) pair, of which
+    a batch of a wide M has few.
     """
     ch = prepared.channel
+    trials = stats.trials
     head = f"{prepared.scheme},{ch.num_receivers},{_fmt(ch.power_budget)},"
-    for est in estimates:
-        tail = f",{_fmt(est.mean_power)}\n"
-        cells = {}  # keyed by value: -0.0 would hit 0.0's cell, but estimate makes no -0.0
-        for j, key in enumerate(zip(est.target_rate.tolist(), est.errors.tolist(),
-                                    est.err_rate.tolist(), est.wilson_lo.tolist(),
-                                    est.wilson_hi.tolist())):
+    targets = (rate_fraction * prepared.rate_limits).tolist()
+    cells = {}  # keyed by value: -0.0 would hit 0.0's cell, but no rate limit is -0.0
+    for n, errors, power in zip(stats.checkpoints, stats.err_counts.tolist(),
+                                stats.cum_power_sum.tolist()):
+        tail = f",{_fmt(power / trials)}\n"
+        for j, key in enumerate(zip(targets, errors)):
             cell = cells.get(key)
             if cell is None:
-                target, errors, rate, lo, hi = key
-                cell = cells[key] = (f"{_fmt(target)},{int(errors)},{est.trials},"
-                                     f"{_fmt(rate)},{_fmt(lo)},{_fmt(hi)}")
-            yield f"{head}{est.checkpoint},{j + 1},{cell}{tail}"
+                target, k = key
+                lo, hi = wilson_interval(k, trials)
+                cell = cells[key] = (f"{_fmt(target)},{k},{trials},"
+                                     f"{_fmt(k / trials)},{_fmt(lo)},{_fmt(hi)}")
+            yield f"{head}{n},{j + 1},{cell}{tail}"

@@ -41,6 +41,11 @@ textbook form, :func:`mp_degraded_steps`, the degraded schedule's
 coefficients from a 40-digit dense covariance, and
 :func:`mp_dense_eigenvalues`, the Hadamard eigenvalues of a 40-digit dense
 covariance driven by given steps.
+
+:func:`mmse_steps` is the linear-MMSE feedback recursion for any choice of
+mixing vectors, built only on ``covariance_update``; it reproduces the
+two-user schedule and gives the Kramer-style baseline that ``symmetric``
+must beat.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from scipy.special import ndtr
 from bcfeedback.channel import channel_outputs
 from bcfeedback.core import embed_message, encode
 from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect
+from bcfeedback.schedules import ScheduleStep, covariance_update
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
 # after clearing logarithms from the two-receiver sum-rate equation at P = 10:
@@ -358,6 +364,34 @@ def mp_dense_eigenvalues(steps, channel, p_share: float, r0: float):
                 for j in range(m)
             ]))
         return out
+
+
+def mmse_steps(channel, alpha_of, steps: int) -> list[ScheduleStep]:
+    """The linear-MMSE feedback recursion from independent unit sources, step by step.
+
+    Step n sends x = beta alpha^T s with alpha = alpha_of(n, R) and beta
+    renormalised to E[x^2] = P.  Each receiver m takes the MMSE coefficient
+    b_m = E[s_m y_m] / E[y_m^2] and contracts by the a_m that keeps R's
+    diagonal at 1; R goes through ``covariance_update``.  The steady
+    -log2 a_m are the rates.
+    """
+    m = channel.num_receivers
+    power = channel.power_budget
+    p_share = power / m
+    out_var = power + channel.common_noise_var + np.asarray(channel.private_noise_vars)
+    R = np.eye(m)
+    out = []
+    for n in range(1, steps + 1):
+        alpha = np.asarray(alpha_of(n, R), dtype=float)
+        w = R @ alpha
+        beta = math.sqrt(m / float(alpha @ w))  # p_share beta^2 alpha^T R alpha = P
+        b = p_share * beta * w / out_var
+        step = ScheduleStep(alpha=alpha, beta=beta, a=np.ones(m), b=b, expected_power=power)
+        unscaled = covariance_update(R, step, channel, p_share)
+        a = np.sqrt(np.diag(unscaled))
+        R = unscaled / np.outer(a, a)
+        out.append(ScheduleStep(alpha=alpha, beta=beta, a=a, b=b, expected_power=power))
+    return out
 
 
 def mp_rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,

@@ -21,7 +21,7 @@ from bcfeedback import cli
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
 from bcfeedback.fixedpoint import FixedPointError, solve_lambda_bc, solve_lambda_mac
-from bcfeedback.montecarlo import default_policies, estimate, prepare_scheme, write_csv
+from bcfeedback.montecarlo import default_policies, prepare_scheme, run_batch, write_csv
 from bcfeedback.numerics import RootFindingError
 from bcfeedback.schedules import SCHEME_IDS, make_schedule, rate_report
 from oracles import mp_lambda
@@ -307,9 +307,11 @@ def test_duality_gap_above_tolerance_exits_1(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "solve_lambda_mac", widened)
     assert main(["duality", "-M", "2,11", "-P", "100"]) == 1
-    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    out, err = capsys.readouterr()
+    rows = out.strip().split("\n")[1:]
     assert [row.startswith("11,") for row in rows] == [False, True]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["yes", "no"]
+    assert err == "ERROR bcfeedback.cli: duality gap 2e-10 exceeds 1e-10\n"
 
 
 # M = 1 .. 39 and wide M, over P from the smallest subnormal to 1e200: the
@@ -482,12 +484,20 @@ def test_simulate_interval_keys_reach_the_policies(tmp_path, capsys):
     prep = prepare_scheme("symmetric", ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)), 40)
     pols = default_policies(prep, 0.5, base_halfwidth=1.479, growth_fraction=0.021)
     buf = io.StringIO()
-    write_csv(buf, prep, estimate(prep, trials=400, horizon=40, rate_fraction=0.5, seed=0,
-                                  policies=pols))
+    write_csv(buf, prep, run_batch(prep, 40, pols, 0, 400), 0.5)
     assert got == buf.getvalue()
     del cfg["interval_base_halfwidth"]
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--threads", "1"]) == 0
     assert capsys.readouterr().out != got
+
+
+def test_verbose_simulate_logs_its_run(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(trials=100, horizon=4))
+    assert main(["-v", "simulate", "--config", path, "--threads", "1"]) == 0
+    assert capsys.readouterr().err == (
+        "INFO bcfeedback.cli: simulating symmetric: M=2 P=10 trials=100 horizon=4 "
+        "rate_fraction=0.5\n"
+    )
 
 
 def test_simulate_long_horizon_at_high_power(tmp_path, capsys):

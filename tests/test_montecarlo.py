@@ -19,9 +19,9 @@ from bcfeedback.channel import ChannelConfig, _block_steps, channel_outputs, spa
 from bcfeedback.core import IntervalPolicy
 from bcfeedback.montecarlo import (
     CHUNK_SIZE,
+    csv_rows,
     default_checkpoints,
     default_policies,
-    estimate,
     prepare_scheme,
     run_batch,
     wilson_interval,
@@ -657,46 +657,61 @@ def test_wilson_interval_edges_and_ordering():
         wilson_interval(0, 0)
 
 
+def _csv_cells(prep, stats, rate_fraction):
+    """csv_rows split into cells, with every number parsed back."""
+    return [[c if i == 0 else float(c) for i, c in enumerate(line.split(","))]
+            for line in csv_rows(prep, stats, rate_fraction)]
+
+
 def test_estimate_shapes_and_targets():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 12)
-    ests = estimate(prep, trials=200, horizon=12, rate_fraction=0.25, seed=1)
-    assert [e.checkpoint for e in ests] == [3, 6, 9, 12]
-    for e in ests:
-        assert e.errors.shape == (2,)
-        assert e.trials == 200
-        assert np.all(e.err_rate == e.errors / 200)
-        assert np.all(e.wilson_lo <= e.err_rate)
-        assert np.all(e.err_rate <= e.wilson_hi)
-        assert e.target_rate == pytest.approx(0.25 * prep.rate_limits)
-
-
-def test_estimate_requires_enough_trials():
-    prep = prepare_scheme("symmetric", SYM_CHANNEL, 4)
-    with pytest.raises(ValueError):
-        estimate(prep, trials=99, horizon=4, rate_fraction=0.5, seed=0)
+    stats = run_batch(prep, 12, default_policies(prep, 0.25), 1, 200)
+    rows = _csv_cells(prep, stats, 0.25)
+    assert [row[3] for row in rows] == [3, 3, 6, 6, 9, 9, 12, 12]
+    assert [row[4] for row in rows] == [1, 2] * 4
+    assert [row[6] for row in rows] == stats.err_counts.ravel().tolist()
+    for row in rows:
+        _, _, _, _, receiver, target, errors, trials, rate, lo, hi, _ = row
+        assert trials == 200
+        assert rate == errors / 200
+        assert lo <= rate <= hi
+        assert target == pytest.approx(0.25 * prep.rate_limits[int(receiver) - 1])
 
 
 def test_estimate_zero_horizon_reports_zero_errors():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 0)
-    ests = estimate(prep, trials=128, horizon=0, rate_fraction=0.5, seed=0)
-    assert len(ests) == 1
-    assert ests[0].checkpoint == 0
-    assert np.all(ests[0].errors == 0)
-    assert ests[0].mean_power == 0.0
+    stats = run_batch(prep, 0, default_policies(prep, 0.5), 0, 128)
+    rows = _csv_cells(prep, stats, 0.5)
+    assert len(rows) == 2
+    assert all(row[3] == 0 for row in rows)
+    assert all(row[6] == 0 for row in rows)
+    assert all(row[11] == 0.0 for row in rows)
 
 
 def test_csv_golden_output():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 16)
-    ests = estimate(prep, trials=256, horizon=16, rate_fraction=0.5, seed=424242)
+    stats = run_batch(prep, 16, default_policies(prep, 0.5), 424242, 256)
     buf = io.StringIO()
-    write_csv(buf, prep, ests)
+    write_csv(buf, prep, stats, 0.5)
     assert buf.getvalue() == GOLDEN_CSV
 
 
 def test_estimate_error_rates_decay_with_time():
     # coarse sanity on the reliability direction at desk scale
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 40)
-    ests = estimate(prep, trials=800, horizon=40, rate_fraction=0.5, seed=31)
-    first, last = ests[0], ests[-1]
-    assert int(first.errors.sum()) >= int(last.errors.sum())
-    assert int(last.errors.sum()) == 0  # default policy is very forgiving by n=40
+    stats = run_batch(prep, 40, default_policies(prep, 0.5), 31, 800)
+    first, last = stats.err_counts[0], stats.err_counts[-1]
+    assert int(first.sum()) >= int(last.sum())
+    assert int(last.sum()) == 0  # default policy is very forgiving by n=40
+
+
+def test_csv_cells_are_shared_only_by_equal_targets():
+    # at checkpoint 0 both receivers have 0 errors, but g = 2 gives them
+    # different rate limits: each row must carry its own target
+    prep = prepare_scheme("ozarow2", OZ_CHANNEL, 0, g=2.0)
+    stats = run_batch(prep, 0, default_policies(prep, 0.5), 0, 100)
+    targets = (0.5 * prep.rate_limits).tolist()
+    assert targets[0] != targets[1]
+    rows = _csv_cells(prep, stats, 0.5)
+    assert [row[6] for row in rows] == [0, 0]
+    assert [row[5] for row in rows] == pytest.approx(targets, rel=1e-11)

@@ -28,6 +28,7 @@ from oracles import (
     LAMBDA_2_1,
     dense_eigen_profile,
     hadamard_eigen_step,
+    mmse_steps,
     mp_degraded_steps,
     mp_dense_eigenvalues,
 )
@@ -267,6 +268,38 @@ def test_ozarow_asymmetric_gain_changes_split():
     skew = OzarowSchedule(OZ_CHANNEL, g=2.0).rate_limits()
     assert even[0] == pytest.approx(even[1], rel=1e-12)
     assert skew[0] != pytest.approx(skew[1], rel=1e-6)
+
+
+@pytest.mark.parametrize("g, common, private", [
+    (1.0, 0.0, (1.0, 1.0)), (1.3, 0.0, (1.0, 1.0)), (0.5, 0.5, (1.0, 2.0)),
+])
+def test_ozarow_tracked_steps_are_the_mmse_recursion(g, common, private):
+    # the Ozarow-Leung scheme: mix with alpha = (1, +-g), the sign following
+    # the source correlation, and give each receiver its MMSE coefficients
+    ch = ChannelConfig(2, 10.0, common, private)
+    sched = make_schedule("ozarow2", ch, g=g)
+    want = [sched.step() for _ in range(300)]
+    got = mmse_steps(ch, lambda n, R: (1.0, g if R[0, 1] >= 0.0 else -g), 300)
+    for u, v in zip(want, got):
+        assert np.array_equal(u.alpha, v.alpha)
+        assert v.beta == pytest.approx(u.beta, rel=1e-14)
+        assert v.a == pytest.approx(u.a, rel=1e-14)
+        assert v.b == pytest.approx(u.b, rel=1e-14)
+    assert -np.log2(got[-1].a) == pytest.approx(sched.rate_limits(), rel=1e-13)
+
+
+@pytest.mark.parametrize("m, p, kramer", [(2, 1.0, 0.5605), (4, 10.0, 2.2399), (8, 100.0, 4.3492)])
+def test_symmetric_beats_the_kramer_style_sum_rate(m, p, kramer):
+    # Kramer (2002) rebuilt with real Hadamard columns: step n mixes with
+    # column (n - 1) mod M and every receiver takes its MMSE coefficients.
+    # Its sum rate, read off the last cycle's contractions, stays strictly
+    # below the symmetric scheme's
+    ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
+    columns = sylvester_hadamard(m.bit_length() - 1)
+    steps = mmse_steps(ch, lambda n, R: columns[:, (n - 1) % m], 60 * m)
+    sum_rate = float(-np.log2([s.a for s in steps[-m:]]).sum()) / m
+    assert sum_rate == pytest.approx(kramer, abs=5e-5)
+    assert sum_rate < SymmetricSchedule(ch).solved()["sum_rate"]
 
 
 def test_ozarow_validation():
