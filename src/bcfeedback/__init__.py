@@ -14,7 +14,7 @@ imported from its module (``bcfeedback.core``, ``bcfeedback.montecarlo``, ...).
 
 from .channel import ChannelConfig
 from .fixedpoint import solve_lambda_bc, solve_lambda_mac, solve_rho
-from .montecarlo import prepare_scheme, write_csv
+from .montecarlo import prepare_scheme
 from .schedules import make_schedule, rate_report
 
 __version__ = "0.1.0"
@@ -22,6 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelConfig",
     "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "rate_report",
-    "make_schedule", "prepare_scheme", "write_csv",
+    "make_schedule", "prepare_scheme",
     "__version__",
 ]

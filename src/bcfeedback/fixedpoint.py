@@ -165,14 +165,17 @@ def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
 
     At gain <= _SMALL_GAIN the root is λ = 1 + (M - 1)·gain/(2M) in closed
     form.  Above it the float gap's end values bracket the root too
-    (measured, not proved: the tests compare each scan there with a
-    point-by-point one), and the index bisection of ``largest_root`` finds
-    it.  Either term is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection
-    stops at float resolution, so an absolute tol alone fails at large P:
-    tol is 1e-12·max(1, T).
+    (measured, not proved: the tests compare each root there with a
+    60-digit one), and ``largest_root`` bisects between them.  Either term
+    is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops at float
+    resolution, so an absolute tol alone fails at large P: tol is
+    1e-12·max(1, T).  Where gain·M overflows, T and so tol are infinite and
+    would accept any residual: that gain is a ValueError.
     """
     if M > 1 and gain > _SMALL_GAIN:
         terms = (M - 1) * math.log1p(gain * M)
+        if not math.isfinite(terms):
+            raise ValueError(f"gain {gain!r} times M={M} overflows the sum-rate equation")
         res = largest_root(gap, 1.0, float(M), _ROOT_TOL * max(1.0, terms))
         lam, residual = res.root, res.residual
     else:  # exactly 1.0 at M = 1

@@ -249,6 +249,8 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     arithmetic or its order, so every (seed, trials, horizon) triple gives
     identical statistics.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if horizon > prepared.horizon:
         raise ValueError("horizon exceeds the prepared schedule")
     m = prepared.channel.num_receivers

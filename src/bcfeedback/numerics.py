@@ -6,9 +6,8 @@ Hadamard matrices supply the per-step mixing weights of the multi-receiver
 schedules, and ``largest_root`` solves the scalar fixed-point equations behind
 the rate formulas, which want the *largest* admissible root.  It needs a
 bracket: it calls f on floats only, and where f's end values have opposite
-signs it bisects the index of a grid over the bracket, which finds the
-largest root when f changes sign once.  End values of one sign are an error,
-not a search.
+signs it bisects between them, which finds the largest root when f changes
+sign once.  End values of one sign are an error, not a search.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 MAX_HADAMARD_LOG2 = 10
-_CELLS = 10_000  # cells of the grid whose index largest_root bisects
+_NAN_PROBE = "f evaluated to NaN in the bracket"
 
 
 class RootFindingError(RuntimeError):
@@ -114,52 +113,32 @@ def _sylvester_table(k: int) -> np.ndarray:
 def largest_root(f: Callable, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     """Largest x in [lo, hi] with f(x) = 0, for f that changes sign once there.
 
-    f is called on floats only, at points of a 10 001-point grid over the
-    bracket, ``k·step + lo`` with ``step = (hi - lo)/10 000`` and ``hi`` at
-    the last index: bitwise ``np.linspace``, so ``lo = -0.0`` is probed as
-    0.0.  An exact zero at hi, else at lo, is returned as is.  Where f(lo)
-    and f(hi) are nonzero with opposite signs, bisecting the grid index
-    (about 14 calls) finds a cell where f turns negative or stops being
-    negative, the largest one when f changes sign once; a cell that ends on
-    an exact zero returns that point, any other is bisected on floats to
-    floating-point resolution.  Other end values raise NoSignChangeError, and
-    a NaN at any probe raises ValueError.
+    f is called on floats only: at lo, at hi, then at midpoints of the
+    bracket.  An exact zero at hi, else at lo, is returned as is.  Where f(lo)
+    and f(hi) are nonzero with opposite signs, bisection keeps the half whose
+    end values have opposite signs, down to an exact zero or to adjacent
+    floats, which finds the largest root when f changes sign once.  Other end
+    values raise NoSignChangeError, and a NaN at any probe raises ValueError.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("largest_root needs finite bounds with lo < hi")
     lo, hi = float(lo), float(hi)
-    step = (hi - lo) / _CELLS
-
-    def probe(k: int) -> tuple[float, float]:
-        x = hi if k == _CELLS else k * step + lo
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError("f evaluated to NaN on the scan grid")
-        return x, fx
-
-    (a, fa), (b, fb) = probe(0), probe(_CELLS)
-    if fb == 0.0:
-        return RootResult(b, 0.0, 0)
-    if fa == 0.0:
-        return RootResult(a, 0.0, 0)
-    if not (fa < 0.0 < fb or fb < 0.0 < fa):  # signs compared, not multiplied: no underflow
+    flo, fhi = float(f(lo)), float(f(hi))
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ValueError(_NAN_PROBE)
+    if fhi == 0.0:
+        return RootResult(hi, 0.0, 0)
+    if flo == 0.0:
+        return RootResult(lo, 0.0, 0)
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):  # signs compared, not multiplied: no underflow
         raise NoSignChangeError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={fa:.6g}, f(hi)={fb:.6g}"
+            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
-    i, j = 0, _CELLS
-    while j - i > 1:
-        k = (i + j) // 2
-        x, fx = probe(k)
-        if (fx < 0.0) == (fb < 0.0):
-            j, b, fb = k, x, fx
-        else:
-            i, a, fa = k, x, fx
-    if fb == 0.0:
-        return RootResult(b, 0.0, 0)
-    return _bisect(f, a, b, fa, fb, tol)
+    return _bisect(f, lo, hi, flo, fhi, tol)
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResult:
+    """Bisect [a, b], whose end values fa and fb have opposite signs, on floats."""
     iterations = 0
     while True:
         mid = 0.5 * (a + b)
@@ -169,6 +148,8 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResu
         iterations += 1
         if fm == 0.0:
             return RootResult(mid, 0.0, iterations)
+        if math.isnan(fm):
+            raise ValueError(_NAN_PROBE)
         if (fm < 0.0) == (fa < 0.0):
             a, fa = mid, fm
         else:

@@ -1,7 +1,7 @@
 """Independent numerical oracles used to freeze and cross-check constants.
 
 Everything here deliberately avoids the package's own numerics: plain
-bisection instead of the grid-scan root finder, quadrature to check the
+bisection instead of the package's root finder, quadrature to check the
 normal cdf and quantile, finite-difference Newton instead of closed-form
 algebra, and explicit nested evaluation instead of the decoder's folded
 affine state.  Constants frozen into the tests were produced by these
@@ -11,14 +11,16 @@ are cited next to their definitions.
 Three references share package code or layout on purpose, because each
 must reproduce a package routine bit for bit rather than to rounding:
 
-* :func:`scan_largest_root`, the package's former point-by-point scan, is
-  the reference that ``largest_root`` must reproduce exactly where f's end
-  values bracket a single sign change; it shares the package's bisection.
-  Where they do not, ``largest_root`` does not walk the grid as this scan
-  does: it returns an exact zero at an end or raises NoSignChangeError.
-  Fed :func:`libm_bc_log_gap` or :func:`libm_mac_log_gap`, the sum-rate gaps
-  with libm's ``log1p`` on one float at a time, it is the pure-float scan of
-  a lambda solve above gain 1e-10.
+* :func:`scan_largest_root`, the package's former point-by-point scan over
+  a 10 001-point grid, shares the package's bisection.  Where f changes
+  sign at one float, ``largest_root`` must return its root and residual
+  exactly; the solvers' scans must match it to 1e-12 relative.  Where f's
+  end values do not bracket a sign change, ``largest_root`` does not walk
+  the grid as this scan does: it returns an exact zero at an end or raises
+  NoSignChangeError.  Fed :func:`libm_bc_log_gap` or
+  :func:`libm_mac_log_gap`, the sum-rate gaps with libm's ``log1p`` on one
+  float at a time, it is the pure-float scan of a lambda solve above gain
+  1e-10.
 * :func:`draw_trial`, the package's former one-call draw, takes a whole
   trial's stream at once and is the reference for ``draw_batch``'s blocks.
 * :func:`scalar_trial`, the package's former single-trial loop, updates

@@ -17,7 +17,7 @@ REPO = Path(__file__).resolve().parents[1]
 ROOT_API = {
     "ChannelConfig",
     "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "rate_report",
-    "make_schedule", "prepare_scheme", "write_csv",
+    "make_schedule", "prepare_scheme",
     "__version__",
 }
 

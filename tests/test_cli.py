@@ -377,6 +377,9 @@ def test_duality_bad_grid(capsys):
     (["duality", "-M", "0"], 2),
     (["duality", "-P", "-1"], 2),
     (["duality", "-P", "nan"], 2),
+    # gain·M overflows, and with it the residual tolerance of the lambda scan
+    (["solve", "--scheme", "degraded", "-M", "2", "-P", "1.7e308"], 2),
+    (["duality", "-M", "2,4", "-P", "1.7e308"], 2),
 ])
 def test_values_the_library_checks_exit_2(argv, code, capsys):
     assert main(argv) == code
@@ -385,12 +388,12 @@ def test_values_the_library_checks_exit_2(argv, code, capsys):
 
 @pytest.mark.parametrize("p", ["1e160", "1e200", "1.7e308"])
 def test_ozarow2_scan_of_nan_prints_only_the_config_error(p, capsys):
-    # the rho map overflows to NaN on the scan grid at these powers: exit 2,
+    # the rho map overflows to NaN in the bracket at these powers: exit 2,
     # and stderr holds the one config error line, no numpy RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", "--scheme", "ozarow2", "-P", p]) == 2
-    assert capsys.readouterr().err == "config error: f evaluated to NaN on the scan grid\n"
+    assert capsys.readouterr().err == "config error: f evaluated to NaN in the bracket\n"
 
 
 def test_ozarow2_scan_of_nan_exits_2_on_solve_and_on_simulate(tmp_path, capsys):
@@ -404,7 +407,7 @@ def test_ozarow2_scan_of_nan_exits_2_on_solve_and_on_simulate(tmp_path, capsys):
     assert main(["simulate", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == solve_err == "config error: f evaluated to NaN on the scan grid\n"
+    assert captured.err == solve_err == "config error: f evaluated to NaN in the bracket\n"
 
 
 def test_solve_below_gain_1e_10_gives_the_60_digit_lambda(capsys):

@@ -329,6 +329,9 @@ def test_trial_validates_horizon_and_checkpoints():
         run_batch(prep, 5, pol, 0, 1, checkpoints=(7,))
     with pytest.raises(ValueError, match="need one policy or 2"):
         run_batch(prep, 5, [pol[0]] * 3, 0, 1)
+    # an empty batch has no error rate or mean power to write
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_batch(prep, 5, pol, 0, 0)
 
 
 def test_batch_rejects_duplicate_checkpoints():

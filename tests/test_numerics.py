@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcfeedback.numerics import (
-    _CELLS,
     MAX_HADAMARD_LOG2,
     NoSignChangeError,
     RootFindingError,
@@ -16,8 +15,6 @@ from bcfeedback.numerics import (
     sylvester_hadamard,
 )
 from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root, std_normal_cdf
-
-GRID_POINTS = _CELLS + 1  # the grid over the bracket whose index largest_root bisects
 
 
 # ----------------------------------------------------------------------------
@@ -139,10 +136,9 @@ def test_hadamard_rejects_bad_order(bad):
 
 
 def test_largest_root_exact_grid_hit():
-    # root at 1.0 lies exactly on the default grid over [0, 2]
+    # root at 1.0 is the first midpoint of [0, 2]
     res = largest_root(lambda x: x - 1.0, 0.0, 2.0)
-    assert res.root == 1.0
-    assert res.residual == 0.0
+    assert res == RootResult(1.0, 0.0, 1)
 
 
 def test_largest_root_no_sign_change_diagnostics():
@@ -165,9 +161,14 @@ def test_largest_root_rejects_bad_bracket():
         largest_root(lambda x: x, 0.0, float("inf"))
     with pytest.raises(ValueError):
         largest_root(lambda x: float("nan"), 0.0, 1.0)
-    # a NaN at an index probe, here the midpoint, between bracketing end values
+    # a NaN at the first midpoint, between bracketing end values
     with pytest.raises(ValueError, match="NaN"):
         largest_root(lambda x: x - 0.3 if x != 0.5 else float("nan"), 0.0, 1.0)
+    # a NaN only on (0.30003, 0.30006), around the root: the bisection probes
+    # in there before it reaches adjacent floats
+    with pytest.raises(ValueError, match="NaN"):
+        largest_root(lambda x: float("nan") if 0.30003 < x < 0.30006 else x - 0.30004,
+                     0.0, 1.0)
 
 
 def test_largest_root_residual_tolerance_enforced():
@@ -184,36 +185,31 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _ends(f, lo, hi):
-    """f at the first and last grid points (linspace turns lo = -0.0 into 0.0)."""
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    return float(xs[0]), f(float(xs[0])), f(float(xs[-1]))
-
-
 def _brackets(f, lo, hi):
     """Whether f is nonzero at both ends of the bracket, with opposite signs."""
-    _, flo, fhi = _ends(f, lo, hi)
+    flo, fhi = f(lo), f(hi)
     return flo < 0.0 < fhi or fhi < 0.0 < flo
 
 
 @st.composite
 def scan_cases(draw):
-    """(f, lo, hi, tol): f changes sign once on the grid, or its end values do
-    not bracket a root (cubics with roots on or off the grid, a root at lo,
-    tangent roots and functions with no root)."""
+    """(f, lo, hi, tol): f changes sign at exactly one float, or its end
+    values do not bracket a root (cubics, a root at lo, tangent roots and
+    functions with no root).  Roots fall on the scan oracle's grid or
+    anywhere."""
     lo = draw(st.floats(min_value=-10.0, max_value=10.0))
     hi = lo + draw(st.floats(min_value=1e-3, max_value=20.0))
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    on_grid = st.integers(min_value=0, max_value=GRID_POINTS - 1).map(lambda i: float(xs[i]))
+    xs = np.linspace(lo, hi, 10_001)
+    on_grid = st.integers(min_value=0, max_value=len(xs) - 1).map(lambda i: float(xs[i]))
     anywhere = st.floats(min_value=lo - 1.0, max_value=hi + 1.0)
     point = st.one_of(on_grid, anywhere)
     sign = draw(st.sampled_from([1.0, -1.0]))
     tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
     kind = draw(st.sampled_from(["one_crossing", "cubic", "root_at_lo", "tangent"]))
-    if kind == "one_crossing":  # a positive factor keeps the sign of x - r exactly
+    if kind == "one_crossing":  # a factor >= 1 keeps the sign of x - r and never underflows
         r, s = draw(point), draw(point)
         lift = draw(st.sampled_from([1e-13, 1e-10, 1e-7, 1.0]))
-        f = lambda x: sign * (x - r) * ((x - s) * (x - s) + lift)
+        f = lambda x: sign * (x - r) * (1.0 + (x - s) * (x - s) / lift)
     elif kind == "cubic":
         r1, r2, r3 = draw(st.lists(point, min_size=3, max_size=3))
         f = lambda x: sign * (x - r1) * (x - r2) * (x - r3)
@@ -231,21 +227,23 @@ def scan_cases(draw):
 @given(scan_cases())
 @settings(max_examples=150, deadline=None)
 def test_largest_root_matches_the_point_by_point_scan(case):
+    # where f changes sign at one float, the scan and the bisection meet
+    # there; they differ in the probes they take on the way
     f, lo, hi, tol = case
     got = _outcome(largest_root, f, lo, hi, tol)
-    first, flo, fhi = _ends(f, lo, hi)
     if _brackets(f, lo, hi):
-        assert got == _outcome(scan_largest_root, f, lo, hi, tol)
-    elif fhi == 0.0:
+        want = _outcome(scan_largest_root, f, lo, hi, tol)
+        assert (got.root, got.residual) == (want.root, want.residual)
+    elif f(hi) == 0.0:
         assert repr(got) == repr(RootResult(hi, 0.0, 0))
-    elif flo == 0.0:
-        assert repr(got) == repr(RootResult(first, 0.0, 0))
+    elif f(lo) == 0.0:
+        assert repr(got) == repr(RootResult(lo, 0.0, 0))
     else:
         assert got[0] is NoSignChangeError
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_largest_root_bisects_the_index_between_end_values_of_5e_324(sign):
+def test_largest_root_brackets_end_values_of_5e_324(sign):
     # f(lo)·f(hi) underflows to -0.0, so only comparing signs sees the bracket
     calls = []
 
@@ -254,8 +252,9 @@ def test_largest_root_bisects_the_index_between_end_values_of_5e_324(sign):
         return sign * math.copysign(5e-324, x - 0.3)
 
     res = largest_root(f, 0.0, 1.0)
-    assert len(calls) <= 2 + 14 + res.iterations
-    assert res == scan_largest_root(f, 0.0, 1.0)
+    assert len(calls) == 2 + res.iterations
+    want = scan_largest_root(f, 0.0, 1.0)
+    assert (res.root, res.residual) == (want.root, want.residual)
     assert res.residual == 5e-324 and abs(res.root - 0.3) <= 1e-16
 
 
@@ -267,28 +266,28 @@ def _search_for(lo, hi, r):
         calls.append(x)
         return float((x > r) - (x < r))
 
-    res = largest_root(f, lo, hi)
-    assert all(type(x) is float for x in calls)
-    return res.root, np.array(calls).view(np.int64)
+    return largest_root(f, lo, hi), calls
 
 
-def test_largest_root_grid_is_bitwise_linspace():
-    # with the root at each grid point in turn, the index search probes every
-    # grid point and returns the one it was sent to, all bitwise linspace:
-    # brackets of signed zeros, which linspace keeps or turns (-0.0 at lo
-    # becomes 0.0), and [1, M], the lambda brackets
-    for lo, hi in [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (1.0, 1024.0)]:
-        xs = np.linspace(lo, hi, GRID_POINTS)
-        probed = set()
-        for r in xs.tolist():
-            root, calls = _search_for(lo, hi, r)
-            assert math.copysign(1.0, root) == math.copysign(1.0, r) and root == r
-            probed.update(calls.tolist())
-        assert probed == set(xs.view(np.int64).tolist()), (lo, hi)
-    # and a few searches on each lambda bracket [1, M], M <= 1024
-    for m in range(2, 1025):
-        xs = np.linspace(1.0, float(m), GRID_POINTS)
-        grid = set(xs.view(np.int64).tolist())
-        for t in (1, m, 5000, 9999 - m, 9999):
-            root, calls = _search_for(1.0, float(m), float(xs[t]))
-            assert root == xs[t] and grid.issuperset(calls.tolist()), (m, t)
+def test_largest_root_probes_floats_strictly_inside_the_bracket():
+    # after the two ends, each probe is a float strictly between the ends
+    # of the current bracket, which keeps r; the search ends on r.  Brackets
+    # of signed zeros, subnormal ones and [1, M], the lambda brackets
+    brackets = [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (0.0, 1e-320),
+                (-5e-324, 5e-324), (1.0, 2.0), (1.0, 1024.0)]
+    for lo, hi in brackets:
+        rs = [math.nextafter(lo, hi), math.nextafter(hi, lo), 0.5 * lo + 0.5 * hi,
+              lo + (hi - lo) / 3.0, hi - (hi - lo) / 7.0, lo + 1e-9 * (hi - lo)]
+        for r in rs:
+            if not lo < r < hi:
+                continue
+            res, calls = _search_for(lo, hi, r)
+            assert [repr(x) for x in calls[:2]] == [repr(lo), repr(hi)]
+            assert len(calls) == 2 + res.iterations and res.root == r, (lo, hi, r)
+            a, b = lo, hi
+            for x in calls[2:]:
+                assert type(x) is float and a < x < b, (lo, hi, r)
+                if x < r:
+                    a = x
+                elif x > r:
+                    b = x
