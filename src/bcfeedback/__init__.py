@@ -10,18 +10,39 @@ steady state matches the solution of an algebraic fixed point.
 
 The package root holds the documented surface below; everything else is
 imported from its module (``bcfeedback.core``, ``bcfeedback.montecarlo``, ...).
+Each root name is imported from its module at its first use (PEP 562), so
+``import bcfeedback`` loads none of them.  The solvers, ``rate_report`` and
+``ChannelConfig`` compute on floats; numpy is imported only by the array
+code: ``prepare_scheme`` (``montecarlo``, ``core`` and the channel's draws)
+and a schedule's ``step()``.
 """
 
-from .channel import ChannelConfig
-from .fixedpoint import solve_lambda_bc, solve_lambda_mac, solve_rho
-from .montecarlo import prepare_scheme
-from .schedules import make_schedule, rate_report
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelConfig",
-    "solve_lambda_bc", "solve_lambda_mac", "solve_rho", "rate_report",
-    "make_schedule", "prepare_scheme",
-    "__version__",
-]
+# each root name and the module that defines it
+_SOURCES = {
+    "ChannelConfig": "channel",
+    "solve_lambda_bc": "fixedpoint",
+    "solve_lambda_mac": "fixedpoint",
+    "solve_rho": "fixedpoint",
+    "rate_report": "schedules",
+    "make_schedule": "schedules",
+    "prepare_scheme": "montecarlo",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,17 +5,26 @@ Receiver m observes y_m = x + z + z_m, where z is shared by every receiver
 ``private_noise_vars[m]``).  Either component may be switched off per receiver;
 an entirely noiseless channel is rejected because every schedule divides by an
 output variance.
+
+``ChannelConfig`` is plain floats, so the solve path never loads numpy; the
+array code (``draw_batch``, ``channel_outputs``, ``spawn_trial_seeds``)
+imports it when it runs, and ``draw_batch`` the thread pool that fills the
+noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .numerics import _as_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChannelConfig",
@@ -33,10 +42,11 @@ class ChannelConfig:
     private_noise_vars: tuple[float, ...]
 
     def __post_init__(self):
-        m = self.num_receivers
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-            raise ValueError("num_receivers must be a positive integer")
-        object.__setattr__(self, "num_receivers", int(m))
+        message = "num_receivers must be a positive integer"
+        m = _as_int(self.num_receivers, message)
+        if m < 1:
+            raise ValueError(message)
+        object.__setattr__(self, "num_receivers", m)
         p = float(self.power_budget)
         if not (math.isfinite(p) and p > 0.0):
             raise ValueError("power_budget must be positive and finite")
@@ -55,10 +65,23 @@ class ChannelConfig:
         if c == 0.0 and max(priv) == 0.0:
             raise ValueError("completely noiseless channel is not supported")
         object.__setattr__(self, "private_noise_vars", priv)
-        # the noise scales, worked out once: channel_outputs runs every step
-        private_std = np.sqrt(np.asarray(priv, dtype=float))
+
+    @functools.cached_property
+    def _noise_std(self) -> tuple[float, np.ndarray]:
+        """The noise scales, worked out at the first use: channel_outputs runs every step."""
+        import numpy as np
+
+        private_std = np.sqrt(np.asarray(self.private_noise_vars, dtype=float))
         private_std.setflags(write=False)
-        object.__setattr__(self, "_noise_std", (math.sqrt(c), private_std))
+        return math.sqrt(self.common_noise_var), private_std
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
 
 
 # Normals per trial over draw_batch's two noise buffers: 32 KiB of float64.
@@ -100,6 +123,8 @@ def draw_batch(seeds: list, M: int, horizon: int, threads: int = 1):
     starts past the horizon.  Closing the iterator early waits for the
     helpers and ends their threads.
     """
+    import numpy as np
+
     k = _block_steps(M)
     # allocated before the generators, whose small allocations would otherwise
     # pin a worker thread's heap above it and hold it resident after the chunk
@@ -123,6 +148,9 @@ def _fill(claims, lock) -> None:
 
 
 def _noise_rows(rngs, bufs: np.ndarray, horizon: int, parts: int):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
     k = bufs.shape[2]
     lock = threading.Lock()
     with ThreadPoolExecutor(parts - 1) if parts > 1 else nullcontext() as helpers:
@@ -151,6 +179,8 @@ def channel_outputs(config: ChannelConfig, x, z: np.ndarray, out=None) -> np.nda
     x has any shape and z that shape plus a trailing 1 + M axis; the result
     ends in an M axis.  It is written into ``out`` when one is given.
     """
+    import numpy as np
+
     common_std, private_std = config._noise_std
     # (x + common) + private, added in place: addition commutes bit for bit
     y = np.multiply(private_std, z[..., 1:], out=out)
@@ -160,6 +190,8 @@ def channel_outputs(config: ChannelConfig, x, z: np.ndarray, out=None) -> np.nda
 
 def spawn_trial_seeds(seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent child seed sequences, one per trial, keyed by trial index."""
+    import numpy as np
+
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     return np.random.SeedSequence(seed).spawn(trials)

@@ -8,6 +8,10 @@ check), ``simulate`` (Monte Carlo error estimation from a JSON config), and
 Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success,
 1 runtime failure, 2 configuration/usage error.  JSON configs are validated
 before any computation; unknown keys are rejected by name.
+
+``solve``, ``rates`` and ``duality`` compute on floats and never load numpy or
+scipy.  ``montecarlo``, and numpy and the batch threads with it, is imported
+only when ``simulate`` or ``sweep`` runs a batch.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import montecarlo
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _usable_cpus
 from .fixedpoint import solve_lambda_bc, solve_lambda_mac
-from .montecarlo import CSV_HEADER, _usable_cpus, csv_rows, default_policies, prepare_scheme
 from .schedules import DEFAULT_NOISE, SCHEME_IDS, check_channel, rate_report
 
 __all__ = ["main"]
@@ -343,12 +345,21 @@ def _apply_overrides(raw, args):
     return raw
 
 
+def prepare_scheme(scheme: str, channel: ChannelConfig, horizon: int, **options):
+    """``montecarlo.prepare_scheme``; its module, and numpy, load at the first call."""
+    from . import montecarlo
+
+    return montecarlo.prepare_scheme(scheme, channel, horizon, **options)
+
+
 def _run_simulation(cfg: RunConfig, args):
     """The CSV rows of one power budget."""
+    from . import montecarlo
+
     with _input_errors():  # the fixed points, as solve and rates report them
         prepared = prepare_scheme(cfg.scheme, cfg.channel, cfg.horizon,
                                   g=cfg.g, rho_mode=cfg.rho_mode)
-    policies = default_policies(
+    policies = montecarlo.default_policies(
         prepared, cfg.rate_fraction,
         base_halfwidth=cfg.interval_base_halfwidth,
         growth_fraction=cfg.interval_growth_fraction,
@@ -359,11 +370,13 @@ def _run_simulation(cfg: RunConfig, args):
     # called through the module, so a wrapper set on montecarlo.run_batch sees it
     stats = montecarlo.run_batch(prepared, cfg.horizon, policies, cfg.seed, cfg.trials,
                                  threads=args.threads)
-    return csv_rows(prepared, stats, cfg.rate_fraction)
+    return montecarlo.csv_rows(prepared, stats, cfg.rate_fraction)
 
 
 def cmd_simulate(args) -> int:
     """simulate and sweep: run each power budget of the config, then write one CSV."""
+    from .montecarlo import CSV_HEADER
+
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     raw = _apply_overrides(_load_config_file(args.config), args)

@@ -38,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _libm, std_normal_quantile
-
 __all__ = [
     "DecoderState",
     "IntervalPolicy",
@@ -47,7 +45,39 @@ __all__ = [
     "encode",
     "update_sources",
     "decoder_absorb",
+    "std_normal_quantile",
 ]
+
+
+def _libm(fn, x):
+    """``fn`` (a ``math`` function) of a float, or of each element of an array.
+
+    numpy's SIMD exp, log and log1p can differ from libm in the last bit, so
+    array code that must agree bitwise with float code maps libm instead.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
+# scipy.special is imported where it is called, so importing this module does
+# not load it: the quantile runs once per chunk, never per step.
+
+
+def std_normal_quantile(p):
+    """Inverse standard normal cdf on the open interval (0, 1).
+
+    Raises ValueError outside (0, 1); the embedding step relies on this to
+    reject degenerate message points rather than emitting infinities.
+    """
+    from scipy.special import ndtri
+
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    if np.ndim(p) == 0:
+        return float(ndtri(float(p)))
+    return ndtri(arr)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import largest_root
+from .numerics import _as_int, largest_root
 
 __all__ = [
     "FixedPointError",
@@ -130,12 +128,14 @@ class WarmupPlan:
 
 
 def _validate_mp(M: int, P: float) -> tuple[int, float]:
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 1:
-        raise ValueError("M must be a positive integer")
+    message = "M must be a positive integer"
+    M = _as_int(M, message)
+    if M < 1:
+        raise ValueError(message)
     P = float(P)
     if not (math.isfinite(P) and P > 0.0):
         raise ValueError("P must be positive and finite")
-    return int(M), P
+    return M, P
 
 
 def _log_gap(M: int, c: float, d: float):

@@ -29,7 +29,6 @@ endpoints saturate.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -37,7 +36,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, channel_outputs, draw_batch, spawn_trial_seeds
+from .channel import (
+    ChannelConfig,
+    _usable_cpus,
+    channel_outputs,
+    draw_batch,
+    spawn_trial_seeds,
+)
 from .core import (
     DecoderState,
     IntervalPolicy,
@@ -225,14 +230,6 @@ class BatchStats:
     cum_power_sum: np.ndarray  # per checkpoint: sum over trials of (1/n) sum x_k^2
     cum_power_sumsq: np.ndarray
     roundtrip_max_relerr: float  # max over steps/trials of |T_n(s_{n+1}) - s_1| / max(1, |s_1|)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
 
 
 def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,

@@ -1,29 +1,31 @@
-"""Numeric primitives: normal quantile, Hadamard matrices, largest-root search.
+"""Numeric primitives: Hadamard matrices and the largest-root search.
 
-Everything downstream builds on these three operations.  The quantile
-carries message points from the uniform to the Gaussian picture, Sylvester
-Hadamard matrices supply the per-step mixing weights of the multi-receiver
-schedules, and ``largest_root`` solves the scalar fixed-point equations behind
-the rate formulas, which want the *largest* admissible root.  It needs a
-bracket: it calls f on floats only, and where f's end values have opposite
-signs it bisects between them, which finds the largest root when f changes
-sign once.  End values of one sign are an error, not a search.
+Sylvester Hadamard matrices supply the per-step mixing weights of the
+multi-receiver schedules, and ``largest_root`` solves the scalar fixed-point
+equations behind the rate formulas, which want the *largest* admissible root.
+It needs a bracket: it calls f on floats only, and where f's end values have
+opposite signs it bisects between them, which finds the largest root when f
+changes sign once.  End values of one sign are an error, not a search.
+
+Only the Hadamard table is an array, so numpy is imported where it is built,
+at a schedule's first step; the root search runs on floats alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_HADAMARD_LOG2",
     "RootFindingError",
     "NoSignChangeError",
-    "std_normal_quantile",
     "sylvester_hadamard",
     "largest_root",
 ]
@@ -49,35 +51,14 @@ class RootResult:
     iterations: int
 
 
-def _libm(fn, x):
-    """``fn`` (a ``math`` function) of a float, or of each element of an array.
-
-    numpy's SIMD exp, log and log1p can differ from libm in the last bit, so
-    array code that must agree bitwise with float code maps libm instead.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
-
-
-# scipy.special is imported where it is called, so the solve path never loads
-# it: the quantile runs once per chunk, never per step.
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal cdf on the open interval (0, 1).
-
-    Raises ValueError outside (0, 1); the embedding step relies on this to
-    reject degenerate message points rather than emitting infinities.
-    """
-    from scipy.special import ndtri
-
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    if np.ndim(p) == 0:
-        return float(ndtri(float(p)))
-    return ndtri(arr)
+def _as_int(value, message: str) -> int:
+    """``operator.index(value)``; a bool or a non-integer raises ValueError(message)."""
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
 
 
 def sylvester_hadamard(k: int) -> np.ndarray:
@@ -90,19 +71,20 @@ def sylvester_hadamard(k: int) -> np.ndarray:
     enforces for the Hadamard schedules; the construction is exact in int64
     far beyond that.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
+    k = _as_int(k, "k must be an integer")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > MAX_HADAMARD_LOG2:
         raise ValueError(
             f"order 2**{k} exceeds the supported limit 2**{MAX_HADAMARD_LOG2}"
         )
-    return _sylvester_table(int(k))
+    return _sylvester_table(k)
 
 
 @functools.cache
 def _sylvester_table(k: int) -> np.ndarray:
+    import numpy as np
+
     h = np.ones((1, 1), dtype=np.int64)
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])
@@ -143,7 +125,10 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResu
     while True:
         mid = 0.5 * (a + b)
         if not (a < mid < b):
-            break  # bracket is at floating-point resolution
+            if math.isinf(mid):  # a + b overflowed: halve each end first
+                mid = 0.5 * a + 0.5 * b
+            if not (a < mid < b):
+                break  # bracket is at floating-point resolution
         fm = float(f(mid))
         iterations += 1
         if fm == 0.0:

@@ -11,6 +11,9 @@ Monte Carlo trials.
 
 Each ``step()`` returns one unvalidated ScheduleStep;
 ``montecarlo.prepare_scheme`` stacks them into one table and checks it once.
+Only the steps are arrays: a schedule's solved constants and ``rate_limits()``
+are floats, and the Hadamard table and eigenvalues are built at their first
+use, so ``rate_report`` runs without numpy.
 
 Shared bookkeeping is the normalised source covariance R = E[s s^T] / p_share
 with p_share = P / M.  One channel use with coefficients (alpha, beta, a, b)
@@ -40,10 +43,10 @@ two-user schedule carries no R at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import ChannelConfig
 from .fixedpoint import (
@@ -54,6 +57,9 @@ from .fixedpoint import (
     solve_rho,
 )
 from .numerics import MAX_HADAMARD_LOG2, sylvester_hadamard
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SCHEME_IDS", "DEFAULT_NOISE", "check_channel", "ScheduleInvariantError",
            "covariance_update", "make_schedule", "rate_report"]
@@ -121,6 +127,8 @@ class ScheduleStep:
 def covariance_update(R: np.ndarray, step: ScheduleStep, channel: ChannelConfig,
                       p_share: float) -> np.ndarray:
     """Exact one-step update of the normalised source covariance."""
+    import numpy as np
+
     R = np.asarray(R, dtype=float)
     m = channel.num_receivers
     if R.shape != (m, m):
@@ -145,6 +153,8 @@ def hadamard_eigen_profile(G: np.ndarray, columns: np.ndarray, dyadic_index: np.
     dyadic_index[d, i] is the flat position of G[i, i ^ d], so r[d] is a row
     mean; values = columns.T @ r are the Rayleigh quotients h_j^T G h_j / M.
     """
+    import numpy as np
+
     diagonals = G.take(dyadic_index)
     r = diagonals.mean(axis=1)
     return columns.T @ r, float(np.linalg.norm(diagonals - r[:, None]))
@@ -182,8 +192,8 @@ class OzarowSchedule:
         )
         self.rho = 0.0 if mode == "tracked" else self.fixed_point.rho
 
-    def rate_limits(self) -> np.ndarray:
-        return np.array(self.fixed_point.rates)
+    def rate_limits(self) -> tuple[float, ...]:
+        return self.fixed_point.rates
 
     def solved(self) -> dict:
         """RateReport constants: rho*, its residual and the sum rate."""
@@ -191,6 +201,8 @@ class OzarowSchedule:
         return dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(fp.rates))
 
     def step(self) -> ScheduleStep:
+        import numpy as np
+
         ch = self.channel
         p = ch.power_budget
         g = self.g
@@ -226,6 +238,12 @@ def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
     return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
 
 
+def _hadamard_columns(sched) -> np.ndarray:
+    """The shared M x M Hadamard table, built at the first step: ``rate_report``
+    never steps a schedule, so it never builds one."""
+    return sylvester_hadamard(sched.channel.num_receivers.bit_length() - 1)
+
+
 class DegradedSchedule:
     """All receivers share one output; coefficients are minimum-mean-square.
 
@@ -239,21 +257,28 @@ class DegradedSchedule:
     1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits against 0.5).
     """
 
+    columns = functools.cached_property(_hadamard_columns)
+
     def __init__(self, channel: ChannelConfig):
         check_channel("degraded", channel)
         m = channel.num_receivers
         self.channel = channel
-        self.columns = sylvester_hadamard(m.bit_length() - 1)
-        self.mu = np.ones(m)
         self.p_share = channel.power_budget / m
         self.p0 = self.p_share
         self.p_eff = channel.power_budget / channel.common_noise_var
         self.solution = solve_lambda_bc(m, self.p_eff)
         self.step_index = 1
 
-    def rate_limits(self) -> np.ndarray:
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        """R's Hadamard eigenvalues, all 1 (R_1 = I) until the first step."""
+        import numpy as np
+
+        return np.ones(self.channel.num_receivers)
+
+    def rate_limits(self) -> tuple[float, ...]:
         m = self.channel.num_receivers
-        return np.full(m, _per_user_rate_bits(m, self.p_eff, self.solution.lam))
+        return (_per_user_rate_bits(m, self.p_eff, self.solution.lam),) * m
 
     def solved(self) -> dict:
         """RateReport constants, with the power P lambda spent and the capacity at P."""
@@ -263,6 +288,8 @@ class DegradedSchedule:
                     capacity_at_budget=0.5 * math.log2(1.0 + self.p_eff))
 
     def step(self) -> ScheduleStep:
+        import numpy as np
+
         mu = self.mu
         m = mu.size
         j = (self.step_index - 1) % m
@@ -303,30 +330,33 @@ class SymmetricSchedule:
     failure is a bug in the emitted steps or the plan.
     """
 
+    columns = functools.cached_property(_hadamard_columns)
+
     def __init__(self, channel: ChannelConfig, check_invariants: bool = True):
         check_channel("symmetric", channel)
         m = channel.num_receivers
         self.channel = channel
         self.plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
-        self.columns = sylvester_hadamard(m.bit_length() - 1)
         self.gamma = self.plan.bgamma.gamma
-        r0 = self.plan.lambda0 + self.gamma  # R_1 = r0 I
-        self.mu = np.full(m, r0)
         self.p_share = channel.power_budget / m
-        self.p0 = self.p_share * r0
+        self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)  # R_1 = (lambda0 + gamma) I
         self.check_invariants = check_invariants
         self.step_index = 1
-        if check_invariants:
-            self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
-            self._verify()
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        """R's Hadamard eigenvalues, all lambda0 + gamma until the first step."""
+        import numpy as np
+
+        return np.full(self.channel.num_receivers, self.plan.lambda0 + self.gamma)
 
     @property
     def phase(self) -> str:
         return "warmup" if self.step_index < self.plan.M else "steady"
 
-    def rate_limits(self) -> np.ndarray:
+    def rate_limits(self) -> tuple[float, ...]:
         m = self.channel.num_receivers
-        return np.full(m, _per_user_rate_bits(m, self.plan.P, self.plan.lam))
+        return (_per_user_rate_bits(m, self.plan.P, self.plan.lam),) * m
 
     def solved(self) -> dict:
         """RateReport constants: lambda, its residual and the sum rate."""
@@ -334,9 +364,14 @@ class SymmetricSchedule:
         return dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate)
 
     def step(self) -> ScheduleStep:
+        import numpy as np
+
         m = self.channel.num_receivers
         plan = self.plan
         n = self.step_index
+        if n == 1 and self.check_invariants:
+            self._sorted_lambda_seq = np.sort(plan.lambda_seq)
+            self._verify()  # R_1 itself
         j = (n - 1) % m
         alpha = self.columns[:, j]
         b = plan.bgamma.b
@@ -354,6 +389,8 @@ class SymmetricSchedule:
                             expected_power=self.p_share * m * beta * beta * mu_j)
 
     def _verify(self) -> None:
+        import numpy as np
+
         vals = self.mu - self.gamma
         if not np.all(np.isfinite(vals)):
             raise ScheduleInvariantError("covariance lost finiteness")
@@ -420,7 +457,7 @@ def rate_report(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
     if not (0.0 < rate_fraction < 1.0):
         raise ValueError("rate_fraction must lie strictly between 0 and 1")
     sched = make_schedule(scheme, channel, g=g)
-    per_user = tuple(sched.rate_limits().tolist())
+    per_user = sched.rate_limits()
     targets = tuple(rate_fraction * r for r in per_user)
     bases = tuple(2.0 ** (2.0 * (r - t)) for r, t in zip(per_user, targets))
     return RateReport(

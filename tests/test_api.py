@@ -41,6 +41,28 @@ def test_readme_names_the_root_surface():
     assert ROOT_API <= named
 
 
+def test_root_names_load_at_first_use(fresh_python):
+    namespace = {}
+    exec("from bcfeedback import *", namespace)
+    assert set(bcfeedback.__all__) <= set(namespace)
+    assert set(bcfeedback.__all__) <= set(dir(bcfeedback))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bcfeedback.no_such_name
+    # in a fresh interpreter: the float names leave numpy out, prepare_scheme loads it
+    code = "\n".join([
+        "import sys",
+        "import bcfeedback",
+        "for name in bcfeedback.__all__:",
+        "    if name != 'prepare_scheme':",
+        "        getattr(bcfeedback, name)",
+        "assert 'numpy' not in sys.modules, 'a float name loaded numpy'",
+        "bcfeedback.prepare_scheme",
+        "assert 'numpy' in sys.modules",
+    ])
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"bcfeedback.{module}")

@@ -62,6 +62,14 @@ def test_config_rejects_bad_values(kw):
         make_config(**kw)
 
 
+def test_config_receivers_are_any_integer_index():
+    # operator.index: a numpy integer counts receivers, a bool, float or string does not
+    assert make_config(num_receivers=np.int64(2)) == make_config(num_receivers=2)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^num_receivers must be a positive integer$"):
+            make_config(num_receivers=bad)
+
+
 def test_config_is_frozen():
     cfg = make_config()
     with pytest.raises(dataclasses.FrozenInstanceError):

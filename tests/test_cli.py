@@ -6,7 +6,6 @@ import logging
 import math
 import os
 import re
-import subprocess
 import sys
 import warnings
 from dataclasses import MISSING, fields, replace
@@ -16,7 +15,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import bcfeedback
 from bcfeedback import cli
 from bcfeedback.channel import ChannelConfig
 from bcfeedback.cli import ConfigError, RunConfig, main, parse_run_config
@@ -624,24 +622,19 @@ def test_sweep_over_power_budgets(tmp_path, capsys):
     assert lines.count(lines[0]) == 1  # single header
 
 
-def test_console_script_end_to_end():
-    # the child imports the package the tests import, installed or from src/
-    src = str(Path(bcfeedback.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bcfeedback", "solve", "--scheme", "degraded",
-         "-M", "1", "-P", "10", "--noise", "1,0", "--json"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-    )
+def test_console_script_end_to_end(fresh_python):
+    proc = fresh_python("-m", "bcfeedback", "solve", "--scheme", "degraded",
+                        "-M", "1", "-P", "10", "--noise", "1,0", "--json")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     # single receiver: the full point-to-point capacity
     assert payload["sum_rate_bits"] == pytest.approx(1.7297158093186487, abs=1e-12)
 
 
-def test_solve_path_never_loads_scipy_special(tmp_path, capsys):
+def test_solve_path_never_loads_scipy_special(tmp_path, capsys, fresh_python):
     # scipy.special is imported at the first normal cdf or quantile, which only
-    # simulate and sweep reach; the child prints the same CSV as this process
+    # simulate and sweep reach; the child, whose first batch imports
+    # montecarlo and numpy, prints the same CSV as this process
     path = write_config(tmp_path, base_config(trials=200, horizon=12))
     assert main(["simulate", "--config", path, "--threads", "1"]) == 0
     want = capsys.readouterr().out
@@ -654,14 +647,32 @@ def test_solve_path_never_loads_scipy_special(tmp_path, capsys):
         f"assert main(['simulate', '--config', {path!r}, '--threads', '1']) == 0",
         "assert 'scipy.special' in sys.modules",
     ])
-    src = str(Path(bcfeedback.__file__).resolve().parents[1])
-    env_path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": env_path},
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(want)
+
+
+# numpy and scipy load only with the Monte Carlo code: each of these, in a
+# fresh interpreter, leaves both out of sys.modules
+NUMPY_FREE = [
+    "import bcfeedback",
+    "import bcfeedback.cli",
+    *(f"from bcfeedback.cli import main; assert main({argv!r}) == 0" for argv in (
+        ["duality", "-M", "2", "-P", "10"],
+        ["solve", "--scheme", "ozarow2", "-P", "10"],
+        ["rates", "--scheme", "symmetric", "-M", "1024", "-P", "100"],
+        ["rates", "--scheme", "degraded", "-M", "8", "-P", "100"],
+    )),
+]
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE)
+def test_solve_path_never_loads_numpy(code, fresh_python):
+    proc = fresh_python("-c", code + "\nimport sys\nprint(sorted(m for m in sys.modules "
+                        "if m.partition('.')[0] in ('numpy', 'scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

@@ -116,6 +116,15 @@ def test_lambda_validation():
     assert solve_lambda_bc(1, 1.7e308).lam == 1.0
 
 
+def test_receiver_count_is_any_integer_index():
+    # operator.index: a numpy integer is a receiver count, a bool, float or string is not
+    assert solve_lambda_bc(np.int64(4), 10.0) == solve_lambda_bc(4, 10.0)
+    assert solve_lambda_mac(np.int64(4), 2.5) == solve_lambda_mac(4, 2.5)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^M must be a positive integer$"):
+            solve_lambda_bc(bad, 10.0)
+
+
 def test_duality_on_grid():
     for m, p in MP_GRID + [(1, 1.0), (1, 50.0), (16, 100.0)]:
         bc = solve_lambda_bc(m, p)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import itertools
 import math
@@ -529,7 +530,8 @@ def test_batch_workers_are_capped_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(channel_module, "_fill", fill)
     assert threading.active_count() == live
 
-    for module in (montecarlo, channel_module):
+    # the channel imports the pool class from concurrent.futures at each draw
+    for module in (montecarlo, concurrent.futures):
         monkeypatch.setattr(module, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "created", [])
 

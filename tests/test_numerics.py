@@ -1,17 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bcfeedback.core import std_normal_quantile
 from bcfeedback.numerics import (
     MAX_HADAMARD_LOG2,
     NoSignChangeError,
     RootFindingError,
     RootResult,
     largest_root,
-    std_normal_quantile,
     sylvester_hadamard,
 )
 from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root, std_normal_cdf
@@ -130,6 +131,14 @@ def test_hadamard_rejects_bad_order(bad):
         sylvester_hadamard(bad)
 
 
+def test_hadamard_order_is_any_integer_index():
+    # operator.index: a numpy integer is an order, a bool, float or string is not
+    assert sylvester_hadamard(np.int64(4)) is sylvester_hadamard(4)
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^k must be an integer$"):
+            sylvester_hadamard(bad)
+
+
 # ----------------------------------------------------------------------------
 # largest_root
 # ----------------------------------------------------------------------------
@@ -169,6 +178,17 @@ def test_largest_root_rejects_bad_bracket():
     with pytest.raises(ValueError, match="NaN"):
         largest_root(lambda x: float("nan") if 0.30003 < x < 0.30006 else x - 0.30004,
                      0.0, 1.0)
+
+
+def test_largest_root_bisects_where_the_bracket_ends_sum_past_the_largest_float():
+    # 1e308 + 1.7e308 overflows; each end is halved first, so the first
+    # midpoint is 1.35e308, not inf
+    res = largest_root(lambda x: x - 1.5e308, 1e308, 1.7e308)
+    assert (res.root, res.residual) == (1.5e308, 0.0)
+    top = sys.float_info.max
+    below = math.nextafter(top, 0.0)
+    res = largest_root(lambda x: -1.0 if x < top else 1.0, below, top, tol=1.0)
+    assert res == RootResult(below, 1.0, 0)  # adjacent floats: nothing to probe
 
 
 def test_largest_root_residual_tolerance_enforced():

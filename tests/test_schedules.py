@@ -185,6 +185,7 @@ def test_hadamard_schedules_step_without_dense_state(scheme):
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
     for checked in (False, True):
         sched = make_schedule(scheme, ch, check_invariants=checked)
+        sched.columns  # the shared Hadamard table, built once per order at the first use
         tracemalloc.start()
         try:
             for _ in range(32):
