@@ -166,9 +166,9 @@ def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
     At gain <= _SMALL_GAIN the root is λ = 1 + (M - 1)·gain/(2M) in closed
     form.  Above it the float gap's end values bracket the root too
     (measured, not proved: the tests compare each root there with a
-    60-digit one), and ``largest_root`` bisects between them.  Either term
-    is at most 2T, T = (M - 1)·log1p(gain·M).  Bisection stops at float
-    resolution, so an absolute tol alone fails at large P: tol is
+    60-digit one), and ``largest_root`` narrows the bracket between them.
+    Either term is at most 2T, T = (M - 1)·log1p(gain·M).  The search stops
+    at adjacent floats, so an absolute tol alone fails at large P: tol is
     1e-12·max(1, T).  Where gain·M overflows, T and so tol are infinite and
     would accept any residual: that gain is a ValueError.
     """
@@ -183,8 +183,9 @@ def _solve_lambda(gap, M: int, gain: float) -> SumRateSolution:
         residual = abs(gap(lam))
     if not (1.0 <= lam <= M):
         raise FixedPointError(f"lambda {lam!r} escaped [1, {M}]")
+    # log1p: 1 + gain·lam would round gain·lam away where it is small
     return SumRateSolution(lam=lam, residual=residual,
-                           sum_rate=0.5 * math.log2(1.0 + gain * lam))
+                           sum_rate=math.log1p(gain * lam) / (2.0 * math.log(2.0)))
 
 
 def solve_lambda_bc(M: int, P: float) -> SumRateSolution:

@@ -12,9 +12,11 @@ Three references share package code or layout on purpose, because each
 must reproduce a package routine bit for bit rather than to rounding:
 
 * :func:`scan_largest_root`, the package's former point-by-point scan over
-  a 10 001-point grid, shares the package's bisection.  Where f changes
-  sign at one float, ``largest_root`` must return its root and residual
-  exactly; the solvers' scans must match it to 1e-12 relative.  Where f's
+  a 10 001-point grid, finishes with :func:`float_bisect`, the package's
+  former float bisection.  Where f changes sign at one float,
+  ``largest_root`` must return its root and residual exactly; the solvers'
+  scans must match it to 1e-12 relative, and take at most 3 probes (ITP's
+  n0) more than :func:`float_bisect` on the same bracket.  Where f's
   end values do not bracket a sign change, ``largest_root`` does not walk
   the grid as this scan does: it returns an exact zero at an end or raises
   NoSignChangeError.  Fed :func:`libm_bc_log_gap` or
@@ -62,7 +64,7 @@ from scipy.special import ndtr
 
 from bcfeedback.channel import channel_outputs
 from bcfeedback.core import embed_message, encode
-from bcfeedback.numerics import NoSignChangeError, RootResult, _bisect
+from bcfeedback.numerics import NoSignChangeError, RootFindingError, RootResult
 from bcfeedback.schedules import ScheduleStep, covariance_update
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
@@ -124,6 +126,40 @@ def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def float_bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> RootResult:
+    """Bisect [a, b], whose end values fa and fb have opposite signs, on floats.
+
+    Down to an exact zero or adjacent floats, keeping the half whose end
+    values have opposite signs; ``iterations`` counts the midpoints probed.
+    The end nearer zero in |f| is the root, and a residual above tol raises
+    RootFindingError.
+    """
+    iterations = 0
+    while True:
+        mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            if math.isinf(mid):  # a + b overflowed: halve each end first
+                mid = 0.5 * a + 0.5 * b
+            if not (a < mid < b):
+                break
+        fm = float(f(mid))
+        iterations += 1
+        if fm == 0.0:
+            return RootResult(mid, 0.0, iterations)
+        if math.isnan(fm):
+            raise ValueError("f evaluated to NaN in the bracket")
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    root, res = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
+    if res > tol:
+        raise RootFindingError(
+            f"bisection hit float resolution at x={root!r} with |f|={res:.3g} > tol {tol:g}"
+        )
+    return RootResult(root, res, iterations)
+
+
 def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     """Reference for ``largest_root``: one float call of f per grid point, walked down from hi."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -137,7 +173,7 @@ def scan_largest_root(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult
         if vals[i] == 0.0:
             return RootResult(float(xs[i]), 0.0, 0)
         if (vals[i] < 0.0) != (vals[i - 1] < 0.0):
-            return _bisect(
+            return float_bisect(
                 f, float(xs[i - 1]), float(xs[i]), float(vals[i - 1]), float(vals[i]), tol
             )
     if vals[0] == 0.0:

@@ -269,7 +269,7 @@ def test_duality_at_the_top_of_the_power_range(capsys):
 # sha256 of the solve path's stdout over M = 2 ... 1024 and P = 1e-9 ... 1e9:
 # the bytes of the sum-rate and rho scans, as GOLDEN_CSV pins the Monte Carlo's
 SOLVE_PATH_P = ("1e-9", "1e-6", "1e-3", "1", "10", "1e3", "1e6", "1e9")
-DUALITY_SHA256 = "280adab60229d9483e79505c3badef14c3f70deb29dc8e9bc3bbe068e04f9ed0"
+DUALITY_SHA256 = "e31411df8fd3161a68fd0804f51ffb9a9e7f15395de46a8ec18715bf93775c6a"
 OZAROW2_SHA256 = "4f69a3fd939eef289e75076ffef8a1330dad336007e710f3de69b6f112afafe1"
 
 
@@ -409,10 +409,16 @@ def test_ozarow2_scan_of_nan_exits_2_on_solve_and_on_simulate(tmp_path, capsys):
 
 
 def test_solve_below_gain_1e_10_gives_the_60_digit_lambda(capsys):
-    # the effective power P/sigma² = 1e-307 lies far below gain 1e-10
+    # the effective power P/sigma² = 1e-307 lies far below gain 1e-10; the
+    # sum rate is log1p(P·lambda)/(2 ln 2), where 1 + P·lambda rounds to 1
     assert main(["solve", "--scheme", "degraded", "-M", "8", "-P", "1e-307", "--json"]) == 0
-    lam = json.loads(capsys.readouterr().out)["lambda"]
-    assert lam == 1.0 == pytest.approx(mp_lambda(8, 1e-307), rel=1e-15)
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda"] == 1.0 == pytest.approx(mp_lambda(8, 1e-307), rel=1e-15)
+    with mpmath.workdps(60):
+        want = mpmath.log1p(mpmath.mpf(1e-307)) / (2 * mpmath.log(2))
+    assert out["sum_rate_bits"] == pytest.approx(float(want), rel=1e-15, abs=0.0)
+    assert main(["solve", "--scheme", "degraded", "-M", "8", "-P", "1e-307"]) == 0
+    assert "sum_rate_bits: 7.21347520444e-308\n" in capsys.readouterr().out
 
 
 def test_duality_below_gain_1e_10_gives_the_60_digit_rates(capsys):

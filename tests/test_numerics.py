@@ -15,7 +15,14 @@ from bcfeedback.numerics import (
     largest_root,
     sylvester_hadamard,
 )
-from oracles import PHI_1, PHI_M2_5, normal_cdf_quad, scan_largest_root, std_normal_cdf
+from oracles import (
+    PHI_1,
+    PHI_M2_5,
+    float_bisect,
+    normal_cdf_quad,
+    scan_largest_root,
+    std_normal_cdf,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -191,6 +198,29 @@ def test_largest_root_bisects_where_the_bracket_ends_sum_past_the_largest_float(
     assert res == RootResult(below, 1.0, 0)  # adjacent floats: nothing to probe
 
 
+def test_largest_root_searches_between_end_values_of_1e308():
+    # f(lo) - f(hi) overflows to -inf, yet the regula falsi point of -1e308
+    # and 1e308 is the midpoint, 0; on [-1e308, 1e308] the width overflows
+    # too, and the first probe is the midpoint.  Every probe is a float
+    # strictly inside the bracket, and the root is exact
+    for f, lo, hi, root in [(lambda x: 1e308 * math.tanh(x - 0.3), -1e3, 1e3, 0.3),
+                            (lambda x: x - 3.0, -1e308, 1e308, 3.0)]:
+        assert (f(lo), f(hi)) == (-1e308, 1e308)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = largest_root(counted, lo, hi)
+        assert len(calls) == 2 + res.iterations and calls[2] == 0.0
+        assert all(type(x) is float and lo < x < hi for x in calls[2:])
+        assert abs(res.root - root) <= 1e-16 and res.residual <= 1e-12
+        bisection = float_bisect(f, lo, hi, f(lo), f(hi), 1e-12)
+        assert (res.root, res.residual) == (bisection.root, bisection.residual)
+        assert res.iterations < bisection.iterations
+
+
 def test_largest_root_residual_tolerance_enforced():
     # a steep function whose residual at float resolution stays large
     with pytest.raises(RootFindingError):
@@ -278,21 +308,31 @@ def test_largest_root_brackets_end_values_of_5e_324(sign):
     assert res.residual == 5e-324 and abs(res.root - 0.3) <= 1e-16
 
 
-def _search_for(lo, hi, r):
-    """largest_root's result and probes for an f that is -1 below r, 0 at r and 1 above."""
+# f's sign is that of x - r: a step with no slope, a line, a cubic, an
+# exponential (regula falsi is one-sided there) and a tanh of height 1e308
+SHAPES = [lambda u: float((u > 0.0) - (u < 0.0)), lambda u: u,
+          lambda u: u + 100.0 * u**3, lambda u: math.expm1(30.0 * u),
+          lambda u: 1e308 * math.tanh(1e3 * u)]
+
+
+def _search_for(lo, hi, r, shape):
+    """largest_root's result and probes for f(x) = shape((x - r)/(hi - lo))."""
     calls = []
 
     def f(x):
         calls.append(x)
-        return float((x > r) - (x < r))
+        return shape((x - r) / (hi - lo))
 
     return largest_root(f, lo, hi), calls
 
 
 def test_largest_root_probes_floats_strictly_inside_the_bracket():
-    # after the two ends, each probe is a float strictly between the ends
-    # of the current bracket, which keeps r; the search ends on r.  Brackets
-    # of signed zeros, subnormal ones and [1, M], the lambda brackets
+    # after the two ends, each probe, interpolated or a midpoint, is a float
+    # strictly between the ends of the current bracket, which keeps r.  Down
+    # to 4 ulps of its larger end, the bracket after j probes is narrower
+    # than 2**(n0 + 1)·(hi - lo)/2**j (n0 = 3, ITP's slack over bisection).
+    # The search ends on r.  Brackets of signed zeros, subnormal ones and
+    # [1, M], the lambda brackets
     brackets = [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0), (0.0, 1e-320),
                 (-5e-324, 5e-324), (1.0, 2.0), (1.0, 1024.0)]
     for lo, hi in brackets:
@@ -301,13 +341,15 @@ def test_largest_root_probes_floats_strictly_inside_the_bracket():
         for r in rs:
             if not lo < r < hi:
                 continue
-            res, calls = _search_for(lo, hi, r)
-            assert [repr(x) for x in calls[:2]] == [repr(lo), repr(hi)]
-            assert len(calls) == 2 + res.iterations and res.root == r, (lo, hi, r)
-            a, b = lo, hi
-            for x in calls[2:]:
-                assert type(x) is float and a < x < b, (lo, hi, r)
-                if x < r:
-                    a = x
-                elif x > r:
-                    b = x
+            for k, shape in enumerate(SHAPES):
+                res, calls = _search_for(lo, hi, r, shape)
+                assert [repr(x) for x in calls[:2]] == [repr(lo), repr(hi)]
+                assert len(calls) == 2 + res.iterations and res.root == r, (lo, hi, r, k)
+                a, b = lo, hi
+                for j, x in enumerate(calls[2:], 1):
+                    assert type(x) is float and a < x < b, (lo, hi, r, k)
+                    if x == r:  # the last probe
+                        break
+                    a, b = (x, b) if x < r else (a, x)
+                    lag = b - a >= math.ldexp(hi - lo, 4 - j)
+                    assert not lag or b - a <= 4.0 * math.ulp(max(-a, b)), (lo, hi, r, k, j)
