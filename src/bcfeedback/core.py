@@ -26,9 +26,10 @@ Like the encoder step, the replay takes one trial's receivers (M,) or a batch
 (trials, M); exp and log go through libm per element, so a batch row and a
 single trial fold bitwise alike.
 
-Step n's coefficients arrive as plain arrays, row n - 1 of the table that
-``montecarlo.prepare_scheme`` unrolls and checks once; the functions here
-check only shapes.
+Step n's coefficients arrive as plain arrays that ``montecarlo._run_chunk``
+forms from the rows ``montecarlo.prepare_scheme`` unrolls and checks once:
+alpha and b are M wide, and a is M wide or a single contraction shared by
+every receiver.  The functions here check only shapes.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ def update_sources(s: np.ndarray, a: np.ndarray, b: np.ndarray, y: np.ndarray,
                    out=None) -> np.ndarray:
     """Per-receiver refinement s <- (s - b y) / a after observing outputs y.
 
-    The result is written into ``out`` when one is given; it must not overlap s.
+    a is M wide, or 1 wide for every receiver.  The result is written into
+    ``out`` when one is given; it must not overlap s.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if s.shape[-1:] != a.shape or y.shape != s.shape:
+    if a.shape not in ((1,), s.shape[-1:]) or y.shape != s.shape:
         raise ValueError("source and output arrays must match each other and the schedule width")
     if out is not None and np.may_share_memory(out, s):
         raise ValueError("out must not overlap the sources")
@@ -155,11 +157,12 @@ def decoder_absorb(dec: DecoderState, a: np.ndarray, b: np.ndarray,
     """Fold step n, with outputs y shaped like the intercept, into every replay map.
 
     The new step is the innermost map of the composition, so the intercept
-    picks up the *previous* slope: T_new(x) = T_old(a_n x + b_n y_n).  An
-    a <= 0 has no log and raises ValueError.
+    picks up the *previous* slope: T_new(x) = T_old(a_n x + b_n y_n).  a is
+    M wide or 1 wide, as in ``update_sources``; an a <= 0 has no log and
+    raises ValueError.
     """
     y = np.asarray(y, dtype=float)
-    if dec.log_slope.shape != a.shape or y.shape != dec.intercept.shape:
+    if a.shape not in ((1,), dec.log_slope.shape) or y.shape != dec.intercept.shape:
         raise ValueError("output and decoder arrays must match each other and the schedule width")
     return DecoderState(
         log_slope=dec.log_slope + _libm(math.log, a),

@@ -51,6 +51,7 @@ from .core import (
     encode,
     update_sources,
 )
+from .numerics import _as_int
 from .schedules import make_schedule
 
 __all__ = [
@@ -74,16 +75,20 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class PreparedScheme:
-    """A schedule unrolled over a horizon, shareable across trials and threads.
+    """A schedule unrolled over a horizon into read-only rows, shared across trials.
 
-    The unroll is one read-only coefficient table: row n - 1 of alpha, a, b
-    (shape (H, M)) and of beta, expected_power (shape (H,)) is step n.
+    Step n mixes with alpha = weights * h, feeds back b[n - 1] * h and divides
+    by a[n - 1], with h = table[row[n - 1]], a row of the schedule's shared
+    (M, M) +-1 table.  weights, a and b are 1 wide (Hadamard schemes) or 2
+    (ozarow2), so no array has both a step and a receiver axis.
     """
 
     scheme: str
     channel: ChannelConfig
     p0: float
-    alpha: np.ndarray
+    table: np.ndarray
+    weights: np.ndarray
+    row: np.ndarray
     beta: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -98,41 +103,41 @@ class PreparedScheme:
 def prepare_scheme(scheme: str, channel: ChannelConfig, horizon: int, *,
                    g: float = 1.0, rho_mode: str = "tracked",
                    check_invariants: bool = True) -> PreparedScheme:
-    """Unroll ``horizon`` steps of the named schedule into one checked table.
+    """Unroll ``horizon`` steps of the named schedule and check them once.
 
-    Every row must be M wide, every coefficient finite and every a > 0.
+    The table must be (M, M) and every row index inside it; weights, a and
+    b must share one width, 1 or M; every coefficient must be finite and
+    every a > 0.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     sched = make_schedule(scheme, channel, g=g, rho_mode=rho_mode,
                           check_invariants=check_invariants)
     m = channel.num_receivers
-    alpha, a, b = np.empty((3, horizon, m))
+    table = sched.table
+    weights = np.array(sched.weights, dtype=float)
+    if table.shape != (m, m) or weights.shape not in ((1,), (m,)):
+        raise ValueError(f"schedule table or weights do not fit {m} receivers")
+    k = weights.size
+    row = np.empty(horizon, dtype=np.intp)
     beta, power = np.empty((2, horizon))
-    for row in range(horizon):
+    a, b = np.empty((2, horizon, k))
+    for n in range(horizon):
         st = sched.step()
-        # a width-1 row would broadcast silently into the table
-        if not np.shape(st.alpha) == np.shape(st.a) == np.shape(st.b) == (m,):
-            raise ValueError(f"schedule step {row + 1} is not {m} wide")
-        alpha[row], beta[row], a[row], b[row] = st.alpha, st.beta, st.a, st.b
-        power[row] = st.expected_power
-    if not all(np.isfinite(arr).all() for arr in (alpha, beta, a, b)):
+        # a row of another width would broadcast silently into the table
+        if not np.shape(st.a) == np.shape(st.b) == (k,):
+            raise ValueError(f"schedule step {n + 1} is not {k} wide")
+        row[n], beta[n], a[n], b[n], power[n] = st.row, st.beta, st.a, st.b, st.expected_power
+    if not ((row >= 0) & (row < m)).all():
+        raise ValueError("schedule rows must index the table")
+    if not all(np.isfinite(arr).all() for arr in (weights, beta, a, b)):
         raise ValueError("schedule coefficients must be finite")
     if not (a > 0.0).all():
         raise ValueError("all source contraction factors a must be positive")
-    for arr in (alpha, beta, a, b, power):
+    for arr in (weights, row, beta, a, b, power):
         arr.setflags(write=False)
-    return PreparedScheme(
-        scheme=scheme,
-        channel=channel,
-        p0=float(sched.p0),
-        alpha=alpha,
-        beta=beta,
-        a=a,
-        b=b,
-        expected_power=power,
-        rate_limits=np.asarray(sched.rate_limits(), dtype=float),
-    )
+    return PreparedScheme(scheme, channel, float(sched.p0), table, weights, row, beta, a, b,
+                          power, np.asarray(sched.rate_limits(), dtype=float))
 
 
 def default_policies(prepared: PreparedScheme, rate_fraction: float, *,
@@ -194,8 +199,9 @@ def _run_chunk(prepared: PreparedScheme, horizon: int,
     # closed however the loop ends, so no helper thread outlives the chunk
     with closing(noise):
         for n, z in enumerate(noise, start=1):
-            a, b = prepared.a[n - 1], prepared.b[n - 1]
-            x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
+            h = prepared.table[prepared.row[n - 1]]
+            a, b = prepared.a[n - 1], prepared.b[n - 1] * h
+            x = encode(s, prepared.weights * h, prepared.beta[n - 1])
             channel_outputs(prepared.channel, x, z, out=y)
             s = update_sources(s, a, b, y, out=sources[n % 2])  # never writes s1
             cum_power += x * x
@@ -254,7 +260,8 @@ def run_batch(prepared: PreparedScheme, horizon: int, policy, seed: int,
     policies = [policy] * m if isinstance(policy, IntervalPolicy) else list(policy)
     if len(policies) != m:
         raise ValueError(f"need one policy or {m} of them, got {len(policies)}")
-    marks = default_checkpoints(horizon) if checkpoints is None else tuple(checkpoints)
+    marks = default_checkpoints(horizon) if checkpoints is None else tuple(
+        _as_int(c, "checkpoints must be integers") for c in checkpoints)
     if any(c < 0 or c > horizon for c in marks):
         raise ValueError("checkpoints must lie in [0, horizon]")
     if len(set(marks)) != len(marks):

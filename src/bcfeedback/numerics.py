@@ -68,12 +68,12 @@ def _as_int(value, message: str) -> int:
 def sylvester_hadamard(k: int) -> np.ndarray:
     """Hadamard matrix of order 2**k via the doubling construction [[H, H], [H, -H]].
 
-    Entries are +1 and -1 with H @ H.T = 2**k I, and the first row and column
-    are all +1.  The int64 array is read-only and built once per order, so
-    every schedule of one width shares one instance.  Supported up to
-    k = MAX_HADAMARD_LOG2, the receiver limit that ``schedules.check_channel``
-    enforces for the Hadamard schedules; the construction is exact in int64
-    far beyond that.
+    Entries are +1.0 and -1.0 with H @ H.T = 2**k I, and the first row and
+    column are all +1.  H is symmetric, so row j is column j.  The float64
+    array is read-only and built once per order, so every schedule of one
+    width shares one instance and mixes with its rows as they stand.
+    Supported up to k = MAX_HADAMARD_LOG2, the receiver limit that
+    ``schedules.check_channel`` enforces for the Hadamard schedules.
     """
     k = _as_int(k, "k must be an integer")
     if k < 0:
@@ -89,9 +89,14 @@ def sylvester_hadamard(k: int) -> np.ndarray:
 def _sylvester_table(k: int) -> np.ndarray:
     import numpy as np
 
-    h = np.ones((1, 1), dtype=np.int64)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
+    # doubled in place, each quadrant copied from one it does not overlap in memory
+    h = np.empty((1 << k, 1 << k))
+    h[0, 0] = 1.0
+    for i in range(k):
+        n = 1 << i
+        h[n:2 * n, :n] = h[:n, :n]
+        h[:n, n:2 * n] = h[n:2 * n, :n]
+        np.negative(h[:n, :n], out=h[n:2 * n, n:2 * n])
     h.setflags(write=False)
     return h
 

@@ -9,11 +9,13 @@ channel outputs, only at deterministically propagated second moments.  A
 schedule can therefore be unrolled once per configuration and shared across
 Monte Carlo trials.
 
-Each ``step()`` returns one unvalidated ScheduleStep;
-``montecarlo.prepare_scheme`` stacks them into one table and checks it once.
-Only the steps are arrays: a schedule's solved constants and ``rate_limits()``
-are floats, and the Hadamard table and eigenvalues are built at their first
-use, so ``rate_report`` runs without numpy.
+Every scheme is one coding strategy (Kramer's orthogonal-modulation form):
+each ``step()`` returns an unvalidated ScheduleStep naming a row h of the
+schedule's shared +-1 ``table``, mixing with alpha = weights * h and feeding
+back b * h; ``montecarlo.prepare_scheme`` stacks the steps into rows and
+checks them once.  Solved constants and ``rate_limits()`` are floats, and the
+table and eigenvalues are built at first use, so ``rate_report`` runs
+without numpy.
 
 Shared bookkeeping is the normalised source covariance R = E[s s^T] / p_share
 with p_share = P / M.  One channel use with coefficients (alpha, beta, a, b)
@@ -24,21 +26,23 @@ updates it exactly:
                + diag(b^2 * private_vars) / p_share) D^-1
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
-implements this as a dense reference; no schedule calls it.  Both Hadamard
-schedules carry only R's M eigenvalues mu and read E[x^2] off them, and the
-two-user schedule carries no R at all.
+implements this as a dense reference; no schedule calls it.  The Hadamard
+schedule carries only R's M eigenvalues mu and reads E[x^2] off them, and
+the two-user schedule carries no R at all.
 
-* OzarowSchedule (two receivers): tracks the scalar source correlation rho
-  with ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
+* OzarowSchedule (two receivers, table H_2, weights (1, g)): the row is the
+  sign of the scalar source correlation rho, tracked with
+  ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
   recursion from rho_1 = 0; in ``pinned`` mode it alternates between +rho*
   and -rho*, the stationary pair.
-* DegradedSchedule: every receiver sees the same output (private variances
-  zero); coefficients are the minimum-mean-square ones, in closed form from
-  R's Hadamard eigenvalues, which keep R's diagonal exactly 1 while they
-  cycle toward the sum-rate fixed point.
-* SymmetricSchedule: private noises only, constant (a, b, gamma) from the
-  warmup plan; Hadamard columns stay eigenvectors of G = R - gamma I while
-  the eigenvalue assignment rotates one column per step.
+* HadamardSchedule (table H_M, weights 1): step n uses row (n - 1) mod M,
+  and one of two coefficient rules.  ``degraded``: every receiver sees the
+  same output (private variances zero); the coefficients are the
+  minimum-mean-square ones, in closed form from R's Hadamard eigenvalues,
+  which keep R's diagonal exactly 1 while they cycle toward the sum-rate
+  fixed point.  ``symmetric``: private noises only, constant (a, b, gamma)
+  from the warmup plan; the rows stay eigenvectors of G = R - gamma I while
+  the eigenvalue assignment rotates one row per step.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def check_channel(scheme: str, channel: ChannelConfig) -> None:
     ozarow2 needs exactly two receivers, each with positive total noise.
     degraded needs a positive common noise and no private noise; symmetric
     needs no common noise and equal positive private noises.  Both mix with
-    Hadamard columns, so both need a power-of-two receiver count of at most
+    Hadamard rows, so both need a power-of-two receiver count of at most
     2**MAX_HADAMARD_LOG2.
     """
     m = channel.num_receivers
@@ -115,18 +119,24 @@ def check_channel(scheme: str, channel: ChannelConfig) -> None:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One channel use: alpha, a, b of shape (M,), beta, and the analytic E[x_n^2]."""
+    """One channel use: a row of the schedule's table, beta, a and b, and E[x_n^2].
 
-    alpha: np.ndarray
+    Step n mixes with alpha = weights * h and feeds back b * h, where h is
+    row ``row`` of the schedule's read-only +-1 ``table`` and ``weights`` a
+    constant of the schedule.  weights, a and b share one width: 1, standing
+    for every receiver, or M.
+    """
+
+    row: int
     beta: float
-    a: np.ndarray
-    b: np.ndarray
+    a: tuple[float, ...]
+    b: tuple[float, ...]
     expected_power: float
 
 
-def covariance_update(R: np.ndarray, step: ScheduleStep, channel: ChannelConfig,
-                      p_share: float) -> np.ndarray:
-    """Exact one-step update of the normalised source covariance."""
+def covariance_update(R: np.ndarray, alpha: np.ndarray, beta: float, a: np.ndarray,
+                      b: np.ndarray, channel: ChannelConfig, p_share: float) -> np.ndarray:
+    """Exact update of the normalised source covariance by one step of shape (M,) vectors."""
     import numpy as np
 
     R = np.asarray(R, dtype=float)
@@ -135,8 +145,7 @@ def covariance_update(R: np.ndarray, step: ScheduleStep, channel: ChannelConfig,
         raise ValueError(f"R must be {m}x{m}")
     if not p_share > 0.0:
         raise ValueError("p_share must be positive")
-    alpha, beta, a, b = step.alpha, step.beta, step.a, step.b
-    if alpha.shape != (m,):
+    if np.shape(alpha) != (m,):
         raise ValueError("step width does not match the channel")
     w = R @ alpha
     q = float(alpha @ w)
@@ -160,6 +169,12 @@ def hadamard_eigen_profile(G: np.ndarray, columns: np.ndarray, dyadic_index: np.
     return columns.T @ r, float(np.linalg.norm(diagonals - r[:, None]))
 
 
+def _sylvester_rows(sched) -> np.ndarray:
+    """The shared Sylvester table of the schedule's width, built at its first
+    use: ``rate_report`` never steps a schedule, so it never builds one."""
+    return sylvester_hadamard(sched.channel.num_receivers.bit_length() - 1)
+
+
 # ----------------------------------------------------------------------------
 # two-user correlation-tracking schedule
 # ----------------------------------------------------------------------------
@@ -168,12 +183,17 @@ def hadamard_eigen_profile(G: np.ndarray, columns: np.ndarray, dyadic_index: np.
 class OzarowSchedule:
     """Two-receiver schedule driven by the alternating source correlation.
 
-    mode="tracked" follows the exact correlation recursion from rho = 0 (the
-    sources start independent), so the analytic transmit power is the budget P
-    at every single step.  mode="pinned" generates coefficients from the
-    stationary pair (-1)^(n+1) rho*; the true second moments then approach the
-    assumed ones only as the transient decays.
+    Step n mixes with alpha = (1, g) * h on row h of H_2: row 0, (1, 1),
+    while the correlation rho >= 0 and row 1, (1, -1), while it is negative,
+    and feeds back (b_1, |b_2|) * h.  mode="tracked" follows the exact
+    correlation recursion from rho = 0 (the sources start independent), so
+    the analytic transmit power is the budget P at every single step.
+    mode="pinned" generates coefficients from the stationary pair
+    (-1)^(n+1) rho*; the true second moments then approach the assumed ones
+    only as the transient decays.
     """
+
+    table = functools.cached_property(_sylvester_rows)
 
     def __init__(self, channel: ChannelConfig, g: float = 1.0, mode: str = "tracked"):
         check_channel("ozarow2", channel)
@@ -181,15 +201,11 @@ class OzarowSchedule:
             raise ValueError(f"unknown mode {mode!r}")
         self.channel = channel
         self.g = float(g)
+        self.weights = (1.0, self.g)
         self.mode = mode
         self.p0 = channel.power_budget / 2.0
-        self.fixed_point = solve_rho(
-            channel.power_budget,
-            channel.common_noise_var,
-            channel.private_noise_vars[0],
-            channel.private_noise_vars[1],
-            self.g,
-        )
+        self.fixed_point = solve_rho(channel.power_budget, channel.common_noise_var,
+                                     *channel.private_noise_vars, self.g)
         self.rho = 0.0 if mode == "tracked" else self.fixed_point.rho
 
     def rate_limits(self) -> tuple[float, ...]:
@@ -201,15 +217,12 @@ class OzarowSchedule:
         return dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(fp.rates))
 
     def step(self) -> ScheduleStep:
-        import numpy as np
-
         ch = self.channel
         p = ch.power_budget
         g = self.g
         sigma2 = ch.common_noise_var
         s1, s2 = ch.private_noise_vars
         rho = self.rho
-        sign = 1.0 if rho >= 0.0 else -1.0
         r = abs(rho)
         dd = 1.0 + g * g + 2.0 * g * r
         v1 = p + sigma2 + s1
@@ -217,194 +230,160 @@ class OzarowSchedule:
         beta = math.sqrt(2.0 / dd)
         a1, a2 = _ozarow_contractions(r, p, sigma2, s1, s2, g)
         b1 = (p / 2.0) * beta * (1.0 + g * r) / v1
-        b2 = (p / 2.0) * beta * sign * (g + r) / v2
+        # |b_2|: rounding is sign-symmetric, so the row's -1 gives b_2 exactly
+        b2 = (p / 2.0) * beta * (g + r) / v2
         if self.mode == "tracked":
             self.rho = rho_map(rho, p, sigma2, s1, s2, g)
         else:
             self.rho = -rho
         # beta normalises the mixture variance at the current correlation, so
         # under tracked moments E[x^2] equals the budget exactly.
-        return ScheduleStep(alpha=np.array([1.0, g * sign]), beta=beta,
-                            a=np.array([a1, a2]), b=np.array([b1, b2]), expected_power=p)
+        return ScheduleStep(row=0 if rho >= 0.0 else 1, beta=beta, a=(a1, a2), b=(b1, b2),
+                            expected_power=p)
 
 
 # ----------------------------------------------------------------------------
-# degraded (common output) schedule
+# Hadamard schedules: degraded (common output) and symmetric (private noises)
 # ----------------------------------------------------------------------------
 
 
-def _per_user_rate_bits(M: int, P: float, lam: float) -> float:
-    """Per-receiver rate limit of both Hadamard schedules at effective power P."""
-    return 0.5 * math.log2((1.0 + P * lam) / (1.0 + (P / M) * lam * (M - lam)))
+class HadamardSchedule:
+    """Kramer's orthogonal modulation: step n mixes with row j = (n - 1) mod M.
 
-
-def _hadamard_columns(sched) -> np.ndarray:
-    """The shared M x M Hadamard table, built at the first step: ``rate_report``
-    never steps a schedule, so it never builds one."""
-    return sylvester_hadamard(sched.channel.num_receivers.bit_length() - 1)
-
-
-class DegradedSchedule:
-    """All receivers share one output; coefficients are minimum-mean-square.
-
-    R stays dyadic, so its Hadamard eigenvalues mu are the whole state.  Step
-    n on column j = (n - 1) mod M, with c = sigma^2 / p_share and out_var =
-    M mu_j + c, sends b = (mu_j / out_var) h_j, sets mu_j to mu_j c / out_var
-    and divides mu by a^2, the new mean (mean mu - mu_j^2 / out_var, free of
-    its cancellation at high power).  Mean mu, R's diagonal, stays 1 while
-    mu_j converges to lambda, so the power P mu_j tends to P lambda, not to
-    the budget P: lambda lies in [1, M], and the sum rate exceeds the capacity
-    1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits against 0.5).
+    Every receiver feeds back b_0 h_j and contracts by one a, so R stays
+    dyadic and its Hadamard eigenvalues mu, shape (M,), are the whole state;
+    step n sends E[x^2] = p_share M beta^2 mu_j, read off mu_j before the
+    step.  The two schemes differ only in the rule that turns mu_j into
+    (beta, a, b_0) and updates mu, and in their solved constants; build one
+    with ``degraded`` or ``symmetric``.
     """
 
-    columns = functools.cached_property(_hadamard_columns)
+    table = functools.cached_property(_sylvester_rows)
+    weights = (1.0,)
 
-    def __init__(self, channel: ChannelConfig):
-        check_channel("degraded", channel)
-        m = channel.num_receivers
+    def __init__(self, channel: ChannelConfig, mu0: float, p_eff: float, solved: dict):
         self.channel = channel
-        self.p_share = channel.power_budget / m
-        self.p0 = self.p_share
-        self.p_eff = channel.power_budget / channel.common_noise_var
-        self.solution = solve_lambda_bc(m, self.p_eff)
+        self.p_share = channel.power_budget / channel.num_receivers
+        self.p0 = self.p_share * mu0  # R_1 = mu0 I
+        self.p_eff = p_eff
+        self._mu0 = mu0
+        self._solved = solved
         self.step_index = 1
+
+    @classmethod
+    def degraded(cls, channel: ChannelConfig) -> HadamardSchedule:
+        """All receivers share one output; coefficients are minimum-mean-square.
+
+        With c = sigma^2 / p_share and out_var = M mu_j + c, step n feeds
+        back b_0 = mu_j / out_var, sets mu_j to mu_j c / out_var and divides
+        mu by a^2, the new mean (mean mu - mu_j^2 / out_var, free of its
+        cancellation at high power).  Mean mu, R's diagonal, stays 1 while mu_j converges to
+        lambda, so the power P mu_j tends to P lambda, not to the budget P:
+        lambda lies in [1, M], and the sum rate exceeds the capacity
+        1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits against
+        0.5).
+        """
+        check_channel("degraded", channel)
+        p_eff = channel.power_budget / channel.common_noise_var
+        sol = solve_lambda_bc(channel.num_receivers, p_eff)
+        self = cls(channel, 1.0, p_eff, dict(
+            lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate,
+            avg_power=channel.power_budget * sol.lam,
+            capacity_at_budget=0.5 * math.log2(1.0 + p_eff)))
+        self._rule = self._mmse_rule
+        return self
+
+    @classmethod
+    def symmetric(cls, channel: ChannelConfig, check_invariants: bool = True) -> HadamardSchedule:
+        """Equal private noises s, zero common noise, the warmup plan's coefficients.
+
+        The rates depend on s only through the effective power P/s, so the
+        plan is built there and its a, b_0, beta, gamma apply to the physical
+        channel unchanged; only the embedding variance carries s back in.
+        Step n adds c = b_0^2 s / p_share to every mu, sets mu_j to
+        (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms, and divides
+        mu by a^2.  ``check_invariants`` only decides whether each step is
+        verified: the eigenvalues mu - gamma of G = R - gamma I must stay
+        finite and positive and, after warmup, match the planned profile.  A
+        failure is a bug in the emitted steps or the plan.
+        """
+        check_channel("symmetric", channel)
+        m = channel.num_receivers
+        plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
+        self = cls(channel, plan.lambda0 + plan.bgamma.gamma, plan.P,
+                   dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate))
+        self.plan, self.gamma = plan, plan.bgamma.gamma
+        self.check_invariants = check_invariants
+        self._rule = self._planned_rule
+        return self
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
-        """R's Hadamard eigenvalues, all 1 (R_1 = I) until the first step."""
+        """R's Hadamard eigenvalues, all mu0 until the first step."""
         import numpy as np
 
-        return np.ones(self.channel.num_receivers)
+        return np.full(self.channel.num_receivers, self._mu0)
 
     def rate_limits(self) -> tuple[float, ...]:
-        m = self.channel.num_receivers
-        return (_per_user_rate_bits(m, self.p_eff, self.solution.lam),) * m
+        m, p, lam = self.channel.num_receivers, self.p_eff, self._solved["lam"]
+        return (0.5 * math.log2((1.0 + p * lam) / (1.0 + (p / m) * lam * (m - lam))),) * m
 
     def solved(self) -> dict:
-        """RateReport constants, with the power P lambda spent and the capacity at P."""
-        sol = self.solution
-        return dict(lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate,
-                    avg_power=self.channel.power_budget * sol.lam,
-                    capacity_at_budget=0.5 * math.log2(1.0 + self.p_eff))
+        """RateReport constants: lambda, its residual and the sum rate, and for
+        ``degraded`` the power P lambda spent and the capacity at P."""
+        return dict(self._solved)
 
     def step(self) -> ScheduleStep:
-        import numpy as np
-
         mu = self.mu
+        n = self.step_index
+        j = (n - 1) % mu.size
+        beta, a, b0, power = self._rule(n, j, float(mu[j]), mu)
+        self.step_index = n + 1
+        return ScheduleStep(row=j, beta=beta, a=(a,), b=(b0,), expected_power=power)
+
+    def _mmse_rule(self, n: int, j: int, mu_j: float, mu: np.ndarray):
         m = mu.size
-        j = (self.step_index - 1) % m
-        mu_j = float(mu[j])
         noise = self.channel.common_noise_var / self.p_share
         out_var = m * mu_j + noise
         mu[j] = mu_j * noise / out_var
-        a_sq = float(np.mean(mu))
+        a_sq = float(mu.mean())
         if not a_sq > 0.0:
             raise ScheduleInvariantError("residual source variance lost positivity")
-        alpha = self.columns[:, j]
         mu /= a_sq
-        self.step_index += 1
-        return ScheduleStep(alpha=alpha, beta=1.0, a=np.full(m, math.sqrt(a_sq)),
-                            b=(mu_j / out_var) * alpha, expected_power=self.p_share * m * mu_j)
+        return 1.0, math.sqrt(a_sq), mu_j / out_var, self.p_share * m * mu_j
 
-
-# ----------------------------------------------------------------------------
-# symmetric (private noises only) schedule
-# ----------------------------------------------------------------------------
-
-
-class SymmetricSchedule:
-    """Equal private noises, zero common noise, constant steady coefficients.
-
-    All rate-determining quantities depend on the noise scale s only through
-    the effective power P/s, so the plan is built at that power and the
-    resulting a, b, beta, gamma apply to the physical channel unchanged; only
-    the embedding variance carries the scale s back in.
-
-    R stays dyadic, so its Hadamard eigenvalues mu, shape (M,), are the whole
-    state, carried on every step.  Step n on column j = (n - 1) mod M sends
-    E[x^2] = p_share M beta^2 mu_j, adds c = b_0^2 s / p_share to every mu,
-    sets mu_j to (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms,
-    and divides mu by a^2.  ``check_invariants`` only decides whether each
-    step is verified: the eigenvalues mu - gamma of G = R - gamma I must stay
-    finite and positive and, after warmup, match the planned profile.  A
-    failure is a bug in the emitted steps or the plan.
-    """
-
-    columns = functools.cached_property(_hadamard_columns)
-
-    def __init__(self, channel: ChannelConfig, check_invariants: bool = True):
-        check_channel("symmetric", channel)
-        m = channel.num_receivers
-        self.channel = channel
-        self.plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
-        self.gamma = self.plan.bgamma.gamma
-        self.p_share = channel.power_budget / m
-        self.p0 = self.p_share * (self.plan.lambda0 + self.gamma)  # R_1 = (lambda0 + gamma) I
-        self.check_invariants = check_invariants
-        self.step_index = 1
-
-    @functools.cached_property
-    def mu(self) -> np.ndarray:
-        """R's Hadamard eigenvalues, all lambda0 + gamma until the first step."""
-        import numpy as np
-
-        return np.full(self.channel.num_receivers, self.plan.lambda0 + self.gamma)
-
-    @property
-    def phase(self) -> str:
-        return "warmup" if self.step_index < self.plan.M else "steady"
-
-    def rate_limits(self) -> tuple[float, ...]:
-        m = self.channel.num_receivers
-        return (_per_user_rate_bits(m, self.plan.P, self.plan.lam),) * m
-
-    def solved(self) -> dict:
-        """RateReport constants: lambda, its residual and the sum rate."""
+    def _planned_rule(self, n: int, j: int, mu_j: float, mu: np.ndarray):
+        m = mu.size
         plan = self.plan
-        return dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate)
-
-    def step(self) -> ScheduleStep:
-        import numpy as np
-
-        m = self.channel.num_receivers
-        plan = self.plan
-        n = self.step_index
         if n == 1 and self.check_invariants:
-            self._sorted_lambda_seq = np.sort(plan.lambda_seq)
-            self._verify()  # R_1 itself
-        j = (n - 1) % m
-        alpha = self.columns[:, j]
+            self._verify(1)  # R_1 itself
         b = plan.bgamma.b
         beta = plan.beta_b[n - 1] / b if n <= m - 1 else plan.steady_beta
-        mu = self.mu
-        mu_j = float(mu[j])
         shift = b * b * self.channel.private_noise_vars[0] / self.p_share
         mu += shift
         mu[j] = (1.0 - beta * b * m) ** 2 * mu_j + shift
         mu /= plan.steady_a**2
-        self.step_index += 1
         if self.check_invariants:
-            self._verify()
-        return ScheduleStep(alpha=alpha, beta=beta, a=np.full(m, plan.steady_a), b=b * alpha,
-                            expected_power=self.p_share * m * beta * beta * mu_j)
+            self._verify(n + 1)
+        return beta, plan.steady_a, b, self.p_share * m * beta * beta * mu_j
 
-    def _verify(self) -> None:
+    def _verify(self, n: int) -> None:
+        """Check mu before step n; from step M on (steady) against the plan."""
         import numpy as np
 
+        if n == 1:
+            self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
         vals = self.mu - self.gamma
         if not np.all(np.isfinite(vals)):
             raise ScheduleInvariantError("covariance lost finiteness")
         if np.min(vals) <= 0.0:
-            raise ScheduleInvariantError(
-                f"G lost positive definiteness at step {self.step_index}"
-            )
-        if self.phase == "steady":
+            raise ScheduleInvariantError(f"G lost positive definiteness at step {n}")
+        if n >= self.plan.M:
             want = self._sorted_lambda_seq
             drift = np.max(np.abs(np.sort(vals) - want))
             if drift > _CHECK_TOL * max(1.0, float(want[-1])):
                 raise ScheduleInvariantError(
-                    f"eigenvalue profile drifted by {drift:.3g} "
-                    f"at step {self.step_index}"
+                    f"eigenvalue profile drifted by {drift:.3g} at step {n}"
                 )
 
 
@@ -414,9 +393,9 @@ def make_schedule(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
     if scheme == "ozarow2":
         return OzarowSchedule(channel, g=g, mode=rho_mode)
     if scheme == "degraded":
-        return DegradedSchedule(channel)
+        return HadamardSchedule.degraded(channel)
     if scheme == "symmetric":
-        return SymmetricSchedule(channel, check_invariants=check_invariants)
+        return HadamardSchedule.symmetric(channel, check_invariants=check_invariants)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
 
 

@@ -65,7 +65,7 @@ from scipy.special import ndtr
 from bcfeedback.channel import channel_outputs
 from bcfeedback.core import embed_message, encode
 from bcfeedback.numerics import NoSignChangeError, RootFindingError, RootResult
-from bcfeedback.schedules import ScheduleStep, covariance_update
+from bcfeedback.schedules import covariance_update
 
 # Largest root of 5 x^3 - 20 x^2 + 18 x + 2 on [1, 2], the polynomial left
 # after clearing logarithms from the two-receiver sum-rate equation at P = 10:
@@ -245,11 +245,49 @@ class ScalarTrial:
     final_intervals: tuple  # per receiver: the decoded (lo, hi) after the last step
 
 
+def dense_coefficients(h, weights, a, b, m: int):
+    """One step's alpha = weights * h, a and b * h as lists of m floats.
+
+    h is a row of a +-1 table; weights, a and b have width 1, standing for
+    every receiver, or m.
+    """
+    h = [float(v) for v in h]
+    w, a, b = ([float(v[j if len(v) > 1 else 0]) for j in range(m)] for v in (weights, a, b))
+    return [w[j] * h[j] for j in range(m)], a, [b[j] * h[j] for j in range(m)]
+
+
+@dataclass(frozen=True)
+class DenseStep:
+    """One channel use with alpha, a and b spelt out per receiver, shape (M,)."""
+
+    alpha: np.ndarray
+    beta: float
+    a: np.ndarray
+    b: np.ndarray
+    expected_power: float
+
+
+def dense_step(sched, step) -> DenseStep:
+    """A schedule's step in dense form: alpha = weights * h, a, and b * h,
+    with h the step's row of ``sched.table``."""
+    alpha, a, b = dense_coefficients(sched.table[step.row], sched.weights, step.a, step.b,
+                                     sched.channel.num_receivers)
+    return DenseStep(alpha=np.array(alpha), beta=step.beta, a=np.array(a), b=np.array(b),
+                     expected_power=step.expected_power)
+
+
+def dense_update(R, step, channel, p_share: float) -> np.ndarray:
+    """``covariance_update`` by one dense step."""
+    return covariance_update(R, step.alpha, step.beta, step.a, step.b, channel, p_share)
+
+
 def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> ScalarTrial:
     """Reference for every step of a one-trial ``run_batch``, its replay folded as floats.
 
-    Keeps one scalar (log_slope, intercept) per receiver, and takes one
-    policy per receiver and explicit checkpoints.
+    Keeps one scalar (log_slope, intercept) per receiver, forms each step's
+    alpha, a and b per receiver from the prepared rows with
+    :func:`dense_coefficients`, and takes one policy per receiver and
+    explicit checkpoints.
     """
     ch = prepared.channel
     m = ch.num_receivers
@@ -264,13 +302,14 @@ def scalar_trial(prepared, horizon: int, policies, rng, checkpoints) -> ScalarTr
         success[mark_index[0], :] = True
 
     for n in range(1, horizon + 1):
-        a, b = prepared.a[n - 1], prepared.b[n - 1]
-        x = encode(s, prepared.alpha[n - 1], prepared.beta[n - 1])
+        alpha, a, b = dense_coefficients(prepared.table[prepared.row[n - 1]], prepared.weights,
+                                         prepared.a[n - 1], prepared.b[n - 1], m)
+        x = encode(s, np.array(alpha), prepared.beta[n - 1])
         y = channel_outputs(ch, x, z[n - 1])
         for j in range(m):
-            intercept[j] = intercept[j] + math.exp(log_slope[j]) * float(b[j]) * float(y[j])
-            log_slope[j] = log_slope[j] + math.log(float(a[j]))
-        s = np.array([(s[j] - float(b[j]) * float(y[j])) / float(a[j]) for j in range(m)])
+            intercept[j] = intercept[j] + math.exp(log_slope[j]) * b[j] * float(y[j])
+            log_slope[j] = log_slope[j] + math.log(a[j])
+        s = np.array([(s[j] - b[j] * float(y[j])) / a[j] for j in range(m)])
         if n in mark_index:
             for j in range(m):
                 success[mark_index[n], j] = abs(s[j]) < policies[j].halfwidth(n)
@@ -318,18 +357,20 @@ def dense_eigen_profile(G: np.ndarray, columns: np.ndarray):
 def hadamard_eigen_step(mu: np.ndarray, j: int, step, channel, p_share: float) -> np.ndarray:
     """One ``covariance_update`` step on the eigenvalues mu of a dyadic R.
 
-    Valid when alpha is Sylvester column h_j, b = b_0 h_j, a is uniform and
-    the private noises are equal: R then stays dyadic, every column stays an
-    eigenvector, and only mu_j moves besides a uniform noise shift and 1/a^2:
+    Valid for a ``HadamardSchedule`` step on row j: alpha is Sylvester row
+    h_j, b = b_0 h_j, a is uniform and the private noises are equal.  R then
+    stays dyadic, every row stays an eigenvector, and only mu_j moves besides
+    a uniform noise shift and 1/a^2:
 
         mu <- (mu + b_0^2 s_p / p_share
                + e_j (M b_0^2 out_var - 2 beta b_0 M mu_j)) / a^2
 
-    with out_var = beta^2 M mu_j + s_c / p_share.  b_0 = b[0] because every
-    Sylvester column starts with +1.  The e_j term subtracts nearly equal
-    terms at high power: against :func:`mp_dense_eigenvalues` it drifts by
-    up to 1.2e-6 relative at P = 1e9 (M = 8, 40 symmetric steps), so it is a
-    reference at moderate P only.
+    with out_var = beta^2 M mu_j + s_c / p_share.  b[0] is b_0 in the
+    step's compact form and in its dense one, since every Sylvester row
+    starts with +1.  The e_j term subtracts nearly equal terms at high
+    power: against :func:`mp_dense_eigenvalues` it drifts by up to 1.2e-6
+    relative at P = 1e9 (M = 8, 40 symmetric steps), so it is a reference at
+    moderate P only.
     """
     m = mu.size
     b0 = float(step.b[0])
@@ -404,7 +445,7 @@ def mp_dense_eigenvalues(steps, channel, p_share: float, r0: float):
         return out
 
 
-def mmse_steps(channel, alpha_of, steps: int) -> list[ScheduleStep]:
+def mmse_steps(channel, alpha_of, steps: int) -> list[DenseStep]:
     """The linear-MMSE feedback recursion from independent unit sources, step by step.
 
     Step n sends x = beta alpha^T s with alpha = alpha_of(n, R) and beta
@@ -424,11 +465,10 @@ def mmse_steps(channel, alpha_of, steps: int) -> list[ScheduleStep]:
         w = R @ alpha
         beta = math.sqrt(m / float(alpha @ w))  # p_share beta^2 alpha^T R alpha = P
         b = p_share * beta * w / out_var
-        step = ScheduleStep(alpha=alpha, beta=beta, a=np.ones(m), b=b, expected_power=power)
-        unscaled = covariance_update(R, step, channel, p_share)
+        unscaled = covariance_update(R, alpha, beta, np.ones(m), b, channel, p_share)
         a = np.sqrt(np.diag(unscaled))
         R = unscaled / np.outer(a, a)
-        out.append(ScheduleStep(alpha=alpha, beta=beta, a=a, b=b, expected_power=power))
+        out.append(DenseStep(alpha=alpha, beta=beta, a=a, b=b, expected_power=power))
     return out
 
 

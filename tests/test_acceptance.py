@@ -25,8 +25,16 @@ from bcfeedback.fixedpoint import (
 )
 from bcfeedback.montecarlo import default_policies, prepare_scheme, run_batch
 from bcfeedback.numerics import sylvester_hadamard
-from bcfeedback.schedules import OzarowSchedule, SymmetricSchedule, covariance_update, rate_report
-from oracles import LAMBDA_2_1, LAMBDA_2_10, RHO_STAR_10, dense_eigen_profile, mp_solve_b_gamma
+from bcfeedback.schedules import HadamardSchedule, OzarowSchedule, rate_report
+from oracles import (
+    LAMBDA_2_1,
+    LAMBDA_2_10,
+    RHO_STAR_10,
+    dense_eigen_profile,
+    dense_step,
+    dense_update,
+    mp_solve_b_gamma,
+)
 
 # receiver counts x power budgets; odd receiver counts keep the solver honest
 # away from the power-of-two schedule cases
@@ -85,22 +93,22 @@ def test_criterion_04_symmetric_schedule_structure_1000_steps():
     t0 = time.monotonic()
     m, p = 8, 10.0
     ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
-    sched = SymmetricSchedule(ch, check_invariants=True)
+    sched = HadamardSchedule.symmetric(ch, check_invariants=True)
     assert sched.mu - sched.gamma == pytest.approx(np.full(m, sched.plan.lambda0), abs=1e-14)
     # the schedule carries only eigenvalues; a dense R propagated from the
-    # emitted steps shows that the Hadamard columns stay its eigenvectors
+    # emitted steps shows that the Hadamard rows stay its eigenvectors
     eye = np.eye(m)
     R = (sched.plan.lambda0 + sched.gamma) * eye
     want_multiset = np.sort(np.asarray(sched.plan.lambda_seq))
     prev_vals = None
     for n in range(1, 1001):
-        step = sched.step()
-        R = covariance_update(R, step, ch, sched.p_share)
+        step = dense_step(sched, sched.step())
+        R = dense_update(R, step, ch, sched.p_share)
         if n >= m:
             rel = abs(step.expected_power - p) / p
             assert rel <= 1e-10, (n, rel)
             G = R - sched.gamma * eye
-            vals, resid = dense_eigen_profile(G, sched.columns)
+            vals, resid = dense_eigen_profile(G, sched.table)
             scale = np.linalg.norm(G) * math.sqrt(m)
             assert np.max(resid) <= 1e-9 * scale
             assert np.sort(vals) == pytest.approx(want_multiset, rel=1e-9)
@@ -230,11 +238,11 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
     R = np.eye(2)
     worst = 0.0
     for _ in range(200):
-        step = tracked.step()
+        step = dense_step(tracked, tracked.step())
         q = float(step.alpha @ (R @ step.alpha))
         power = p_share * step.beta**2 * q
         worst = max(worst, abs(power - ch.power_budget) / ch.power_budget)
-        R = covariance_update(R, step, ch, p_share)
+        R = dense_update(R, step, ch, p_share)
     print(f"tracked power worst relative deviation over 200 steps: {worst:.3g}")
     assert worst <= 1e-10
 

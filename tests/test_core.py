@@ -169,6 +169,25 @@ def test_decoder_absorb_folds_a_batch_row_like_one_trial():
     assert np.array_equal(batch.log_slope, single[0].log_slope)
 
 
+def test_a_of_width_one_stands_for_every_receiver():
+    # one contraction shared by every receiver gives the floats of that
+    # contraction repeated M wide; any other width is refused
+    rng = np.random.default_rng(7)
+    s, y = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    b = rng.standard_normal(4)
+    one, wide = np.array([0.6]), np.full(4, 0.6)
+    assert np.array_equal(update_sources(s, one, b, y), update_sources(s, wide, b, y))
+    dec, ref = fresh_decoder((5, 4)), fresh_decoder((5, 4))
+    for _ in range(2):
+        dec, ref = decoder_absorb(dec, one, b, y), decoder_absorb(ref, wide, b, y)
+    assert np.array_equal(dec.log_slope, ref.log_slope)
+    assert np.array_equal(dec.intercept, ref.intercept)
+    with pytest.raises(ValueError):
+        update_sources(s, np.full(2, 0.6), b, y)
+    with pytest.raises(ValueError):
+        decoder_absorb(dec, np.full(2, 0.6), b, y)
+
+
 @given(
     st.lists(
         st.tuples(

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import io
 import itertools
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfeedback import channel as channel_module
-from bcfeedback import montecarlo
+from bcfeedback import montecarlo, numerics
 from bcfeedback.channel import ChannelConfig, _block_steps, channel_outputs, spawn_trial_seeds
 from bcfeedback.core import IntervalPolicy
 from bcfeedback.montecarlo import (
@@ -28,7 +29,7 @@ from bcfeedback.montecarlo import (
     wilson_interval,
     write_csv,
 )
-from bcfeedback.schedules import ScheduleStep
+from bcfeedback.schedules import DEFAULT_NOISE, ScheduleStep
 from oracles import draw_trial, scalar_trial
 
 SYM_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
@@ -59,9 +60,15 @@ GOLDEN_CSV = (
 def test_prepare_scheme_unrolls():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 25)
     assert prep.horizon == 25
-    assert prep.alpha.shape == prep.a.shape == prep.b.shape == (25, 2)
-    assert prep.beta.shape == (25,)
+    assert prep.table.shape == (2, 2)
+    assert prep.weights.shape == (1,)
+    assert prep.a.shape == prep.b.shape == (25, 1)
+    assert prep.row.shape == prep.beta.shape == (25,)
     assert prep.expected_power.shape == (25,)
+    assert prep.row.tolist() == [n % 2 for n in range(25)]
+    oz = prepare_scheme("ozarow2", OZ_CHANNEL, 25)
+    assert oz.weights.shape == (2,)
+    assert oz.a.shape == oz.b.shape == (25, 2)
     assert prep.rate_limits.shape == (2,)
     assert prep.p0 > 0.0
 
@@ -74,9 +81,11 @@ def test_prepare_scheme_zero_horizon():
 
 
 class _StubSchedule:
-    """Replays the given steps, one per call."""
+    """Replays the given steps, one per call, on H_2 with weights (1, 1)."""
 
     p0 = 1.0
+    table = np.array([[1.0, 1.0], [1.0, -1.0]])
+    weights = (1.0, 1.0)
 
     def __init__(self, steps):
         self._steps = iter(steps)
@@ -89,8 +98,7 @@ class _StubSchedule:
 
 
 def _two_wide_step(**spoil):
-    fields = dict(alpha=np.array([1.0, -1.0]), beta=2.0, a=np.array([0.5, 0.8]),
-                  b=np.array([0.1, 0.2]), expected_power=1.0)
+    fields = dict(row=1, beta=2.0, a=(0.5, 0.8), b=(0.1, 0.2), expected_power=1.0)
     return ScheduleStep(**{**fields, **spoil})
 
 
@@ -103,21 +111,47 @@ def test_prepare_scheme_validates_the_table(monkeypatch):
 
     prep = prepare(_two_wide_step())
     assert np.array_equal(prep.b, [[0.1, 0.2]] * 3)
+    assert prep.row.tolist() == [1, 1, 1]
     for spoil in (
-        dict(a=np.array([0.5, 0.0])),  # every a must be positive
-        dict(a=np.array([0.5, -0.3])),
-        dict(b=np.array([0.1, np.nan])),  # every value finite
+        dict(a=(0.5, 0.0)),  # every a must be positive
+        dict(a=(0.5, -0.3)),
+        dict(b=(0.1, np.nan)),  # every value finite
         dict(beta=np.inf),
-        dict(alpha=np.array([1.0])),  # every row M wide
-        dict(alpha=np.ones((2, 2))),
+        dict(a=(0.5,)),  # every row as wide as the weights
+        dict(b=(0.1, 0.2, 0.3)),
+        dict(a=np.ones((2, 2))),
+        dict(row=2),  # every row index inside the table
+        dict(row=-1),
     ):
         with pytest.raises(ValueError):
             prepare(_two_wide_step(**spoil))
 
 
+@pytest.mark.parametrize("scheme", ["symmetric", "degraded"])
+def test_prepare_scheme_memory_is_bounded_in_m_times_horizon(scheme):
+    # M x horizon = 1024 x 4000: a first unroll holds the shared 8 MiB table
+    # and rows of one or two columns, no (horizon, M) coefficient table
+    m, horizon = 1024, 4000
+    common, private = DEFAULT_NOISE[scheme]
+    ch = ChannelConfig(m, 10.0, common, (private,) * m)
+    numerics._sylvester_table.cache_clear()  # so the call builds its table
+    tracemalloc.start()
+    try:
+        prep = prepare_scheme(scheme, ch, horizon)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 17 * 2**20
+    assert peak <= 20 * 2**20
+    for field in dataclasses.fields(prep):
+        shape = np.shape(getattr(prep, field.name))
+        assert not (horizon in shape and m in shape), field.name
+
+
 def test_prepare_scheme_table_is_read_only():
     prep = prepare_scheme("symmetric", SYM_CHANNEL, 4)
-    for arr in (prep.alpha, prep.beta, prep.a, prep.b, prep.expected_power):
+    for arr in (prep.table, prep.weights, prep.row, prep.beta, prep.a, prep.b,
+                prep.expected_power):
         with pytest.raises(ValueError):
             arr[0] = 2.0
 
@@ -307,6 +341,23 @@ def test_trial_checkpoint_zero_always_succeeds():
     tight = IntervalPolicy(base_halfwidth=1e-9, growth_rate_bits=0.0)  # fails every trial at 5
     stats = run_batch(prep, 5, tight, 1, 100, checkpoints=(0, 5))
     assert stats.err_counts.tolist() == [[0, 0], [100, 100]]
+
+
+def test_batch_rejects_checkpoints_that_are_not_integers():
+    # a float or bool checkpoint matched no step (2.5) or was printed as it
+    # came (True, 8.0): the first counted no errors and no power
+    prep = prepare_scheme("symmetric", SYM_CHANNEL, 8)
+    pol = default_policies(prep, 0.5)
+    for marks in ([2.5, 8], [True, 8], [8.0]):
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            run_batch(prep, 8, pol, 0, 200, checkpoints=marks)
+    # numpy integers are integers, and become Python ints
+    got = run_batch(prep, 8, pol, 0, 200, checkpoints=[np.int64(2), np.int32(8)])
+    want = run_batch(prep, 8, pol, 0, 200, checkpoints=[2, 8])
+    assert [type(n) for n in got.checkpoints] == [int, int]
+    assert got.checkpoints == want.checkpoints
+    assert np.array_equal(got.err_counts, want.err_counts)
+    assert np.array_equal(got.cum_power_sum, want.cum_power_sum)
 
 
 def test_trial_zero_horizon_decodes_whole_interval():

@@ -14,19 +14,20 @@ from bcfeedback.schedules import (
     _CHECK_TOL,
     DEFAULT_NOISE,
     SCHEME_IDS,
-    DegradedSchedule,
+    HadamardSchedule,
     OzarowSchedule,
     ScheduleInvariantError,
-    ScheduleStep,
-    SymmetricSchedule,
     check_channel,
     covariance_update,
     hadamard_eigen_profile,
     make_schedule,
+    rate_report,
 )
 from oracles import (
     LAMBDA_2_1,
     dense_eigen_profile,
+    dense_step,
+    dense_update,
     hadamard_eigen_step,
     mmse_steps,
     mp_degraded_steps,
@@ -56,8 +57,7 @@ def test_covariance_update_reproduces_correlation_recursion():
     R = np.eye(2)  # sources start independent with variance p0 = P/2
     rho_pred = 0.0
     for _ in range(12):
-        step = sched.step()
-        R = covariance_update(R, step, ch, p_share)
+        R = dense_update(R, dense_step(sched, sched.step()), ch, p_share)
         rho_pred = rho_map(rho_pred, ch.power_budget, ch.common_noise_var,
                            ch.private_noise_vars[0], ch.private_noise_vars[1], 1.0)
         rho_from_r = R[0, 1] / math.sqrt(R[0, 0] * R[1, 1])
@@ -69,12 +69,11 @@ def test_covariance_update_reproduces_correlation_recursion():
 
 def test_covariance_update_shape_and_symmetry_checks():
     ch = DEG_CHANNEL
-    step = ScheduleStep(alpha=np.ones(2), beta=1.0, a=np.ones(2), b=np.zeros(2),
-                        expected_power=1.0)
+    step = (np.ones(2), 1.0, np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
-        covariance_update(np.eye(3), step, ch, 1.0)
+        covariance_update(np.eye(3), *step, ch, 1.0)
     with pytest.raises(ValueError):
-        covariance_update(np.eye(2), step, ch, 0.0)
+        covariance_update(np.eye(2), *step, ch, 0.0)
 
 
 @given(
@@ -86,14 +85,11 @@ def test_covariance_update_shape_and_symmetry_checks():
 def test_covariance_update_keeps_symmetry_and_psd(seed, scale, rho):
     rng = np.random.default_rng(seed)
     R = scale * np.array([[1.0, rho], [rho, 1.0]])
-    step = ScheduleStep(
-        alpha=rng.uniform(-1.5, 1.5, 2),
-        beta=float(rng.uniform(0.2, 1.5)),
-        a=rng.uniform(0.3, 1.4, 2),
-        b=rng.uniform(-0.8, 0.8, 2),
-        expected_power=1.0,
-    )
-    out = covariance_update(R, step, OZ_CHANNEL, 5.0)
+    alpha = rng.uniform(-1.5, 1.5, 2)
+    beta = float(rng.uniform(0.2, 1.5))
+    a = rng.uniform(0.3, 1.4, 2)
+    b = rng.uniform(-0.8, 0.8, 2)
+    out = covariance_update(R, alpha, beta, a, b, OZ_CHANNEL, 5.0)
     assert np.array_equal(out, out.T)
     evals = np.linalg.eigvalsh(out)
     assert evals.min() >= -1e-12 * max(1.0, evals.max())
@@ -159,15 +155,17 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
         R = (sched.plan.lambda0 + sched.gamma) * np.eye(m)
     else:
         R = np.eye(m)
-    mu = sched.columns.T @ R[0]
+    mu = sched.table.T @ R[0]
     worst = 0.0
     for n in range(horizon):
         j = n % m
         step = sched.step()
-        assert np.array_equal(step.alpha, sched.columns[:, j])
+        assert step.row == j
+        dense = dense_step(sched, step)
+        assert np.array_equal(dense.alpha, sched.table[:, j])
         mu = hadamard_eigen_step(mu, j, step, ch, sched.p_share)
-        R = covariance_update(R, step, ch, sched.p_share)
-        got = sched.columns.T @ R[0]
+        R = dense_update(R, dense, ch, sched.p_share)
+        got = sched.table.T @ R[0]
         worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
         if scheme == "symmetric":
             assert _rel_err(sched.mu, got) <= 1e-11
@@ -185,7 +183,7 @@ def test_hadamard_schedules_step_without_dense_state(scheme):
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
     for checked in (False, True):
         sched = make_schedule(scheme, ch, check_invariants=checked)
-        sched.columns  # the shared Hadamard table, built once per order at the first use
+        sched.table  # the shared Hadamard table, built once per order at the first use
         tracemalloc.start()
         try:
             for _ in range(32):
@@ -199,13 +197,22 @@ def test_hadamard_schedules_step_without_dense_state(scheme):
 def test_hadamard_schedules_share_one_read_only_table():
     m = 64
     tables = [
-        DegradedSchedule(ChannelConfig(m, 10.0, 1.0, (0.0,) * m)).columns,
-        SymmetricSchedule(ChannelConfig(m, 10.0, 0.0, (1.0,) * m)).columns,
-        SymmetricSchedule(ChannelConfig(m, 1e3, 0.0, (2.0,) * m), check_invariants=False).columns,
+        make_schedule("degraded", ChannelConfig(m, 10.0, 1.0, (0.0,) * m)).table,
+        make_schedule("symmetric", ChannelConfig(m, 10.0, 0.0, (1.0,) * m)).table,
+        make_schedule("symmetric", ChannelConfig(m, 1e3, 0.0, (2.0,) * m),
+                      check_invariants=False).table,
     ]
     assert all(t is tables[0] for t in tables)
     assert tables[0] is sylvester_hadamard(6)
     assert not tables[0].flags.writeable
+    # every scheme mixes with float64 rows of one table per width: ozarow2
+    # and the two-receiver Hadamard schemes share H_2
+    two = []
+    for scheme in SCHEME_IDS:
+        common, private = DEFAULT_NOISE[scheme]
+        two.append(make_schedule(scheme, ChannelConfig(2, 10.0, common, (private,) * 2)).table)
+    assert all(t is sylvester_hadamard(1) for t in two)
+    assert tables[0].dtype == two[0].dtype == np.float64
 
 
 # ----------------------------------------------------------------------------
@@ -279,7 +286,7 @@ def test_ozarow_tracked_steps_are_the_mmse_recursion(g, common, private):
     # the source correlation, and give each receiver its MMSE coefficients
     ch = ChannelConfig(2, 10.0, common, private)
     sched = make_schedule("ozarow2", ch, g=g)
-    want = [sched.step() for _ in range(300)]
+    want = [dense_step(sched, sched.step()) for _ in range(300)]
     got = mmse_steps(ch, lambda n, R: (1.0, g if R[0, 1] >= 0.0 else -g), 300)
     for u, v in zip(want, got):
         assert np.array_equal(u.alpha, v.alpha)
@@ -300,7 +307,25 @@ def test_symmetric_beats_the_kramer_style_sum_rate(m, p, kramer):
     steps = mmse_steps(ch, lambda n, R: columns[:, (n - 1) % m], 60 * m)
     sum_rate = float(-np.log2([s.a for s in steps[-m:]]).sum()) / m
     assert sum_rate == pytest.approx(kramer, abs=5e-5)
-    assert sum_rate < SymmetricSchedule(ch).solved()["sum_rate"]
+    assert sum_rate < HadamardSchedule.symmetric(ch).solved()["sum_rate"]
+
+
+@pytest.mark.parametrize("g, excess", [
+    (0.25, 0.0979), (0.5, 0.1492), (1.0, 0.1353), (2.0, 0.0676), (4.0, 0.0173),
+])
+def test_ozarow_pair_lies_outside_the_no_feedback_region(g, excess):
+    # feedback enlarges the region: private noises N1 = 1 < N2 = 2 make a
+    # degraded channel, whose no-feedback region is superposition coding's.
+    # The power split that gives R1 = 1/2 log2(1 + split P / N1) leaves
+    # R2 <= 1/2 log2(1 + (1 - split) P / (split P + N2)), and the ozarow2
+    # pair's R2 exceeds that bound at its own R1
+    p, n1, n2 = 10.0, 1.0, 2.0
+    r1, r2 = rate_report("ozarow2", ChannelConfig(2, p, 0.0, (n1, n2)), g=g).per_user
+    split = n1 * (2.0 ** (2.0 * r1) - 1.0) / p
+    assert 0.0 < split < 1.0
+    bound = 0.5 * math.log2(1.0 + (1.0 - split) * p / (split * p + n2))
+    assert r2 - bound == pytest.approx(excess, abs=1e-4)
+    assert r2 > bound
 
 
 def test_ozarow_validation():
@@ -318,7 +343,7 @@ def test_ozarow_validation():
 def test_degraded_first_normalised_powers_are_exact_fractions():
     # hand-propagated moments for M=2, P=1, sigma^2=1: the normalised
     # per-step power q_n / M starts 1, 4/3, 14/13 (see the covariance algebra)
-    sched = DegradedSchedule(DEG_CHANNEL)
+    sched = HadamardSchedule.degraded(DEG_CHANNEL)
     mus = []
     for _ in range(3):
         step = sched.step()
@@ -334,19 +359,19 @@ def test_degraded_diagonal_stays_unit():
     # and R's diagonal (the mean of mu) stays 1
     for m in (1, 2, 64, 256):
         ch = ChannelConfig(m, 10.0, 1.0, (0.0,) * m)
-        sched = DegradedSchedule(ch)
-        cols = sched.columns
+        sched = HadamardSchedule.degraded(ch)
+        cols = sched.table
         R = np.eye(m)
         for _ in range(2 * m + 20):
             alpha = cols[:, (sched.step_index - 1) % m]
             w = R @ alpha
             q = float(alpha @ w)
             out_var = q + ch.common_noise_var / sched.p_share
-            step = sched.step()
+            step = dense_step(sched, sched.step())
             assert _rel_err(step.b, w / out_var) <= 1e-11
             assert _rel_err(step.a, np.sqrt(np.diag(R) - w * w / out_var)) <= 1e-11
             assert step.expected_power == pytest.approx(sched.p_share * q, rel=1e-11)
-            R = covariance_update(R, step, ch, sched.p_share)
+            R = dense_update(R, step, ch, sched.p_share)
             assert _rel_err(cols.T @ R[0], sched.mu) <= 1e-11
             assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
             assert abs(np.mean(sched.mu) - 1.0) < 1e-12
@@ -357,16 +382,16 @@ def test_degraded_coefficients_match_a_40_digit_dense_oracle():
     # M mu_j^2 / out_var from mu_j loses four digits; these stay at ulp level
     m, p = 8, 1e4
     ch = ChannelConfig(m, p, 1.0, (0.0,) * m)
-    sched = DegradedSchedule(ch)
+    sched = HadamardSchedule.degraded(ch)
     for a, b, power in mp_degraded_steps(m, p, 1.0, 100):
-        step = sched.step()
+        step = dense_step(sched, sched.step())
         assert _rel_err(step.a, a) <= 1e-14
         assert _rel_err(step.b, b) <= 1e-14
         assert step.expected_power == pytest.approx(power, rel=1e-14)
 
 
 def test_degraded_power_converges_to_lambda_budget():
-    sched = DegradedSchedule(DEG_CHANNEL)
+    sched = HadamardSchedule.degraded(DEG_CHANNEL)
     mus = np.array([sched.step().expected_power for _ in range(4000)])
     # pointwise oscillation collapses onto lambda and the running mean lands there
     assert mus[-1] == pytest.approx(LAMBDA_2_1, abs=1e-9)
@@ -375,7 +400,7 @@ def test_degraded_power_converges_to_lambda_budget():
 
 def test_degraded_eigen_current_tracks_lambda_for_m4():
     ch = ChannelConfig(4, 10.0, 1.0, (0.0,) * 4)
-    sched = DegradedSchedule(ch)
+    sched = HadamardSchedule.degraded(ch)
     lam = solve_lambda_bc(4, 10.0).lam
     q_tail = [sched.step().expected_power / (10.0 / 4) for _ in range(2000)][-8:]
     assert np.mean(q_tail) / 4 == pytest.approx(lam, abs=1e-9)
@@ -383,7 +408,7 @@ def test_degraded_eigen_current_tracks_lambda_for_m4():
 
 def test_degraded_rate_limits_use_effective_power():
     ch = ChannelConfig(2, 4.0, 2.0, (0.0, 0.0))
-    sched = DegradedSchedule(ch)
+    sched = HadamardSchedule.degraded(ch)
     lam = solve_lambda_bc(2, 2.0).lam  # P_eff = 4 / 2
     expect = 0.5 * math.log2((1.0 + 2.0 * lam) / (1.0 + lam * (2.0 - lam)))
     assert sched.rate_limits() == pytest.approx([expect, expect], rel=1e-13)
@@ -391,11 +416,11 @@ def test_degraded_rate_limits_use_effective_power():
 
 def test_degraded_validation():
     with pytest.raises(ValueError):
-        DegradedSchedule(ChannelConfig(2, 1.0, 1.0, (0.5, 0.0)))
+        HadamardSchedule.degraded(ChannelConfig(2, 1.0, 1.0, (0.5, 0.0)))
     with pytest.raises(ValueError):
-        DegradedSchedule(ChannelConfig(2, 1.0, 0.0, (1.0, 1.0)))
+        HadamardSchedule.degraded(ChannelConfig(2, 1.0, 0.0, (1.0, 1.0)))
     with pytest.raises(ValueError):
-        DegradedSchedule(ChannelConfig(3, 1.0, 1.0, (0.0,) * 3))
+        HadamardSchedule.degraded(ChannelConfig(3, 1.0, 1.0, (0.0,) * 3))
 
 
 # ----------------------------------------------------------------------------
@@ -404,7 +429,7 @@ def test_degraded_validation():
 
 
 def test_symmetric_power_exact_after_warmup():
-    sched = SymmetricSchedule(SYM_CHANNEL)
+    sched = HadamardSchedule.symmetric(SYM_CHANNEL)
     powers = [sched.step().expected_power for _ in range(40)]
     m = SYM_CHANNEL.num_receivers
     for n, pw in enumerate(powers, start=1):
@@ -416,7 +441,7 @@ def test_symmetric_power_exact_after_warmup():
 
 def test_symmetric_warmup_powers_increase():
     ch = ChannelConfig(8, 10.0, 0.0, (1.0,) * 8)
-    sched = SymmetricSchedule(ch)
+    sched = HadamardSchedule.symmetric(ch)
     powers = [sched.step().expected_power for _ in range(8)]
     assert powers[:7] == sorted(powers[:7])
     assert powers[7] == pytest.approx(10.0, rel=1e-10)
@@ -433,7 +458,7 @@ def test_symmetric_table_spends_p_while_contracting_at_the_rate_limit(m, p):
     ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
     table = prepare_scheme("symmetric", ch, 8 * m, check_invariants=False)
     assert math.fsum(table.expected_power[-m:]) / m == pytest.approx(p, rel=1e-12)
-    rates = -np.log2(table.a[-m:]).mean(axis=0)
+    rates = -np.log2(np.broadcast_to(table.a[-m:], (m, m))).mean(axis=0)  # one a for all
     assert rates == pytest.approx(table.rate_limits, rel=1e-12)
 
 
@@ -443,13 +468,13 @@ def _dense_R(sched, steps, R=None):
     if R is None:
         R = (sched.plan.lambda0 + sched.gamma) * np.eye(ch.num_receivers)
     for _ in range(steps):
-        R = covariance_update(R, sched.step(), ch, sched.p_share)
+        R = dense_update(R, dense_step(sched, sched.step()), ch, sched.p_share)
     return R
 
 
 def test_symmetric_eigen_multiset_is_the_lambda_cycle():
     ch = ChannelConfig(4, 10.0, 0.0, (1.0,) * 4)
-    sched = SymmetricSchedule(ch)
+    sched = HadamardSchedule.symmetric(ch)
     R = _dense_R(sched, 4)
     got = np.sort(np.linalg.eigvalsh(R - sched.gamma * np.eye(4)))
     want = np.sort(np.asarray(sched.plan.lambda_seq))
@@ -458,26 +483,26 @@ def test_symmetric_eigen_multiset_is_the_lambda_cycle():
 
 def test_symmetric_eigen_assignment_rotates_one_column_per_step():
     ch = ChannelConfig(4, 10.0, 0.0, (1.0,) * 4)
-    sched = SymmetricSchedule(ch)
+    sched = HadamardSchedule.symmetric(ch)
     R = _dense_R(sched, 8)
-    before, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.columns)
+    before, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.table)
     R = _dense_R(sched, 1, R)
-    after, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.columns)
+    after, _ = dense_eigen_profile(R - sched.gamma * np.eye(4), sched.table)
     # one step advances every eigenvalue one position along the column cycle
     assert after == pytest.approx(np.roll(before, 1), rel=1e-9)
     assert sorted(after) == pytest.approx(sorted(before), rel=1e-9)
 
 
 def test_symmetric_invariants_hold_for_300_steps():
-    sched = SymmetricSchedule(SYM_CHANNEL, check_invariants=True)
+    sched = HadamardSchedule.symmetric(SYM_CHANNEL, check_invariants=True)
     for _ in range(300):
         sched.step()  # _verify raises on any drift
-    assert sched.phase == "steady"
+    assert sched.step_index >= sched.plan.M  # past warmup
 
 
 def test_symmetric_invariant_check_catches_eigenvalue_drift():
     # moving two eigenvalues apart leaves them positive but off the planned profile
-    sched = SymmetricSchedule(SYM_CHANNEL)
+    sched = HadamardSchedule.symmetric(SYM_CHANNEL)
     sched.step()  # finish warmup so the steady profile is in force
     sched.mu += np.array([0.05, -0.05])
     with pytest.raises(ScheduleInvariantError, match="drifted"):
@@ -486,14 +511,14 @@ def test_symmetric_invariant_check_catches_eigenvalue_drift():
 
 def test_symmetric_invariant_check_catches_lost_positive_definiteness():
     # a uniform shift drives every eigenvalue of G negative
-    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
+    sched = HadamardSchedule.symmetric(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
     sched.mu -= 10.0
     with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
         sched.step()
 
 
 def test_symmetric_invariant_check_catches_lost_finiteness():
-    sched = SymmetricSchedule(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
+    sched = HadamardSchedule.symmetric(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
     sched.mu[1] = np.nan
     with pytest.raises(ScheduleInvariantError, match="lost finiteness"):
         sched.step()
@@ -505,11 +530,11 @@ def test_symmetric_eigenvalue_carry_matches_a_40_digit_dense_oracle(m, p):
     # at these powers a float64 dense R drifts from these eigenvalues by up to
     # 4e-9 (P = 1e6) and 3e-6 (P = 1e9) relative; the factored carry stays at ulp level
     ch = ChannelConfig(m, p, 0.0, (1.0,) * m)
-    sched = SymmetricSchedule(ch, check_invariants=True)
+    sched = HadamardSchedule.symmetric(ch, check_invariants=True)
     r0 = float(sched.mu[0])
     steps, carried = [], []
     for _ in range(3 * m):
-        steps.append(sched.step())
+        steps.append(dense_step(sched, sched.step()))
         carried.append(sched.mu.copy())
     oracle = mp_dense_eigenvalues(steps, ch, sched.p_share, r0)
     for got, want in zip(carried, oracle):
@@ -527,17 +552,18 @@ def test_symmetric_checks_run_without_an_eigendecomposition(monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    sched = SymmetricSchedule(ChannelConfig(16, 10.0, 0.0, (1.0,) * 16), check_invariants=True)
+    sched = HadamardSchedule.symmetric(ChannelConfig(16, 10.0, 0.0, (1.0,) * 16), check_invariants=True)
     for _ in range(32):
         sched.step()
-    assert sched.phase == "steady"
+    assert sched.step_index >= sched.plan.M  # past warmup
 
 
 def test_symmetric_noise_scale_invariance():
     # (a, b, beta) depend on the noise scale only through P / s
-    a = SymmetricSchedule(ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)))
-    b = SymmetricSchedule(ChannelConfig(2, 40.0, 0.0, (4.0, 4.0)))
+    a = HadamardSchedule.symmetric(ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)))
+    b = HadamardSchedule.symmetric(ChannelConfig(2, 40.0, 0.0, (4.0, 4.0)))
     sa, sb = a.step(), b.step()
+    assert sa.row == sb.row
     assert sa.beta == pytest.approx(sb.beta, rel=1e-13)
     assert sa.a == pytest.approx(sb.a, rel=1e-13)
     assert sa.b == pytest.approx(sb.b, rel=1e-13)
@@ -547,7 +573,7 @@ def test_symmetric_noise_scale_invariance():
 
 def test_symmetric_single_receiver_runs():
     ch = ChannelConfig(1, 10.0, 0.0, (1.0,))
-    sched = SymmetricSchedule(ch)
+    sched = HadamardSchedule.symmetric(ch)
     step = sched.step()
     assert step.expected_power == pytest.approx(10.0, rel=1e-12)
     # one receiver: the rate limit is the point-to-point capacity
@@ -556,16 +582,16 @@ def test_symmetric_single_receiver_runs():
 
 def test_symmetric_validation():
     with pytest.raises(ValueError):
-        SymmetricSchedule(ChannelConfig(2, 1.0, 0.5, (1.0, 1.0)))
+        HadamardSchedule.symmetric(ChannelConfig(2, 1.0, 0.5, (1.0, 1.0)))
     with pytest.raises(ValueError):
-        SymmetricSchedule(ChannelConfig(2, 1.0, 0.0, (1.0, 2.0)))
+        HadamardSchedule.symmetric(ChannelConfig(2, 1.0, 0.0, (1.0, 2.0)))
     with pytest.raises(ValueError):
-        SymmetricSchedule(ChannelConfig(6, 1.0, 0.0, (1.0,) * 6))
+        HadamardSchedule.symmetric(ChannelConfig(6, 1.0, 0.0, (1.0,) * 6))
 
 
 def test_symmetric_steady_state_agrees_with_plan_p0():
     ch = ChannelConfig(4, 10.0, 0.0, (2.0, 2.0, 2.0, 2.0))
-    sched = SymmetricSchedule(ch)
+    sched = HadamardSchedule.symmetric(ch)
     plan = build_warmup_plan(4, 5.0)
     assert sched.p0 == pytest.approx((10.0 / 4) * (plan.lambda0 + plan.bgamma.gamma),
                                      rel=1e-13)
@@ -578,8 +604,8 @@ def test_symmetric_steady_state_agrees_with_plan_p0():
 
 def test_make_schedule_dispatch():
     assert isinstance(make_schedule("ozarow2", OZ_CHANNEL), OzarowSchedule)
-    assert isinstance(make_schedule("degraded", DEG_CHANNEL), DegradedSchedule)
-    assert isinstance(make_schedule("symmetric", SYM_CHANNEL), SymmetricSchedule)
+    assert isinstance(make_schedule("degraded", DEG_CHANNEL), HadamardSchedule)
+    assert isinstance(make_schedule("symmetric", SYM_CHANNEL), HadamardSchedule)
     assert set(SCHEME_IDS) == {"ozarow2", "degraded", "symmetric"}
     with pytest.raises(ValueError):
         make_schedule("other", OZ_CHANNEL)
