@@ -9,9 +9,10 @@ Data goes to stdout or --out; logs go to stderr.  Exit codes: 0 success,
 1 runtime failure, 2 configuration/usage error.  JSON configs are validated
 before any computation; unknown keys are rejected by name.
 
-``solve``, ``rates`` and ``duality`` compute on floats and never load numpy or
-scipy.  ``montecarlo``, and numpy and the batch threads with it, is imported
-only when ``simulate`` or ``sweep`` runs a batch.
+``solve``, ``rates`` and ``duality`` compute on floats and never load numpy.
+``montecarlo``, and numpy and the batch threads with it, is imported only when
+``simulate`` or ``sweep`` runs a batch.  No subcommand loads scipy: the
+normal quantile is a numpy port of Cephes ndtri (``core``).
 """
 
 from __future__ import annotations

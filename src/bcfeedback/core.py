@@ -61,24 +61,95 @@ def _libm(fn, x):
     return fn(x)
 
 
-# scipy.special is imported where it is called, so importing this module does
-# not load it: the quantile runs once per chunk, never per step.
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989; scipy.special.ndtri runs the same code).  For e**-2 < y < 1 - e**-2 a
+# rational function of t = y - 1/2; in the tails, with x = sqrt(-2 log y), a
+# rational function of 1/x corrects x - log(x) / x.  Coefficients run from the
+# highest degree down; each Q's leading 1 is written out, since 1 * x is exact.
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# 2 <= x < 8, i.e. exp(-32) < y <= exp(-2)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# 8 <= x, i.e. y <= exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule over a new array, op for op as Cephes polevl."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ratio(z: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """z * P(z) / Q(z), left to right as in C."""
+    out = _polevl(z, p)
+    out *= z
+    out /= _polevl(z, q)
+    return out
 
 
 def std_normal_quantile(p):
     """Inverse standard normal cdf on the open interval (0, 1).
 
-    Raises ValueError outside (0, 1); the embedding step relies on this to
-    reject degenerate message points rather than emitting infinities.
+    A port of Cephes ndtri that agrees bitwise with scipy.special.ndtri: numpy's
+    + - * / and sqrt round correctly, and both logs go through libm.  Raises
+    ValueError outside (0, 1); the embedding step relies on this to reject
+    degenerate message points rather than emitting infinities.
     """
-    from scipy.special import ndtri
-
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    if np.ndim(p) == 0:
-        return float(ndtri(float(p)))
-    return ndtri(arr)
+    y = arr.ravel()
+    upper = y > 1.0 - _EXPM2
+    y = np.subtract(1.0, y, out=y.copy(), where=upper)  # the upper tail mirrored
+    central = y > _EXPM2
+    out = np.empty(y.shape)
+    ci = np.flatnonzero(central)
+    t = y.take(ci)
+    t -= 0.5
+    x = _ratio(t * t, _P0, _Q0)
+    x *= t
+    x += t
+    x *= _S2PI
+    out.put(ci, x)
+
+    ti = np.flatnonzero(~central)
+    x = _libm(math.log, y.take(ti))
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    far = x >= 8.0
+    x1 = np.empty(x.shape)
+    x1[far] = _ratio(z[far], _P2, _Q2)
+    x1[~far] = _ratio(z[~far], _P1, _Q1)
+    x0 = _libm(math.log, x)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    x0 -= x1
+    # negated in the lower tail, where y was not mirrored
+    np.negative(x0, out=x0, where=~upper.take(ti))
+    out.put(ti, x0)
+    out = out.reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -374,13 +374,13 @@ class HadamardSchedule:
         if n == 1:
             self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
         vals = self.mu - self.gamma
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ScheduleInvariantError("covariance lost finiteness")
-        if np.min(vals) <= 0.0:
+        if vals.min() <= 0.0:
             raise ScheduleInvariantError(f"G lost positive definiteness at step {n}")
         if n >= self.plan.M:
             want = self._sorted_lambda_seq
-            drift = np.max(np.abs(np.sort(vals) - want))
+            drift = np.abs(np.sort(vals) - want).max()
             if drift > _CHECK_TOL * max(1.0, float(want[-1])):
                 raise ScheduleInvariantError(
                     f"eigenvalue profile drifted by {drift:.3g} at step {n}"

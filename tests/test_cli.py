@@ -637,21 +637,25 @@ def test_console_script_end_to_end(fresh_python):
     assert payload["sum_rate_bits"] == pytest.approx(1.7297158093186487, abs=1e-12)
 
 
-def test_solve_path_never_loads_scipy_special(tmp_path, capsys, fresh_python):
-    # scipy.special is imported at the first normal cdf or quantile, which only
-    # simulate and sweep reach; the child, whose first batch imports
-    # montecarlo and numpy, prints the same CSV as this process
-    path = write_config(tmp_path, base_config(trials=200, horizon=12))
-    assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+def test_no_subcommand_loads_scipy(tmp_path, capsys, fresh_python):
+    # scipy is a test dependency only: the quantile is a numpy port of Cephes
+    # ndtri.  The child, whose first batch imports montecarlo and numpy,
+    # prints the same CSVs as this process, and no subcommand loads scipy
+    sim = write_config(tmp_path, base_config(trials=200, horizon=12))
+    swp = write_config(tmp_path, base_config(power_budget=[1.0, 10.0], trials=150, horizon=8),
+                       name="sweep.json")
+    argvs = [["simulate", "--config", sim, "--threads", "1"], ["sweep", "--config", swp]]
+    for argv in argvs:
+        assert main(argv) == 0
     want = capsys.readouterr().out
     code = "\n".join([
         "import sys",
         "from bcfeedback.cli import main",
         "assert main(['duality', '-M', '2,64', '-P', '1e-9,10']) == 0",
         "assert main(['solve', '--scheme', 'ozarow2', '-P', '10']) == 0",
-        "assert 'scipy.special' not in sys.modules, 'the solve path loaded scipy.special'",
-        f"assert main(['simulate', '--config', {path!r}, '--threads', '1']) == 0",
-        "assert 'scipy.special' in sys.modules",
+        *(f"assert main({argv!r}) == 0" for argv in argvs),
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')",
+        "assert not loaded, loaded",
     ])
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr

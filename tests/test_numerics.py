@@ -95,6 +95,78 @@ def test_quantile_symmetry():
     assert std_normal_quantile(0.25) == pytest.approx(-std_normal_quantile(0.75), abs=1e-15)
 
 
+def _ulps_around(c: float, n: int) -> list[float]:
+    """The n floats on each side of c, and c."""
+    lo, hi, out = c, c, [c]
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_quantile_is_bitwise_scipy_ndtri():
+    # the port runs Cephes ndtri op for op, so it must equal scipy's compiled
+    # one bit for bit: every branch, the mirrored upper tail, and each side of
+    # the branch points e**-2, 1 - e**-2 and the x = 8 switch at exp(-32).
+    # Moving any coefficient by one ulp fails it, but for the constant terms
+    # of P2 and Q2, whose last bit moved no output on 15 M inputs below e**-32
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(35)
+    uniform = rng.random(1_000_000)
+    lower = np.exp(rng.uniform(math.log(1e-300), 0.0, 200_000))
+    upper = 1.0 - lower[lower < 0.5]
+    switch = math.exp(-32)
+    # 1 - exp(-32) lies only ~114 floats below 1
+    edges = [*(c for c in (0.5, math.exp(-2), 1.0 - math.exp(-2), switch)
+               for c in _ulps_around(c, 2000)), *_ulps_around(1.0 - switch, 50)]
+    # the x = 8 switch lies inside the points around exp(-32), in both tails
+    for ys in (_ulps_around(switch, 2000), [1.0 - y for y in _ulps_around(1.0 - switch, 50)]):
+        xs = [math.sqrt(-2.0 * math.log(y)) for y in ys]
+        assert min(xs) < 8.0 <= max(xs)
+    cases = {
+        "uniform": uniform[uniform > 0.0],
+        "lower tail": np.append(lower, [5e-324, 2.2250738585072014e-308, 1e-300]),
+        "upper tail": upper[upper < 1.0],
+        "branch points": np.array(edges),
+        "(trials, M)": rng.random((100, 128)),
+        # found by search: a one-ulp move of Q0's x**7 or of P2's x**8
+        # coefficient changes the last bit here, and of no uniform above
+        "rare last bits": np.array([float.fromhex(h) for h in (
+            "0x1.1b2678488c32bp-3", "0x1.18288124a247ep-3", "0x1.32e530e69648cp-3",
+            "0x1.135c824f62726p-47", "0x1.daeae55c9c3efp-51", "0x1.faa62a4a24fa5p-50")]),
+    }
+    for name, p in cases.items():
+        got, want = std_normal_quantile(p), ndtri(p)
+        assert got.shape == p.shape
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert bad.size == 0, f"{name}: {bad.size} differ, first at p = {p.flat[bad[0]]!r}"
+    for p in (0.3, 0.5, 0.9, 5e-324, 1.0 - 2.0**-53):
+        got = std_normal_quantile(p)
+        assert isinstance(got, float)
+        assert got.hex() == float(ndtri(p)).hex(), p
+
+
+def test_quantile_within_4_ulps_of_mpmath():
+    # 50-digit root of ncdf(x) = p from the exact float p; above 1/2 the
+    # root of ncdf(-x) = 1 - p, whose right side mpmath forms exactly
+    import mpmath
+
+    rng = np.random.default_rng(36)
+    lower = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), 150))
+    ps = [*lower, *(1.0 - lower[lower > 1e-15]), *rng.random(100), 5e-324]
+    got = std_normal_quantile(np.array(ps))
+    with mpmath.workdps(50):
+        for p, x in zip(ps, got):
+            if p < 0.5:
+                root = mpmath.findroot(lambda t: mpmath.ncdf(t) - p, x)
+            else:
+                q = 1 - mpmath.mpf(p)
+                root = -mpmath.findroot(lambda t: mpmath.ncdf(t) - q, -x)
+            want = float(root)
+            assert abs(x - want) <= 4 * math.ulp(want), (p, x, want)
+
+
 # ----------------------------------------------------------------------------
 # Hadamard matrices
 # ----------------------------------------------------------------------------
