@@ -131,7 +131,7 @@ def test_quantile_is_bitwise_scipy_ndtri():
         "branch points": np.array(edges),
         "(trials, M)": rng.random((100, 128)),
         # found by search: a one-ulp move of Q0's x**7 or of P2's x**8
-        # coefficient changes the last bit here, and of no uniform above
+        # coefficient changes the last bit here, and at none of the points above
         "rare last bits": np.array([float.fromhex(h) for h in (
             "0x1.1b2678488c32bp-3", "0x1.18288124a247ep-3", "0x1.32e530e69648cp-3",
             "0x1.135c824f62726p-47", "0x1.daeae55c9c3efp-51", "0x1.faa62a4a24fa5p-50")]),
