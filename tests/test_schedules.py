@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -326,6 +327,35 @@ def test_ozarow_pair_lies_outside_the_no_feedback_region(g, excess):
     bound = 0.5 * math.log2(1.0 + (1.0 - split) * p / (split * p + n2))
     assert r2 - bound == pytest.approx(excess, abs=1e-4)
     assert r2 > bound
+
+
+# the two-user unroll over modes, gains, noises (common, private, both,
+# unequal) and powers: the bytes of every prepared row, errors by type only.
+# The first tracked step rounds rho past 1 at P = 1e17, g = 1.3, on every noise
+UNROLL_NOISES = ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1.0, 2.0), (0.0, 0.3, 3.0))
+UNROLL_P = (1e-9, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e14, 1e17)
+UNROLL_FAILS = {("tracked", 1.3, noise, 1e17) for noise in UNROLL_NOISES}
+OZAROW2_UNROLL_SHA256 = "66f83bcd7e334340e2d4a81e5b452bf425c7f249f18650faced3c76663915c25"
+
+
+def test_ozarow2_unroll_bytes_are_pinned():
+    digest, fails = hashlib.sha256(), set()
+    for mode in ("tracked", "pinned"):
+        for g in (0.5, 1.0, 1.3):
+            for noise in UNROLL_NOISES:
+                for p in UNROLL_P:
+                    ch = ChannelConfig(2, p, noise[0], noise[1:])
+                    try:
+                        pr = prepare_scheme("ozarow2", ch, 300, g=g, rho_mode=mode)
+                    except ValueError as exc:
+                        fails.add((mode, g, noise, p))
+                        digest.update(type(exc).__name__.encode())
+                        continue
+                    for arr in (pr.row, pr.beta, pr.a, pr.b, pr.expected_power,
+                                pr.rate_limits, np.float64(pr.p0)):
+                        digest.update(arr.tobytes())
+    assert fails == UNROLL_FAILS
+    assert digest.hexdigest() == OZAROW2_UNROLL_SHA256
 
 
 def test_ozarow_validation():
