@@ -22,7 +22,10 @@ re-verified against both residuals before being returned.
 The two-user correlation-tracking variant instead follows a scalar source
 correlation rho through :func:`rho_map`; its stationary magnitude is the
 largest root in [0, 1] of x + rho_map(x) = 0 (the map flips sign every step,
-so the fixed point alternates between +rho* and -rho*).
+so the fixed point alternates between +rho* and -rho*).  One closure,
+``_two_user_step``, forms the whole two-user step at |rho|: the next |rho|
+and the step's coefficients.  ``rho_map``, ``solve_rho`` and the ``ozarow2``
+schedule all call it.
 """
 
 from __future__ import annotations
@@ -292,55 +295,69 @@ def rho_map(rho: float, P: float, sigma2: float, sigma1_2: float,
     rho = float(rho)
     if not (-1.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [-1, 1]")
-    out = _rho_step(P, sigma2, sigma1_2, sigma2_2, g)(abs(rho))
+    out = _two_user_step(P, sigma2, sigma1_2, sigma2_2, g)(abs(rho))[0]
     return out if rho >= 0.0 else -out  # -0.0 counts as positive
 
 
-def _rho_step(P, sigma2, sigma1_2, sigma2_2, g):
-    """r -> rho_map(r) on validated arguments, r >= 0.
+def _two_user_step(P, sigma2, sigma1_2, sigma2_2, g):
+    """r -> (rho_map(r), a1, a2, beta, b1, |b2|) on validated arguments, r = |rho| <= 1.
 
-    The textbook numerator (P + a)(P + b) rho - P (P + a + b - sigma2) h sign
-    cancels two terms of size P**2; since h - r = g (1 - r)(1 + r)/dd, the form
-    below is equal and carries 1 - r exactly (a, b, h as defined in the body).
+    One two-user step: beta normalises the mixture (1, g) to E[x^2] = P, a_m
+    and b_m are receiver m's contraction and MMSE gain.  The textbook
+    numerator (P + a)(P + b) rho - P (P + a + b - sigma2) h sign cancels two
+    terms of size P**2; since h - r = g (1 - r)(1 + r)/dd, the form below is
+    equal and carries 1 - r exactly (a, b, h as defined in the body).
     """
     a = sigma2 + sigma1_2
     b = sigma2 + sigma2_2
-    # formed once, as the inline expressions form them: the floats do not move
+    # formed once, each sum in its own order (v1 = (P + sigma2) + sigma1_2)
     ab, ps, pgg, pabg = a * b, P * sigma2, P * g * g, P * (P + a + b) * g
     root, c, g2 = math.sqrt((P + a) * (P + b)), 1.0 + g * g, 2.0 * g
+    half, v1, v2 = P / 2.0, P + sigma2 + sigma1_2, P + sigma2 + sigma2_2
 
     def step(r):
         dd = c + g2 * r
         one_m = (1.0 - r) * (1.0 + r)
-        h = (g + r) * (1.0 + g * r) / dd
-        num = ab * r + ps * h - pabg * one_m / dd
-        den = root * math.sqrt((a + pgg * one_m / dd) * (b + P * one_m / dd))
+        u1 = a + pgg * one_m / dd
+        u2 = b + P * one_m / dd
+        den = root * math.sqrt(u1 * u2)
         if den <= 0.0:
             raise ValueError("degenerate update: residual variance vanished")
-        return num / den
+        w1, w2 = 1.0 + g * r, g + r
+        beta = math.sqrt(2.0 / dd)
+        return ((ab * r + ps * (w2 * w1 / dd) - pabg * one_m / dd) / den,
+                math.sqrt(u1 / v1), math.sqrt(u2 / v2),
+                beta, half * beta * w1 / v1, half * beta * w2 / v2)
 
     return step
 
 
-def _ozarow_contractions(r: float, P, sigma2, sigma1_2, sigma2_2, g) -> tuple[float, float]:
-    """Per-step source contraction factors (a1, a2) at correlation magnitude r = |rho|."""
-    dd = 1.0 + g * g + 2.0 * g * r
-    one_m = (1.0 - r) * (1.0 + r)
-    a1 = math.sqrt((sigma2 + sigma1_2 + P * g * g * one_m / dd) / (P + sigma2 + sigma1_2))
-    a2 = math.sqrt((sigma2 + sigma2_2 + P * one_m / dd) / (P + sigma2 + sigma2_2))
-    return a1, a2
-
-
 def solve_rho(P: float, sigma2: float, sigma1_2: float, sigma2_2: float,
               g: float) -> OzarowFixedPoint:
-    """Stationary correlation magnitude: largest root in [0, 1] of x + rho_map(x) = 0."""
+    """Stationary correlation magnitude: largest root in [0, 1] of x + rho_map(x) = 0.
+
+    With a = sigma2 + sigma1_2 and b = sigma2 + sigma2_2, both positive, the
+    map's denominator den(x) is positive on [0, 1], so f(x) = x + rho_map(x) is
+    continuous there, and its end values have opposite signs:
+
+    * f(0) = -P g (P + sigma2 + sigma1_2 + sigma2_2) / ((1 + g**2) den(0)) < 0:
+      at r = 0 the numerator is P sigma2 h - P (P + a + b) g / dd with
+      dd = 1 + g**2 and h = g / dd.
+    * f(1) = 1 + (a b + P sigma2) / sqrt((P + a)(P + b) a b) > 1: at r = 1
+      every factor 1 - r vanishes and h = 1.
+
+    So a root lies in (0, 1).  That it is the only one is measured, not
+    proved: ``test_rho_scans_return_the_pure_float_scan_result`` walks a
+    10,001-point grid down from 1 (P from 1e-9 to 1e200, g from 1e-3 to 1e3,
+    four noise settings) and finds the crossing the search finds.
+    """
     P, sigma2, sigma1_2, sigma2_2, g = _validate_ozarow_noise(
         P, sigma2, sigma1_2, sigma2_2, g
     )
-    step = _rho_step(P, sigma2, sigma1_2, sigma2_2, g)
-    res = largest_root(lambda x: x + step(x), 0.0, 1.0, _ROOT_TOL)
+    step = _two_user_step(P, sigma2, sigma1_2, sigma2_2, g)
+    res = largest_root(lambda x: x + step(x)[0], 0.0, 1.0, _ROOT_TOL)
     rho = res.root
-    a1, a2 = _ozarow_contractions(rho, P, sigma2, sigma1_2, sigma2_2, g)
+    _, a1, a2 = step(rho)[:3]
     for name, val in (("a1_star", a1), ("a2_star", a2)):
         if not (0.0 < val <= 1.0):  # 1.0: a rate below float resolution
             raise FixedPointError(f"{name} = {val!r} escaped (0, 1]")

@@ -26,23 +26,27 @@ updates it exactly:
                + diag(b^2 * private_vars) / p_share) D^-1
 
 with w = R alpha, q = alpha^T R alpha, D = diag(a).  ``covariance_update``
-implements this as a dense reference; no schedule calls it.  The Hadamard
-schedule carries only R's M eigenvalues mu and reads E[x^2] off them, and
-the two-user schedule carries no R at all.
+implements this as a dense reference; no schedule calls it.
 
-* OzarowSchedule (two receivers, table H_2, weights (1, g)): the row is the
-  sign of the scalar source correlation rho, tracked with
-  ``fixedpoint.rho_map``.  In ``tracked`` mode rho follows that exact
-  recursion from rho_1 = 0; in ``pinned`` mode it alternates between +rho*
-  and -rho*, the stationary pair.
-* HadamardSchedule (table H_M, weights 1): step n uses row (n - 1) mod M,
-  and one of two coefficient rules.  ``degraded``: every receiver sees the
-  same output (private variances zero); the coefficients are the
-  minimum-mean-square ones, in closed form from R's Hadamard eigenvalues,
-  which keep R's diagonal exactly 1 while they cycle toward the sum-rate
-  fixed point.  ``symmetric``: private noises only, constant (a, b, gamma)
-  from the warmup plan; the rows stay eigenvectors of G = R - gamma I while
-  the eigenvalue assignment rotates one row per step.
+``HadamardSchedule`` is the one schedule class.  Its three constructors
+differ only in their rule, their solved constants and their rate limits:
+
+* ``ozarow2`` (two receivers, table H_2, weights (1, g)): the row is the
+  sign of the scalar source correlation rho; ``fixedpoint._two_user_step``
+  maps |rho| to the step's coefficients and the next |rho|, so no R is
+  carried.  In ``tracked`` mode rho follows that exact recursion from
+  rho_1 = 0; in ``pinned`` mode it alternates between +rho* and -rho*.
+* ``degraded`` and ``symmetric`` (table H_M, weights 1): step n uses row
+  (n - 1) mod M.  Every receiver feeds back b_0 h_j and contracts by one a,
+  so R stays dyadic and its Hadamard eigenvalues mu are the whole state;
+  step n sends E[x^2] = p_share M beta^2 mu_j, read off mu_j before the
+  step.  ``degraded``: every receiver sees the same output (private
+  variances zero); the coefficients are the minimum-mean-square ones, in
+  closed form from R's Hadamard eigenvalues, which keep R's diagonal
+  exactly 1 while they cycle toward the sum-rate fixed point.
+  ``symmetric``: private noises only, constant (a, b, gamma) from the
+  warmup plan; the rows stay eigenvectors of G = R - gamma I while the
+  eigenvalue assignment rotates one row per step.
 """
 
 from __future__ import annotations
@@ -53,13 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .channel import ChannelConfig
-from .fixedpoint import (
-    _ozarow_contractions,
-    build_warmup_plan,
-    rho_map,
-    solve_lambda_bc,
-    solve_rho,
-)
+from .fixedpoint import _two_user_step, build_warmup_plan, solve_lambda_bc, solve_rho
 from .numerics import MAX_HADAMARD_LOG2, sylvester_hadamard
 
 if TYPE_CHECKING:
@@ -175,100 +173,59 @@ def _sylvester_rows(sched) -> np.ndarray:
     return sylvester_hadamard(sched.channel.num_receivers.bit_length() - 1)
 
 
-# ----------------------------------------------------------------------------
-# two-user correlation-tracking schedule
-# ----------------------------------------------------------------------------
-
-
-class OzarowSchedule:
-    """Two-receiver schedule driven by the alternating source correlation.
-
-    Step n mixes with alpha = (1, g) * h on row h of H_2: row 0, (1, 1),
-    while the correlation rho >= 0 and row 1, (1, -1), while it is negative,
-    and feeds back (b_1, |b_2|) * h.  mode="tracked" follows the exact
-    correlation recursion from rho = 0 (the sources start independent), so
-    the analytic transmit power is the budget P at every single step.
-    mode="pinned" generates coefficients from the stationary pair
-    (-1)^(n+1) rho*; the true second moments then approach the assumed ones
-    only as the transient decays.
-    """
-
-    table = functools.cached_property(_sylvester_rows)
-
-    def __init__(self, channel: ChannelConfig, g: float = 1.0, mode: str = "tracked"):
-        check_channel("ozarow2", channel)
-        if mode not in ("tracked", "pinned"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.channel = channel
-        self.g = float(g)
-        self.weights = (1.0, self.g)
-        self.mode = mode
-        self.p0 = channel.power_budget / 2.0
-        self.fixed_point = solve_rho(channel.power_budget, channel.common_noise_var,
-                                     *channel.private_noise_vars, self.g)
-        self.rho = 0.0 if mode == "tracked" else self.fixed_point.rho
-
-    def rate_limits(self) -> tuple[float, ...]:
-        return self.fixed_point.rates
-
-    def solved(self) -> dict:
-        """RateReport constants: rho*, its residual and the sum rate."""
-        fp = self.fixed_point
-        return dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(fp.rates))
-
-    def step(self) -> ScheduleStep:
-        ch = self.channel
-        p = ch.power_budget
-        g = self.g
-        sigma2 = ch.common_noise_var
-        s1, s2 = ch.private_noise_vars
-        rho = self.rho
-        r = abs(rho)
-        dd = 1.0 + g * g + 2.0 * g * r
-        v1 = p + sigma2 + s1
-        v2 = p + sigma2 + s2
-        beta = math.sqrt(2.0 / dd)
-        a1, a2 = _ozarow_contractions(r, p, sigma2, s1, s2, g)
-        b1 = (p / 2.0) * beta * (1.0 + g * r) / v1
-        # |b_2|: rounding is sign-symmetric, so the row's -1 gives b_2 exactly
-        b2 = (p / 2.0) * beta * (g + r) / v2
-        if self.mode == "tracked":
-            self.rho = rho_map(rho, p, sigma2, s1, s2, g)
-        else:
-            self.rho = -rho
-        # beta normalises the mixture variance at the current correlation, so
-        # under tracked moments E[x^2] equals the budget exactly.
-        return ScheduleStep(row=0 if rho >= 0.0 else 1, beta=beta, a=(a1, a2), b=(b1, b2),
-                            expected_power=p)
+def _cycle_rate_limits(m: int, p: float, lam: float) -> tuple[float, ...]:
+    """Each receiver's limit when the rows cycle at effective power p and fixed point lam."""
+    return (0.5 * math.log2((1.0 + p * lam) / (1.0 + (p / m) * lam * (m - lam))),) * m
 
 
 # ----------------------------------------------------------------------------
-# Hadamard schedules: degraded (common output) and symmetric (private noises)
+# the schedule: one class, one rule per scheme
 # ----------------------------------------------------------------------------
 
 
 class HadamardSchedule:
-    """Kramer's orthogonal modulation: step n mixes with row j = (n - 1) mod M.
-
-    Every receiver feeds back b_0 h_j and contracts by one a, so R stays
-    dyadic and its Hadamard eigenvalues mu, shape (M,), are the whole state;
-    step n sends E[x^2] = p_share M beta^2 mu_j, read off mu_j before the
-    step.  The two schemes differ only in the rule that turns mu_j into
-    (beta, a, b_0) and updates mu, and in their solved constants; build one
-    with ``degraded`` or ``symmetric``.
-    """
+    """Kramer's orthogonal modulation, built by ``ozarow2``, ``degraded`` or
+    ``symmetric``; the module docstring gives their rules."""
 
     table = functools.cached_property(_sylvester_rows)
     weights = (1.0,)
 
-    def __init__(self, channel: ChannelConfig, mu0: float, p_eff: float, solved: dict):
+    def __init__(self, channel: ChannelConfig, mu0: float, solved: dict,
+                 rate_limits: tuple[float, ...]):
         self.channel = channel
         self.p_share = channel.power_budget / channel.num_receivers
         self.p0 = self.p_share * mu0  # R_1 = mu0 I
-        self.p_eff = p_eff
         self._mu0 = mu0
         self._solved = solved
+        self._rate_limits = rate_limits
         self.step_index = 1
+
+    @classmethod
+    def ozarow2(cls, channel: ChannelConfig, g: float = 1.0,
+                mode: str = "tracked") -> HadamardSchedule:
+        """Two receivers, weights (1, g), the row following the correlation rho.
+
+        Step n uses row 0 of H_2, (1, 1), while rho >= 0 and row 1, (1, -1),
+        while it is negative, and feeds back (b_1, |b_2|) * h.  mode="tracked"
+        follows the exact correlation recursion from rho = 0 (the sources
+        start independent), so the analytic transmit power is the budget P
+        at every single step.  mode="pinned" generates coefficients from the
+        stationary pair (-1)^(n+1) rho*; the true second moments then
+        approach the assumed ones only as the transient decays.
+        """
+        check_channel("ozarow2", channel)
+        if mode not in ("tracked", "pinned"):
+            raise ValueError(f"unknown mode {mode!r}")
+        g = float(g)
+        args = (channel.power_budget, channel.common_noise_var, *channel.private_noise_vars, g)
+        fp = solve_rho(*args)
+        self = cls(channel, 1.0, dict(rho=fp.rho, residual=fp.residual, sum_rate=sum(fp.rates)),
+                   fp.rates)
+        self.weights, self.g, self.mode, self.fixed_point = (1.0, g), g, mode, fp
+        self.rho = 0.0 if mode == "tracked" else fp.rho
+        self._two_user = _two_user_step(*args)
+        self._rule = self._correlation_rule
+        return self
 
     @classmethod
     def degraded(cls, channel: ChannelConfig) -> HadamardSchedule:
@@ -277,19 +234,20 @@ class HadamardSchedule:
         With c = sigma^2 / p_share and out_var = M mu_j + c, step n feeds
         back b_0 = mu_j / out_var, sets mu_j to mu_j c / out_var and divides
         mu by a^2, the new mean (mean mu - mu_j^2 / out_var, free of its
-        cancellation at high power).  Mean mu, R's diagonal, stays 1 while mu_j converges to
-        lambda, so the power P mu_j tends to P lambda, not to the budget P:
-        lambda lies in [1, M], and the sum rate exceeds the capacity
-        1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits against
-        0.5).
+        cancellation at high power).  Mean mu, R's diagonal, stays 1 while
+        mu_j converges to lambda, so the power P mu_j tends to P lambda, not
+        to the budget P: lambda lies in [1, M], and the sum rate exceeds the
+        capacity 1/2 log2(1 + P/sigma^2) at P (M = 2, P = sigma^2: 0.567 bits
+        against 0.5).
         """
         check_channel("degraded", channel)
+        m = channel.num_receivers
         p_eff = channel.power_budget / channel.common_noise_var
-        sol = solve_lambda_bc(channel.num_receivers, p_eff)
-        self = cls(channel, 1.0, p_eff, dict(
+        sol = solve_lambda_bc(m, p_eff)
+        self = cls(channel, 1.0, dict(
             lam=sol.lam, residual=sol.residual, sum_rate=sol.sum_rate,
             avg_power=channel.power_budget * sol.lam,
-            capacity_at_budget=0.5 * math.log2(1.0 + p_eff)))
+            capacity_at_budget=0.5 * math.log2(1.0 + p_eff)), _cycle_rate_limits(m, p_eff, sol.lam))
         self._rule = self._mmse_rule
         return self
 
@@ -310,8 +268,9 @@ class HadamardSchedule:
         check_channel("symmetric", channel)
         m = channel.num_receivers
         plan = build_warmup_plan(m, channel.power_budget / channel.private_noise_vars[0])
-        self = cls(channel, plan.lambda0 + plan.bgamma.gamma, plan.P,
-                   dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate))
+        self = cls(channel, plan.lambda0 + plan.bgamma.gamma,
+                   dict(lam=plan.lam, residual=plan.lam_residual, sum_rate=plan.sum_rate),
+                   _cycle_rate_limits(m, plan.P, plan.lam))
         self.plan, self.gamma = plan, plan.bgamma.gamma
         self.check_invariants = check_invariants
         self._rule = self._planned_rule
@@ -325,23 +284,42 @@ class HadamardSchedule:
         return np.full(self.channel.num_receivers, self._mu0)
 
     def rate_limits(self) -> tuple[float, ...]:
-        m, p, lam = self.channel.num_receivers, self.p_eff, self._solved["lam"]
-        return (0.5 * math.log2((1.0 + p * lam) / (1.0 + (p / m) * lam * (m - lam))),) * m
+        return self._rate_limits
 
     def solved(self) -> dict:
-        """RateReport constants: lambda, its residual and the sum rate, and for
-        ``degraded`` the power P lambda spent and the capacity at P."""
+        """RateReport constants: rho* or lambda, its residual and the sum rate,
+        and for ``degraded`` the power P lambda spent and the capacity at P."""
         return dict(self._solved)
 
     def step(self) -> ScheduleStep:
-        mu = self.mu
-        n = self.step_index
-        j = (n - 1) % mu.size
-        beta, a, b0, power = self._rule(n, j, float(mu[j]), mu)
-        self.step_index = n + 1
-        return ScheduleStep(row=j, beta=beta, a=(a,), b=(b0,), expected_power=power)
+        st = self._rule(self.step_index)
+        self.step_index += 1
+        return st
 
-    def _mmse_rule(self, n: int, j: int, mu_j: float, mu: np.ndarray):
+    def _correlation_rule(self, n: int) -> ScheduleStep:
+        rho = self.rho
+        if not -1.0 <= rho <= 1.0:
+            raise ValueError(f"tracked rho = {rho!r} rounded past +-1 at "
+                             f"P={self.channel.power_budget!r}, g={self.g!r}")
+        rho_next, a1, a2, beta, b1, b2 = self._two_user(abs(rho))
+        if self.mode == "tracked":
+            self.rho = rho_next if rho >= 0.0 else -rho_next  # -0.0 counts as positive
+        else:
+            self.rho = -rho
+        # beta normalises the mixture variance at the current correlation, so
+        # under tracked moments E[x^2] equals the budget exactly; b2 is |b_2|:
+        # rounding is sign-symmetric, so the row's -1 gives b_2 exactly
+        return ScheduleStep(row=0 if rho >= 0.0 else 1, beta=beta, a=(a1, a2), b=(b1, b2),
+                            expected_power=self.channel.power_budget)
+
+    def _row_cycle(self, n: int):
+        """mu, the row j = (n - 1) mod M of step n and mu_j before it."""
+        mu = self.mu
+        j = (n - 1) % mu.size
+        return mu, j, float(mu[j])
+
+    def _mmse_rule(self, n: int) -> ScheduleStep:
+        mu, j, mu_j = self._row_cycle(n)
         m = mu.size
         noise = self.channel.common_noise_var / self.p_share
         out_var = m * mu_j + noise
@@ -350,9 +328,11 @@ class HadamardSchedule:
         if not a_sq > 0.0:
             raise ScheduleInvariantError("residual source variance lost positivity")
         mu /= a_sq
-        return 1.0, math.sqrt(a_sq), mu_j / out_var, self.p_share * m * mu_j
+        return ScheduleStep(row=j, beta=1.0, a=(math.sqrt(a_sq),), b=(mu_j / out_var,),
+                            expected_power=self.p_share * m * mu_j)
 
-    def _planned_rule(self, n: int, j: int, mu_j: float, mu: np.ndarray):
+    def _planned_rule(self, n: int) -> ScheduleStep:
+        mu, j, mu_j = self._row_cycle(n)
         m = mu.size
         plan = self.plan
         if n == 1 and self.check_invariants:
@@ -365,7 +345,8 @@ class HadamardSchedule:
         mu /= plan.steady_a**2
         if self.check_invariants:
             self._verify(n + 1)
-        return beta, plan.steady_a, b, self.p_share * m * beta * beta * mu_j
+        return ScheduleStep(row=j, beta=beta, a=(plan.steady_a,), b=(b,),
+                            expected_power=self.p_share * m * beta * beta * mu_j)
 
     def _verify(self, n: int) -> None:
         """Check mu before step n; from step M on (steady) against the plan."""
@@ -391,7 +372,7 @@ def make_schedule(scheme: str, channel: ChannelConfig, *, g: float = 1.0,
                   rho_mode: str = "tracked", check_invariants: bool = True):
     """Construct the schedule named by ``scheme`` (one of SCHEME_IDS)."""
     if scheme == "ozarow2":
-        return OzarowSchedule(channel, g=g, mode=rho_mode)
+        return HadamardSchedule.ozarow2(channel, g=g, mode=rho_mode)
     if scheme == "degraded":
         return HadamardSchedule.degraded(channel)
     if scheme == "symmetric":

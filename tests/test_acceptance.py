@@ -25,7 +25,7 @@ from bcfeedback.fixedpoint import (
 )
 from bcfeedback.montecarlo import default_policies, prepare_scheme, run_batch
 from bcfeedback.numerics import sylvester_hadamard
-from bcfeedback.schedules import HadamardSchedule, OzarowSchedule, rate_report
+from bcfeedback.schedules import HadamardSchedule, rate_report
 from oracles import (
     LAMBDA_2_1,
     LAMBDA_2_10,
@@ -226,14 +226,14 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
 
     # pinned coefficients sit exactly at the fixed point
     ch = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
-    pinned = OzarowSchedule(ch, mode="pinned")
+    pinned = HadamardSchedule.ozarow2(ch, mode="pinned")
     step = pinned.step()
     assert 0.0 < step.a[0] < 1.0 and 0.0 < step.a[1] < 1.0
     assert step.a[0] == pytest.approx(fp.a1_star, rel=1e-14)
 
     # tracked mode: second moments propagated through the generic covariance
     # update reproduce E[x^2] = P at every one of 200 steps
-    tracked = OzarowSchedule(ch, mode="tracked")
+    tracked = HadamardSchedule.ozarow2(ch, mode="tracked")
     p_share = ch.power_budget / 2.0
     R = np.eye(2)
     worst = 0.0

@@ -408,6 +408,24 @@ def test_ozarow2_scan_of_nan_exits_2_on_solve_and_on_simulate(tmp_path, capsys):
     assert captured.err == solve_err == "config error: f evaluated to NaN in the bracket\n"
 
 
+def test_simulate_names_the_power_where_tracked_rho_rounds_past_1(tmp_path, capsys):
+    # at unit noise and g = 1.3 the first tracked step from rho = 0 returns
+    # rho = -1.0000000000000002 at P = 1e17: rates answers on that channel,
+    # simulate stops before stepping on that rho and names P and g
+    def simulate(p):
+        path = write_config(tmp_path, base_config(
+            scheme="ozarow2", power_budget=p, g=1.3, trials=100, horizon=5))
+        return main(["simulate", "--config", path])
+
+    assert main(["rates", "--scheme", "ozarow2", "-P", "1e17", "--g", "1.3"]) == 0
+    capsys.readouterr()
+    assert simulate(1e17) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tracked rho = -1.0000000000000002 ")
+    assert "P=1e+17, g=1.3" in err
+    assert simulate(1e16) == 0
+
+
 def test_solve_below_gain_1e_10_gives_the_60_digit_lambda(capsys):
     # the effective power P/sigma² = 1e-307 lies far below gain 1e-10; the
     # sum rate is log1p(P·lambda)/(2 ln 2), where 1 + P·lambda rounds to 1

@@ -16,7 +16,6 @@ from bcfeedback.schedules import (
     DEFAULT_NOISE,
     SCHEME_IDS,
     HadamardSchedule,
-    OzarowSchedule,
     ScheduleInvariantError,
     check_channel,
     covariance_update,
@@ -53,7 +52,7 @@ def test_covariance_update_reproduces_correlation_recursion():
     # the schedule-independent moment update must agree with the dedicated
     # two-user correlation map, step after step
     ch = OZ_CHANNEL
-    sched = OzarowSchedule(ch, mode="tracked")
+    sched = HadamardSchedule.ozarow2(ch, mode="tracked")
     p_share = ch.power_budget / 2.0
     R = np.eye(2)  # sources start independent with variance p0 = P/2
     rho_pred = 0.0
@@ -224,7 +223,7 @@ def test_hadamard_schedules_share_one_read_only_table():
 def test_ozarow_tracked_correlation_converges_to_alternating_fixed_point():
     # the tracked recursion contracts at roughly 0.83 per step here, so 150
     # steps push the magnitude gap well under 1e-9
-    sched = OzarowSchedule(OZ_CHANNEL, mode="tracked")
+    sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="tracked")
     rho_star = sched.fixed_point.rho
     rhos = []
     for _ in range(150):
@@ -237,7 +236,7 @@ def test_ozarow_tracked_correlation_converges_to_alternating_fixed_point():
 
 
 def test_ozarow_pinned_alternates_exactly():
-    sched = OzarowSchedule(OZ_CHANNEL, mode="pinned")
+    sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="pinned")
     rho_star = sched.fixed_point.rho
     assert sched.rho == rho_star
     sched.step()
@@ -247,7 +246,7 @@ def test_ozarow_pinned_alternates_exactly():
 
 
 def test_ozarow_pinned_params_match_fixed_point():
-    sched = OzarowSchedule(OZ_CHANNEL, mode="pinned")
+    sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="pinned")
     fp = sched.fixed_point
     step = sched.step()
     # one formula for the contraction factors, so the pinned step is exact
@@ -259,13 +258,13 @@ def test_ozarow_pinned_params_match_fixed_point():
 def test_ozarow_tracked_power_is_budget_each_step():
     # beta renormalises to the tracked second moments, so the analytic power
     # equals the budget at every step, including the transient
-    sched = OzarowSchedule(OZ_CHANNEL, mode="tracked")
+    sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="tracked")
     for _ in range(50):
         assert sched.step().expected_power == OZ_CHANNEL.power_budget
 
 
 def test_ozarow_rate_limits():
-    sched = OzarowSchedule(OZ_CHANNEL)
+    sched = HadamardSchedule.ozarow2(OZ_CHANNEL)
     fp = sched.fixed_point
     limits = sched.rate_limits()
     assert limits[0] == pytest.approx(-math.log2(fp.a1_star), rel=1e-14)
@@ -273,8 +272,8 @@ def test_ozarow_rate_limits():
 
 
 def test_ozarow_asymmetric_gain_changes_split():
-    even = OzarowSchedule(OZ_CHANNEL, g=1.0).rate_limits()
-    skew = OzarowSchedule(OZ_CHANNEL, g=2.0).rate_limits()
+    even = HadamardSchedule.ozarow2(OZ_CHANNEL, g=1.0).rate_limits()
+    skew = HadamardSchedule.ozarow2(OZ_CHANNEL, g=2.0).rate_limits()
     assert even[0] == pytest.approx(even[1], rel=1e-12)
     assert skew[0] != pytest.approx(skew[1], rel=1e-6)
 
@@ -360,9 +359,9 @@ def test_ozarow2_unroll_bytes_are_pinned():
 
 def test_ozarow_validation():
     with pytest.raises(ValueError):
-        OzarowSchedule(ChannelConfig(4, 1.0, 0.0, (1.0,) * 4))
+        HadamardSchedule.ozarow2(ChannelConfig(4, 1.0, 0.0, (1.0,) * 4))
     with pytest.raises(ValueError):
-        OzarowSchedule(OZ_CHANNEL, mode="drifting")
+        HadamardSchedule.ozarow2(OZ_CHANNEL, mode="drifting")
 
 
 # ----------------------------------------------------------------------------
@@ -633,7 +632,7 @@ def test_symmetric_steady_state_agrees_with_plan_p0():
 
 
 def test_make_schedule_dispatch():
-    assert isinstance(make_schedule("ozarow2", OZ_CHANNEL), OzarowSchedule)
+    assert isinstance(make_schedule("ozarow2", OZ_CHANNEL), HadamardSchedule)
     assert isinstance(make_schedule("degraded", DEG_CHANNEL), HadamardSchedule)
     assert isinstance(make_schedule("symmetric", SYM_CHANNEL), HadamardSchedule)
     assert set(SCHEME_IDS) == {"ozarow2", "degraded", "symmetric"}
