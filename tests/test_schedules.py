@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +359,36 @@ def test_ozarow2_unroll_bytes_are_pinned():
     assert digest.hexdigest() == OZAROW2_UNROLL_SHA256
 
 
+# the Hadamard unroll with the symmetric checks on, over both schemes, M up
+# to 1024 and P over 1e-9..1e9: the bytes of every prepared row, errors by
+# type only.  The second horizon ends inside a block of checked states: a
+# block holds 2**16 floats, so from M = 16 on it crosses at least one
+HADAMARD_UNROLL_M = (1, 2, 4, 16, 128, 1024)
+HADAMARD_UNROLL_P = (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
+HADAMARD_UNROLL_SHA256 = "cecb7f5bab12f0406b95a2c3d2e94c1b34313ae0f2675e0e8a8c55c297a144bd"
+
+
+def test_hadamard_unroll_bytes_are_pinned():
+    digest, fails = hashlib.sha256(), set()
+    for scheme in ("symmetric", "degraded"):
+        common, private = DEFAULT_NOISE[scheme]
+        for m in HADAMARD_UNROLL_M:
+            for p in HADAMARD_UNROLL_P:
+                ch = ChannelConfig(m, p, common, (private,) * m)
+                for horizon in (2 * m + 1, min(6200, 3 * 2**15 // m + 1)):
+                    try:
+                        pr = prepare_scheme(scheme, ch, horizon, check_invariants=True)
+                    except (ValueError, RuntimeError) as exc:
+                        fails.add((scheme, m, p, horizon))
+                        digest.update(type(exc).__name__.encode())
+                        continue
+                    for arr in (pr.row, pr.beta, pr.a, pr.b, pr.expected_power,
+                                pr.rate_limits, np.float64(pr.p0)):
+                        digest.update(arr.tobytes())
+    assert fails == set()
+    assert digest.hexdigest() == HADAMARD_UNROLL_SHA256
+
+
 def test_ozarow_validation():
     with pytest.raises(ValueError):
         HadamardSchedule.ozarow2(ChannelConfig(4, 1.0, 0.0, (1.0,) * 4))
@@ -527,6 +559,36 @@ def test_symmetric_invariants_hold_for_300_steps():
     for _ in range(300):
         sched.step()  # _verify raises on any drift
     assert sched.step_index >= sched.plan.M  # past warmup
+
+
+def test_symmetric_invariant_check_names_the_first_failing_step(monkeypatch):
+    # Two faults planted in one run of prepare_scheme, well inside the first
+    # block of checked states.  Row 9 starts between gamma and 0 and its
+    # warmup scaling is spoilt so that its reset at step 10 multiplies it by
+    # (1 - 5.5)^2: the state before step 11 has an eigenvalue below gamma.
+    # Row 20 starts at the largest float times a^(2 * 10.5), and 1/a^2 per
+    # step carries it past the largest float during step 11.  The report
+    # names step 11 and positivity, and nothing warns: no step after a bad
+    # state may print an overflow
+    m, bad = 64, 9
+
+    def spoilt(*args, **kwargs):
+        sched = make_schedule(*args, **kwargs)
+        plan = sched.plan
+        beta_b = list(plan.beta_b)
+        beta_b[bad] = 5.5 / m
+        sched.plan = dataclasses.replace(plan, beta_b=tuple(beta_b))
+        sched.mu[bad] = sched.gamma / 2.0
+        sched.mu[20] = 1.7976931348623157e308 * plan.steady_a ** 21
+        return sched
+
+    monkeypatch.setattr("bcfeedback.montecarlo.make_schedule", spoilt)
+    ch = ChannelConfig(m, 10.0, 0.0, (1.0,) * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScheduleInvariantError) as info:
+            prepare_scheme("symmetric", ch, 40)
+    assert str(info.value) == "G lost positive definiteness at step 11"
 
 
 def test_symmetric_invariant_check_catches_eigenvalue_drift():
