@@ -14,7 +14,7 @@ Each root name is imported from its module at its first use (PEP 562), so
 ``import bcfeedback`` loads none of them.  The solvers, ``rate_report`` and
 ``ChannelConfig`` compute on floats; numpy is imported only by the array
 code: ``prepare_scheme`` (``montecarlo``, ``core`` and the channel's draws)
-and a schedule's ``step()``.
+and a schedule's ``unroll()``.
 """
 
 import importlib

@@ -218,7 +218,9 @@ def solve_b_gamma(lam: float, M: int, P: float) -> BGamma:
     budget.  The identities, the quadratic
     M b**2 - 2 b sqrt(lam + gamma) + (P/M) lam**2 / (1 + P lam) = 0, and the
     bounds 0 > gamma >= -lam / (1 + P lam) and lam + gamma > 0 are verified
-    as well to guard the arithmetic itself.
+    as well to guard the arithmetic itself.  Where (M/P)**2 overflows or b**2
+    underflows to 0 the closed form has no float value, and a ValueError
+    names M and P.
     """
     M, P = _validate_mp(M, P)
     lam = float(lam)
@@ -231,10 +233,18 @@ def solve_b_gamma(lam: float, M: int, P: float) -> BGamma:
             f"(gap {gap:.3g}) for M={M}, P={P}"
         )
     snr = 1.0 + P * lam
-    tail = 4.0 * (M / P) ** 2 * snr / lam**2
+    try:
+        ratio_sq = (M / P) ** 2
+    except OverflowError:
+        ratio_sq = math.inf
+    if ratio_sq == math.inf:
+        raise ValueError(f"(M/P)**2 overflows at M={M}, P={P!r}")
+    tail = 4.0 * ratio_sq * snr / lam**2
     b2 = ((P * lam**2 + 2.0 * lam) / snr) / (M**2 + tail)
+    if b2 == 0.0:
+        raise ValueError(f"b**2 underflows to 0 at M={M}, P={P!r}")
     b = math.sqrt(b2)
-    gamma = -((M / P) ** 2) * b2 * snr / lam**2
+    gamma = -ratio_sq * b2 * snr / lam**2
 
     r10, r11, rq = b_gamma_residuals(b, gamma, lam, M, P)
     if max(abs(r10), abs(r11), abs(rq)) > _CHECK_TOL:

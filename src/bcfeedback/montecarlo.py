@@ -1,5 +1,9 @@
 """Monte Carlo harness: per-trial streams, vectorised batches, CSV rows.
 
+``prepare_scheme`` unrolls a schedule over the horizon with one
+``unroll(horizon)`` call and checks the stacked rows once; the trials share
+them.
+
 Reproducibility contract: trial i draws from a child stream spawned from the
 master seed by trial index, laid out by ``channel.draw_batch`` (M uniforms for
 the message points, then 1 + M standard normals per step), the only code that
@@ -103,7 +107,7 @@ class PreparedScheme:
 def prepare_scheme(scheme: str, channel: ChannelConfig, horizon: int, *,
                    g: float = 1.0, rho_mode: str = "tracked",
                    check_invariants: bool = True) -> PreparedScheme:
-    """Unroll ``horizon`` steps of the named schedule and check them once.
+    """Unroll ``horizon`` steps of the named schedule in one call and check the arrays.
 
     The table must be (M, M) and every row index inside it; weights, a and
     b must share one width, 1 or M; every coefficient must be finite and
@@ -119,15 +123,11 @@ def prepare_scheme(scheme: str, channel: ChannelConfig, horizon: int, *,
     if table.shape != (m, m) or weights.shape not in ((1,), (m,)):
         raise ValueError(f"schedule table or weights do not fit {m} receivers")
     k = weights.size
-    row = np.empty(horizon, dtype=np.intp)
-    beta, power = np.empty((2, horizon))
-    a, b = np.empty((2, horizon, k))
-    for n in range(horizon):
-        st = sched.step()
-        # a row of another width would broadcast silently into the table
-        if not np.shape(st.a) == np.shape(st.b) == (k,):
-            raise ValueError(f"schedule step {n + 1} is not {k} wide")
-        row[n], beta[n], a[n], b[n], power[n] = st.row, st.beta, st.a, st.b, st.expected_power
+    row, beta, a, b, power = sched.unroll(horizon)
+    # a row of another width would broadcast silently into the table
+    if not (row.shape == beta.shape == power.shape == (horizon,)
+            and a.shape == b.shape == (horizon, k)):
+        raise ValueError(f"schedule unroll is not {horizon} steps {k} wide")
     if not ((row >= 0) & (row < m)).all():
         raise ValueError("schedule rows must index the table")
     if not all(np.isfinite(arr).all() for arr in (weights, beta, a, b)):

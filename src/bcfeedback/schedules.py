@@ -10,10 +10,11 @@ schedule can therefore be unrolled once per configuration and shared across
 Monte Carlo trials.
 
 Every scheme is one coding strategy (Kramer's orthogonal-modulation form):
-each ``step()`` returns an unvalidated ScheduleStep naming a row h of the
-schedule's shared +-1 ``table``, mixing with alpha = weights * h and feeding
-back b * h; ``montecarlo.prepare_scheme`` stacks the steps into rows and
-checks them once.  Solved constants and ``rate_limits()`` are floats, and the
+step n names a row h of the schedule's shared +-1 ``table``, mixes with
+alpha = weights * h and feeds back b * h.  ``unroll(n)`` runs the scheme's
+rule over the next n steps and returns their rows, beta, a, b and E[x^2] as
+arrays, unvalidated; ``montecarlo.prepare_scheme`` calls it once and checks
+the arrays.  Solved constants and ``rate_limits()`` are floats, and the
 table and eigenvalues are built at first use, so ``rate_report`` runs
 without numpy.
 
@@ -51,6 +52,7 @@ differ only in their rule, their solved constants and their rate limits:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -72,6 +74,9 @@ DEFAULT_NOISE = {"ozarow2": (0.0, 1.0), "degraded": (1.0, 0.0), "symmetric": (0.
 
 # relative tolerance of the symmetric schedule's invariant checks
 _CHECK_TOL = 1e-9
+# the symmetric checks copy each mu state into a buffer of at most this many
+# floats (at least one state) and check a full buffer at a time
+_CHECK_BLOCK_FLOATS = 2**16
 
 
 class ScheduleInvariantError(RuntimeError):
@@ -113,23 +118,6 @@ def check_channel(scheme: str, channel: ChannelConfig) -> None:
         raise ValueError(
             f"scheme {scheme!r} supports at most 2**{MAX_HADAMARD_LOG2} receivers"
         )
-
-
-@dataclass(frozen=True)
-class ScheduleStep:
-    """One channel use: a row of the schedule's table, beta, a and b, and E[x_n^2].
-
-    Step n mixes with alpha = weights * h and feeds back b * h, where h is
-    row ``row`` of the schedule's read-only +-1 ``table`` and ``weights`` a
-    constant of the schedule.  weights, a and b share one width: 1, standing
-    for every receiver, or M.
-    """
-
-    row: int
-    beta: float
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    expected_power: float
 
 
 def covariance_update(R: np.ndarray, alpha: np.ndarray, beta: float, a: np.ndarray,
@@ -260,10 +248,12 @@ class HadamardSchedule:
         channel unchanged; only the embedding variance carries s back in.
         Step n adds c = b_0^2 s / p_share to every mu, sets mu_j to
         (1 - beta b_0 M)^2 mu_j + c, a sum of two positive terms, and divides
-        mu by a^2.  ``check_invariants`` only decides whether each step is
-        verified: the eigenvalues mu - gamma of G = R - gamma I must stay
+        mu by a^2.  ``check_invariants`` only decides whether ``unroll``
+        verifies mu before every step and after the last, a block of states
+        at a time: the eigenvalues mu - gamma of G = R - gamma I must stay
         finite and positive and, after warmup, match the planned profile.  A
-        failure is a bug in the emitted steps or the plan.
+        failure names the first bad state's step, and is a bug in the
+        emitted steps or the plan.
         """
         check_channel("symmetric", channel)
         m = channel.num_receivers
@@ -291,81 +281,128 @@ class HadamardSchedule:
         and for ``degraded`` the power P lambda spent and the capacity at P."""
         return dict(self._solved)
 
-    def step(self) -> ScheduleStep:
-        st = self._rule(self.step_index)
-        self.step_index += 1
-        return st
+    def unroll(self, n: int):
+        """The next n steps as arrays: (row, beta, a, b, expected_power).
 
-    def _correlation_rule(self, n: int) -> ScheduleStep:
-        rho = self.rho
-        if not -1.0 <= rho <= 1.0:
-            raise ValueError(f"tracked rho = {rho!r} rounded past +-1 at "
-                             f"P={self.channel.power_budget!r}, g={self.g!r}")
-        rho_next, a1, a2, beta, b1, b2 = self._two_user(abs(rho))
-        if self.mode == "tracked":
-            self.rho = rho_next if rho >= 0.0 else -rho_next  # -0.0 counts as positive
-        else:
-            self.rho = -rho
-        # beta normalises the mixture variance at the current correlation, so
-        # under tracked moments E[x^2] equals the budget exactly; b2 is |b_2|:
-        # rounding is sign-symmetric, so the row's -1 gives b_2 exactly
-        return ScheduleStep(row=0 if rho >= 0.0 else 1, beta=beta, a=(a1, a2), b=(b1, b2),
-                            expected_power=self.channel.power_budget)
-
-    def _row_cycle(self, n: int):
-        """mu, the row j = (n - 1) mod M of step n and mu_j before it."""
-        mu = self.mu
-        j = (n - 1) % mu.size
-        return mu, j, float(mu[j])
-
-    def _mmse_rule(self, n: int) -> ScheduleStep:
-        mu, j, mu_j = self._row_cycle(n)
-        m = mu.size
-        noise = self.channel.common_noise_var / self.p_share
-        out_var = m * mu_j + noise
-        mu[j] = mu_j * noise / out_var
-        a_sq = float(mu.mean())
-        if not a_sq > 0.0:
-            raise ScheduleInvariantError("residual source variance lost positivity")
-        mu /= a_sq
-        return ScheduleStep(row=j, beta=1.0, a=(math.sqrt(a_sq),), b=(mu_j / out_var,),
-                            expected_power=self.p_share * m * mu_j)
-
-    def _planned_rule(self, n: int) -> ScheduleStep:
-        mu, j, mu_j = self._row_cycle(n)
-        m = mu.size
-        plan = self.plan
-        if n == 1 and self.check_invariants:
-            self._verify(1)  # R_1 itself
-        b = plan.bgamma.b
-        beta = plan.beta_b[n - 1] / b if n <= m - 1 else plan.steady_beta
-        shift = b * b * self.channel.private_noise_vars[0] / self.p_share
-        mu += shift
-        mu[j] = (1.0 - beta * b * m) ** 2 * mu_j + shift
-        mu /= plan.steady_a**2
-        if self.check_invariants:
-            self._verify(n + 1)
-        return ScheduleStep(row=j, beta=beta, a=(plan.steady_a,), b=(b,),
-                            expected_power=self.p_share * m * beta * beta * mu_j)
-
-    def _verify(self, n: int) -> None:
-        """Check mu before step n; from step M on (steady) against the plan."""
+        Step i mixes with alpha = weights * h and feeds back b[i] * h, with
+        h = table[row[i]]; a and b are (n, len(weights)), the rest (n,).  The
+        arrays are built once from the rule's floats and are not validated.
+        """
         import numpy as np
 
-        if n == 1:
-            self._sorted_lambda_seq = np.sort(self.plan.lambda_seq)
-        vals = self.mu - self.gamma
-        if not np.isfinite(vals).all():
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        first, k = self.step_index, len(self.weights)
+        steps = self._rule(first, n)  # (row, beta, a, b, expected_power) per step
+        self.step_index = first + n
+        rows, beta, a, b, power = zip(*steps) if steps else ((),) * 5
+        return (np.array(rows, dtype=np.intp), np.array(beta, dtype=float),
+                np.array(a, dtype=float).reshape(n, k), np.array(b, dtype=float).reshape(n, k),
+                np.array(power, dtype=float))
+
+    def _correlation_rule(self, first: int, n: int):
+        two_user, tracked = self._two_user, self.mode == "tracked"
+        rho, power, steps = self.rho, self.channel.power_budget, []
+        for _ in range(n):
+            if not -1.0 <= rho <= 1.0:
+                raise ValueError(f"tracked rho = {rho!r} rounded past +-1 at "
+                                 f"P={power!r}, g={self.g!r}")
+            rho_next, a1, a2, beta_n, b1, b2 = two_user(abs(rho))
+            # beta normalises the mixture variance at the current correlation,
+            # so under tracked moments E[x^2] equals the budget exactly; b2 is
+            # |b_2|: rounding is sign-symmetric, so the row's -1 gives b_2 exactly
+            steps.append((0 if rho >= 0.0 else 1, beta_n, (a1, a2), (b1, b2), power))
+            if tracked:
+                rho = rho_next if rho >= 0.0 else -rho_next  # -0.0 counts as positive
+            else:
+                rho = -rho
+            self.rho = rho
+        return steps
+
+    def _mmse_rule(self, first: int, n: int):
+        mu = self.mu
+        m, p_share = mu.size, self.p_share
+        noise = self.channel.common_noise_var / p_share
+        steps = []
+        for i in range(first, first + n):
+            j = (i - 1) % m
+            mu_j = float(mu[j])
+            out_var = m * mu_j + noise
+            mu[j] = mu_j * noise / out_var
+            a_sq = float(mu.sum()) / m  # mu.mean(), bit for bit
+            if not a_sq > 0.0:
+                raise ScheduleInvariantError("residual source variance lost positivity")
+            mu /= a_sq
+            steps.append((j, 1.0, math.sqrt(a_sq), mu_j / out_var, p_share * m * mu_j))
+        return steps
+
+    def _planned_rule(self, first: int, n: int):
+        import numpy as np
+
+        mu, plan = self.mu, self.plan
+        m, p_share = mu.size, self.p_share
+        a, b, beta_b, steady_beta = plan.steady_a, plan.bgamma.b, plan.beta_b, plan.steady_beta
+        a_sq = a**2
+        shift = b * b * self.channel.private_noise_vars[0] / p_share
+        check = self.check_invariants and n > 0
+        if check:
+            # states[t] holds mu before step label + t: R_1 first on a fresh
+            # schedule, then the state after each step
+            states = np.empty((min(max(1, _CHECK_BLOCK_FLOATS // m), n + 1), m))
+            want = np.sort(plan.lambda_seq)
+            label, filled = (1, 1) if first == 1 else (first + 1, 0)
+            states[0] = mu  # kept only on a fresh schedule
+        steps = []
+        # a bad state is reported from its block; the steps after it must not warn
+        with np.errstate(over="ignore", invalid="ignore") if check else contextlib.nullcontext():
+            for i in range(first, first + n):
+                j = (i - 1) % m
+                mu_j = float(mu[j])
+                beta_n = beta_b[i - 1] / b if i <= m - 1 else steady_beta
+                mu += shift
+                mu[j] = (1.0 - beta_n * b * m) ** 2 * mu_j + shift
+                mu /= a_sq
+                steps.append((j, beta_n, a, b, p_share * m * beta_n * beta_n * mu_j))
+                if check:
+                    if filled == len(states):
+                        self._verify(states, label, want)
+                        label, filled = label + filled, 0
+                    states[filled] = mu
+                    filled += 1
+        if check:
+            self._verify(states[:filled], label, want)
+        return steps
+
+    def _verify(self, states: np.ndarray, first: int, want: np.ndarray) -> None:
+        """Check each row of ``states``, mu before step first + t, in place.
+
+        The eigenvalues mu - gamma must be finite, then positive, then from
+        step M on (steady) match the sorted plan ``want``.  The first failing
+        step raises, naming its first failing condition in that order.
+        """
+        import numpy as np
+
+        states -= self.gamma
+        bad = ~np.isfinite(states).all(axis=1)
+        low = states.min(axis=1) <= 0.0
+        steady = states[max(0, self.plan.M - first):]
+        offset = len(states) - len(steady)
+        steady.sort(axis=1)
+        steady -= want
+        drift = np.abs(steady, out=steady).max(axis=1)
+        drifted = np.zeros_like(bad)
+        drifted[offset:] = drift > _CHECK_TOL * max(1.0, float(want[-1]))
+        failed = bad | low | drifted
+        if not failed.any():
+            return
+        t = int(failed.argmax())
+        if bad[t]:
             raise ScheduleInvariantError("covariance lost finiteness")
-        if vals.min() <= 0.0:
-            raise ScheduleInvariantError(f"G lost positive definiteness at step {n}")
-        if n >= self.plan.M:
-            want = self._sorted_lambda_seq
-            drift = np.abs(np.sort(vals) - want).max()
-            if drift > _CHECK_TOL * max(1.0, float(want[-1])):
-                raise ScheduleInvariantError(
-                    f"eigenvalue profile drifted by {drift:.3g} at step {n}"
-                )
+        if low[t]:
+            raise ScheduleInvariantError(f"G lost positive definiteness at step {first + t}")
+        raise ScheduleInvariantError(
+            f"eigenvalue profile drifted by {drift[t - offset]:.3g} at step {first + t}"
+        )
 
 
 def make_schedule(scheme: str, channel: ChannelConfig, *, g: float = 1.0,

@@ -267,13 +267,14 @@ class DenseStep:
     expected_power: float
 
 
-def dense_step(sched, step) -> DenseStep:
-    """A schedule's step in dense form: alpha = weights * h, a, and b * h,
-    with h the step's row of ``sched.table``."""
-    alpha, a, b = dense_coefficients(sched.table[step.row], sched.weights, step.a, step.b,
+def dense_step(sched, unrolled) -> DenseStep:
+    """A schedule's ``unroll(1)`` in dense form: alpha = weights * h, a, and
+    b * h, with h the step's row of ``sched.table``."""
+    (row,), (beta,), (a,), (b,), (power,) = unrolled
+    alpha, a, b = dense_coefficients(sched.table[row], sched.weights, a, b,
                                      sched.channel.num_receivers)
-    return DenseStep(alpha=np.array(alpha), beta=step.beta, a=np.array(a), b=np.array(b),
-                     expected_power=step.expected_power)
+    return DenseStep(alpha=np.array(alpha), beta=float(beta), a=np.array(a), b=np.array(b),
+                     expected_power=float(power))
 
 
 def dense_update(R, step, channel, p_share: float) -> np.ndarray:
@@ -365,9 +366,9 @@ def hadamard_eigen_step(mu: np.ndarray, j: int, step, channel, p_share: float) -
         mu <- (mu + b_0^2 s_p / p_share
                + e_j (M b_0^2 out_var - 2 beta b_0 M mu_j)) / a^2
 
-    with out_var = beta^2 M mu_j + s_c / p_share.  b[0] is b_0 in the
-    step's compact form and in its dense one, since every Sylvester row
-    starts with +1.  The e_j term subtracts nearly equal terms at high
+    with out_var = beta^2 M mu_j + s_c / p_share.  ``step`` is a
+    :func:`dense_step`, whose b[0] is b_0 since every Sylvester row starts
+    with +1.  The e_j term subtracts nearly equal terms at high
     power: against :func:`mp_dense_eigenvalues` it drifts by up to 1.2e-6
     relative at P = 1e9 (M = 8, 40 symmetric steps), so it is a reference at
     moderate P only.

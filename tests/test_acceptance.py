@@ -102,7 +102,7 @@ def test_criterion_04_symmetric_schedule_structure_1000_steps():
     want_multiset = np.sort(np.asarray(sched.plan.lambda_seq))
     prev_vals = None
     for n in range(1, 1001):
-        step = dense_step(sched, sched.step())
+        step = dense_step(sched, sched.unroll(1))
         R = dense_update(R, step, ch, sched.p_share)
         if n >= m:
             rel = abs(step.expected_power - p) / p
@@ -227,9 +227,9 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
     # pinned coefficients sit exactly at the fixed point
     ch = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
     pinned = HadamardSchedule.ozarow2(ch, mode="pinned")
-    step = pinned.step()
-    assert 0.0 < step.a[0] < 1.0 and 0.0 < step.a[1] < 1.0
-    assert step.a[0] == pytest.approx(fp.a1_star, rel=1e-14)
+    (a,) = pinned.unroll(1)[2]
+    assert 0.0 < a[0] < 1.0 and 0.0 < a[1] < 1.0
+    assert a[0] == pytest.approx(fp.a1_star, rel=1e-14)
 
     # tracked mode: second moments propagated through the generic covariance
     # update reproduce E[x^2] = P at every one of 200 steps
@@ -238,7 +238,7 @@ def test_criterion_08_two_user_fixed_point_and_tracked_power():
     R = np.eye(2)
     worst = 0.0
     for _ in range(200):
-        step = dense_step(tracked, tracked.step())
+        step = dense_step(tracked, tracked.unroll(1))
         q = float(step.alpha @ (R @ step.alpha))
         power = p_share * step.beta**2 * q
         worst = max(worst, abs(power - ch.power_budget) / ch.power_budget)

@@ -384,6 +384,25 @@ def test_values_the_library_checks_exit_2(argv, code, capsys):
     assert ("config error" in capsys.readouterr().err) == (code == 2)
 
 
+@pytest.mark.parametrize("argv, message", [
+    # (M/P)**2 overflows in the symmetric (b, gamma) closed form
+    (["solve", "--scheme", "symmetric", "-M", "2", "-P", "1e-160"],
+     "(M/P)**2 overflows at M=2, P=1e-160"),
+    (["solve", "--scheme", "symmetric", "-M", "2", "-P", "1e-320"],
+     "(M/P)**2 overflows at M=2, P=1e-320"),
+    (["rates", "--scheme", "symmetric", "-M", "1024", "-P", "1e-155"],
+     "(M/P)**2 overflows at M=1024, P=1e-155"),
+    # (M/P)**2 is finite but 4 (M/P)**2 is not, so b**2 rounds to 0
+    (["solve", "--scheme", "symmetric", "-M", "2", "-P", "2e-154"],
+     "b**2 underflows to 0 at M=2, P=2e-154"),
+])
+def test_symmetric_b_gamma_out_of_float_range_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("p", ["1e160", "1e200", "1.7e308"])
 def test_ozarow2_scan_of_nan_prints_only_the_config_error(p, capsys):
     # the rho map overflows to NaN in the bracket at these powers: exit 2,

@@ -29,7 +29,7 @@ from bcfeedback.montecarlo import (
     wilson_interval,
     write_csv,
 )
-from bcfeedback.schedules import DEFAULT_NOISE, ScheduleStep
+from bcfeedback.schedules import DEFAULT_NOISE
 from oracles import draw_trial, scalar_trial
 
 SYM_CHANNEL = ChannelConfig(2, 10.0, 0.0, (1.0, 1.0))
@@ -81,35 +81,42 @@ def test_prepare_scheme_zero_horizon():
 
 
 class _StubSchedule:
-    """Replays the given steps, one per call, on H_2 with weights (1, 1)."""
+    """Unrolls the given arrays on H_2 with weights (1, 1)."""
 
     p0 = 1.0
     table = np.array([[1.0, 1.0], [1.0, -1.0]])
     weights = (1.0, 1.0)
 
-    def __init__(self, steps):
-        self._steps = iter(steps)
+    def __init__(self, unrolled):
+        self._unrolled = unrolled
 
     def rate_limits(self):
         return np.ones(2)
 
-    def step(self):
-        return next(self._steps)
+    def unroll(self, n):
+        return self._unrolled
 
 
-def _two_wide_step(**spoil):
-    fields = dict(row=1, beta=2.0, a=(0.5, 0.8), b=(0.1, 0.2), expected_power=1.0)
-    return ScheduleStep(**{**fields, **spoil})
+def _three_two_wide_steps(**spoil):
+    """(row, beta, a, b, expected_power) of three steps, the third spoilt
+    by ``spoil`` (one field's last value) or a field replaced whole."""
+    steps = dict(row=[1, 1, 1], beta=[2.0] * 3, a=[(0.5, 0.8)] * 3, b=[(0.1, 0.2)] * 3,
+                 expected_power=[1.0] * 3)
+    for field, last in spoil.items():
+        steps[field] = steps[field][:2] + [last]
+    return steps
 
 
 def test_prepare_scheme_validates_the_table(monkeypatch):
-    def prepare(last):
-        steps = [_two_wide_step(), _two_wide_step(), last]
+    def prepare(steps, **whole):
+        steps = {**steps, **whole}
+        arrays = (np.array(steps["row"]),
+                  *(np.array(steps[f], dtype=float) for f in ("beta", "a", "b", "expected_power")))
         monkeypatch.setattr("bcfeedback.montecarlo.make_schedule",
-                            lambda *args, **kw: _StubSchedule(steps))
-        return prepare_scheme("symmetric", SYM_CHANNEL, len(steps))
+                            lambda *args, **kw: _StubSchedule(arrays))
+        return prepare_scheme("symmetric", SYM_CHANNEL, 3)
 
-    prep = prepare(_two_wide_step())
+    prep = prepare(_three_two_wide_steps())
     assert np.array_equal(prep.b, [[0.1, 0.2]] * 3)
     assert prep.row.tolist() == [1, 1, 1]
     for spoil in (
@@ -117,14 +124,21 @@ def test_prepare_scheme_validates_the_table(monkeypatch):
         dict(a=(0.5, -0.3)),
         dict(b=(0.1, np.nan)),  # every value finite
         dict(beta=np.inf),
-        dict(a=(0.5,)),  # every row as wide as the weights
-        dict(b=(0.1, 0.2, 0.3)),
-        dict(a=np.ones((2, 2))),
         dict(row=2),  # every row index inside the table
         dict(row=-1),
     ):
         with pytest.raises(ValueError):
-            prepare(_two_wide_step(**spoil))
+            prepare(_three_two_wide_steps(**spoil))
+    for whole in (
+        dict(a=[(0.5,)] * 3),  # every row as wide as the weights
+        dict(b=[(0.1, 0.2, 0.3)] * 3),
+        dict(a=np.ones((3, 2, 2))),
+        dict(beta=[2.0] * 2),  # every array one entry per step
+        dict(row=[[1]] * 3),
+        dict(expected_power=[1.0] * 4),
+    ):
+        with pytest.raises(ValueError, match="not 3 steps 2 wide"):
+            prepare(_three_two_wide_steps(), **whole)
 
 
 @pytest.mark.parametrize("scheme", ["symmetric", "degraded"])

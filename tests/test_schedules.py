@@ -59,7 +59,7 @@ def test_covariance_update_reproduces_correlation_recursion():
     R = np.eye(2)  # sources start independent with variance p0 = P/2
     rho_pred = 0.0
     for _ in range(12):
-        R = dense_update(R, dense_step(sched, sched.step()), ch, p_share)
+        R = dense_update(R, dense_step(sched, sched.unroll(1)), ch, p_share)
         rho_pred = rho_map(rho_pred, ch.power_budget, ch.common_noise_var,
                            ch.private_noise_vars[0], ch.private_noise_vars[1], 1.0)
         rho_from_r = R[0, 1] / math.sqrt(R[0, 0] * R[1, 1])
@@ -161,11 +161,11 @@ def test_covariance_update_follows_the_hadamard_eigenvalue_recursion(scheme, m, 
     worst = 0.0
     for n in range(horizon):
         j = n % m
-        step = sched.step()
-        assert step.row == j
+        step = sched.unroll(1)
+        assert step[0].tolist() == [j]
         dense = dense_step(sched, step)
         assert np.array_equal(dense.alpha, sched.table[:, j])
-        mu = hadamard_eigen_step(mu, j, step, ch, sched.p_share)
+        mu = hadamard_eigen_step(mu, j, dense, ch, sched.p_share)
         R = dense_update(R, dense, ch, sched.p_share)
         got = sched.table.T @ R[0]
         worst = max(worst, np.max(np.abs(got - mu)) / np.max(np.abs(got)))
@@ -189,7 +189,7 @@ def test_hadamard_schedules_step_without_dense_state(scheme):
         tracemalloc.start()
         try:
             for _ in range(32):
-                sched.step()
+                sched.unroll(1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,7 +229,7 @@ def test_ozarow_tracked_correlation_converges_to_alternating_fixed_point():
     rho_star = sched.fixed_point.rho
     rhos = []
     for _ in range(150):
-        sched.step()
+        sched.unroll(1)
         rhos.append(sched.rho)
     tail = rhos[-6:]
     assert [abs(abs(r) - rho_star) < 1e-9 for r in tail] == [True] * 6
@@ -241,20 +241,20 @@ def test_ozarow_pinned_alternates_exactly():
     sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="pinned")
     rho_star = sched.fixed_point.rho
     assert sched.rho == rho_star
-    sched.step()
+    sched.unroll(1)
     assert sched.rho == -rho_star
-    sched.step()
+    sched.unroll(1)
     assert sched.rho == rho_star
 
 
 def test_ozarow_pinned_params_match_fixed_point():
     sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="pinned")
     fp = sched.fixed_point
-    step = sched.step()
+    _, _, a, _, power = sched.unroll(1)
     # one formula for the contraction factors, so the pinned step is exact
-    assert step.a[0] == fp.a1_star
-    assert step.a[1] == fp.a2_star
-    assert step.expected_power == OZ_CHANNEL.power_budget
+    assert a[0, 0] == fp.a1_star
+    assert a[0, 1] == fp.a2_star
+    assert power[0] == OZ_CHANNEL.power_budget
 
 
 def test_ozarow_tracked_power_is_budget_each_step():
@@ -262,7 +262,7 @@ def test_ozarow_tracked_power_is_budget_each_step():
     # equals the budget at every step, including the transient
     sched = HadamardSchedule.ozarow2(OZ_CHANNEL, mode="tracked")
     for _ in range(50):
-        assert sched.step().expected_power == OZ_CHANNEL.power_budget
+        assert sched.unroll(1)[4].tolist() == [OZ_CHANNEL.power_budget]
 
 
 def test_ozarow_rate_limits():
@@ -288,7 +288,7 @@ def test_ozarow_tracked_steps_are_the_mmse_recursion(g, common, private):
     # the source correlation, and give each receiver its MMSE coefficients
     ch = ChannelConfig(2, 10.0, common, private)
     sched = make_schedule("ozarow2", ch, g=g)
-    want = [dense_step(sched, sched.step()) for _ in range(300)]
+    want = [dense_step(sched, sched.unroll(1)) for _ in range(300)]
     got = mmse_steps(ch, lambda n, R: (1.0, g if R[0, 1] >= 0.0 else -g), 300)
     for u, v in zip(want, got):
         assert np.array_equal(u.alpha, v.alpha)
@@ -407,8 +407,8 @@ def test_degraded_first_normalised_powers_are_exact_fractions():
     sched = HadamardSchedule.degraded(DEG_CHANNEL)
     mus = []
     for _ in range(3):
-        step = sched.step()
-        mus.append(step.expected_power / DEG_CHANNEL.power_budget)
+        power = sched.unroll(1)[4]
+        mus.append(power[0] / DEG_CHANNEL.power_budget)
     assert mus[0] == pytest.approx(1.0, abs=1e-14)
     assert mus[1] == pytest.approx(4.0 / 3.0, abs=1e-14)
     assert mus[2] == pytest.approx(14.0 / 13.0, abs=1e-14)
@@ -428,7 +428,7 @@ def test_degraded_diagonal_stays_unit():
             w = R @ alpha
             q = float(alpha @ w)
             out_var = q + ch.common_noise_var / sched.p_share
-            step = dense_step(sched, sched.step())
+            step = dense_step(sched, sched.unroll(1))
             assert _rel_err(step.b, w / out_var) <= 1e-11
             assert _rel_err(step.a, np.sqrt(np.diag(R) - w * w / out_var)) <= 1e-11
             assert step.expected_power == pytest.approx(sched.p_share * q, rel=1e-11)
@@ -445,7 +445,7 @@ def test_degraded_coefficients_match_a_40_digit_dense_oracle():
     ch = ChannelConfig(m, p, 1.0, (0.0,) * m)
     sched = HadamardSchedule.degraded(ch)
     for a, b, power in mp_degraded_steps(m, p, 1.0, 100):
-        step = dense_step(sched, sched.step())
+        step = dense_step(sched, sched.unroll(1))
         assert _rel_err(step.a, a) <= 1e-14
         assert _rel_err(step.b, b) <= 1e-14
         assert step.expected_power == pytest.approx(power, rel=1e-14)
@@ -453,7 +453,7 @@ def test_degraded_coefficients_match_a_40_digit_dense_oracle():
 
 def test_degraded_power_converges_to_lambda_budget():
     sched = HadamardSchedule.degraded(DEG_CHANNEL)
-    mus = np.array([sched.step().expected_power for _ in range(4000)])
+    mus = sched.unroll(4000)[4]
     # pointwise oscillation collapses onto lambda and the running mean lands there
     assert mus[-1] == pytest.approx(LAMBDA_2_1, abs=1e-9)
     assert mus.mean() == pytest.approx(LAMBDA_2_1, rel=1e-3)
@@ -463,7 +463,7 @@ def test_degraded_eigen_current_tracks_lambda_for_m4():
     ch = ChannelConfig(4, 10.0, 1.0, (0.0,) * 4)
     sched = HadamardSchedule.degraded(ch)
     lam = solve_lambda_bc(4, 10.0).lam
-    q_tail = [sched.step().expected_power / (10.0 / 4) for _ in range(2000)][-8:]
+    q_tail = (sched.unroll(2000)[4] / (10.0 / 4))[-8:]
     assert np.mean(q_tail) / 4 == pytest.approx(lam, abs=1e-9)
 
 
@@ -491,7 +491,7 @@ def test_degraded_validation():
 
 def test_symmetric_power_exact_after_warmup():
     sched = HadamardSchedule.symmetric(SYM_CHANNEL)
-    powers = [sched.step().expected_power for _ in range(40)]
+    powers = sched.unroll(40)[4].tolist()
     m = SYM_CHANNEL.num_receivers
     for n, pw in enumerate(powers, start=1):
         if n >= m:
@@ -503,7 +503,7 @@ def test_symmetric_power_exact_after_warmup():
 def test_symmetric_warmup_powers_increase():
     ch = ChannelConfig(8, 10.0, 0.0, (1.0,) * 8)
     sched = HadamardSchedule.symmetric(ch)
-    powers = [sched.step().expected_power for _ in range(8)]
+    powers = sched.unroll(8)[4].tolist()
     assert powers[:7] == sorted(powers[:7])
     assert powers[7] == pytest.approx(10.0, rel=1e-10)
 
@@ -529,7 +529,7 @@ def _dense_R(sched, steps, R=None):
     if R is None:
         R = (sched.plan.lambda0 + sched.gamma) * np.eye(ch.num_receivers)
     for _ in range(steps):
-        R = dense_update(R, dense_step(sched, sched.step()), ch, sched.p_share)
+        R = dense_update(R, dense_step(sched, sched.unroll(1)), ch, sched.p_share)
     return R
 
 
@@ -556,8 +556,7 @@ def test_symmetric_eigen_assignment_rotates_one_column_per_step():
 
 def test_symmetric_invariants_hold_for_300_steps():
     sched = HadamardSchedule.symmetric(SYM_CHANNEL, check_invariants=True)
-    for _ in range(300):
-        sched.step()  # _verify raises on any drift
+    sched.unroll(300)  # _verify raises on any drift
     assert sched.step_index >= sched.plan.M  # past warmup
 
 
@@ -594,10 +593,10 @@ def test_symmetric_invariant_check_names_the_first_failing_step(monkeypatch):
 def test_symmetric_invariant_check_catches_eigenvalue_drift():
     # moving two eigenvalues apart leaves them positive but off the planned profile
     sched = HadamardSchedule.symmetric(SYM_CHANNEL)
-    sched.step()  # finish warmup so the steady profile is in force
+    sched.unroll(1)  # finish warmup so the steady profile is in force
     sched.mu += np.array([0.05, -0.05])
     with pytest.raises(ScheduleInvariantError, match="drifted"):
-        sched.step()
+        sched.unroll(1)
 
 
 def test_symmetric_invariant_check_catches_lost_positive_definiteness():
@@ -605,14 +604,14 @@ def test_symmetric_invariant_check_catches_lost_positive_definiteness():
     sched = HadamardSchedule.symmetric(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
     sched.mu -= 10.0
     with pytest.raises(ScheduleInvariantError, match="lost positive definiteness"):
-        sched.step()
+        sched.unroll(1)
 
 
 def test_symmetric_invariant_check_catches_lost_finiteness():
     sched = HadamardSchedule.symmetric(ChannelConfig(4, 10.0, 0.0, (1.0,) * 4))
     sched.mu[1] = np.nan
     with pytest.raises(ScheduleInvariantError, match="lost finiteness"):
-        sched.step()
+        sched.unroll(1)
 
 
 @pytest.mark.parametrize("m", [2, 8])
@@ -625,7 +624,7 @@ def test_symmetric_eigenvalue_carry_matches_a_40_digit_dense_oracle(m, p):
     r0 = float(sched.mu[0])
     steps, carried = [], []
     for _ in range(3 * m):
-        steps.append(dense_step(sched, sched.step()))
+        steps.append(dense_step(sched, sched.unroll(1)))
         carried.append(sched.mu.copy())
     oracle = mp_dense_eigenvalues(steps, ch, sched.p_share, r0)
     for got, want in zip(carried, oracle):
@@ -644,8 +643,7 @@ def test_symmetric_checks_run_without_an_eigendecomposition(monkeypatch):
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
     sched = HadamardSchedule.symmetric(ChannelConfig(16, 10.0, 0.0, (1.0,) * 16), check_invariants=True)
-    for _ in range(32):
-        sched.step()
+    sched.unroll(32)
     assert sched.step_index >= sched.plan.M  # past warmup
 
 
@@ -653,11 +651,10 @@ def test_symmetric_noise_scale_invariance():
     # (a, b, beta) depend on the noise scale only through P / s
     a = HadamardSchedule.symmetric(ChannelConfig(2, 10.0, 0.0, (1.0, 1.0)))
     b = HadamardSchedule.symmetric(ChannelConfig(2, 40.0, 0.0, (4.0, 4.0)))
-    sa, sb = a.step(), b.step()
-    assert sa.row == sb.row
-    assert sa.beta == pytest.approx(sb.beta, rel=1e-13)
-    assert sa.a == pytest.approx(sb.a, rel=1e-13)
-    assert sa.b == pytest.approx(sb.b, rel=1e-13)
+    (row_a, *sa), (row_b, *sb) = a.unroll(1), b.unroll(1)
+    assert row_a.tolist() == row_b.tolist()
+    for u, v in zip(sa[:3], sb[:3]):  # beta, a, b
+        assert u == pytest.approx(v, rel=1e-13)
     # the embedding variance carries the physical scale back in
     assert b.p0 == pytest.approx(4.0 * a.p0, rel=1e-13)
 
@@ -665,8 +662,8 @@ def test_symmetric_noise_scale_invariance():
 def test_symmetric_single_receiver_runs():
     ch = ChannelConfig(1, 10.0, 0.0, (1.0,))
     sched = HadamardSchedule.symmetric(ch)
-    step = sched.step()
-    assert step.expected_power == pytest.approx(10.0, rel=1e-12)
+    power = sched.unroll(1)[4]
+    assert power[0] == pytest.approx(10.0, rel=1e-12)
     # one receiver: the rate limit is the point-to-point capacity
     assert sched.rate_limits()[0] == pytest.approx(0.5 * math.log2(11.0), rel=1e-12)
 
