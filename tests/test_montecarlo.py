@@ -98,8 +98,8 @@ class _StubSchedule:
 
 
 def _three_two_wide_steps(**spoil):
-    """(row, beta, a, b, expected_power) of three steps, the third spoilt
-    by ``spoil`` (one field's last value) or a field replaced whole."""
+    """Per-field lists of three two-wide steps; each field named in ``spoil``
+    takes the given value at the third step."""
     steps = dict(row=[1, 1, 1], beta=[2.0] * 3, a=[(0.5, 0.8)] * 3, b=[(0.1, 0.2)] * 3,
                  expected_power=[1.0] * 3)
     for field, last in spoil.items():
